@@ -1,12 +1,12 @@
 // Performance microbenchmarks for the numeric kernels (google-benchmark):
-// matrix products, the three factorizations, least squares and the
-// symmetric eigensolvers at the sizes the pipeline actually uses (27
-// sensors -> 27-61 column regressions, 27x27 Laplacians, 54x54 augmented
-// systems) plus the scaled-up 128/256/512-sensor halls where the
-// tridiagonal partial-spectrum path takes over from Jacobi. After the
-// google benchmarks, main() runs a single-thread Jacobi-vs-partial
-// scaling report on synthetic-grid Laplacians and writes the per-PR
-// BENCH_perf_linalg.json artifact (CI's perf-smoke gate).
+// matrix products, the QR and Cholesky factorizations, least squares and
+// the symmetric eigensolvers at the sizes the pipeline actually uses (27
+// sensors -> 27-61 column regressions, 27x27 Laplacians) plus scaled-up
+// 128/256/512-sensor halls, with the Jacobi test oracle as the baseline
+// the production solvers are measured against. After the google
+// benchmarks, main() runs a single-thread Jacobi-vs-partial scaling report
+// on synthetic-grid Laplacians and writes the BENCH_perf_linalg.json
+// artifact (CI's perf-smoke gate).
 
 #include <benchmark/benchmark.h>
 
@@ -110,17 +110,6 @@ void BM_CholeskySolve(benchmark::State& state) {
 }
 BENCHMARK(BM_CholeskySolve)->Arg(16)->Arg(34)->Arg(61);
 
-void BM_LuSolve(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  const auto a = random_matrix(n, n, 7);
-  const auto b = random_matrix(n, 1, 8);
-  for (auto _ : state) {
-    linalg::LuDecomposition lu(a);
-    benchmark::DoNotOptimize(lu.solve(b));
-  }
-}
-BENCHMARK(BM_LuSolve)->Arg(16)->Arg(27)->Arg(54);
-
 void BM_EigenSymmetric(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   const auto a = random_spd(n, 9);
@@ -181,7 +170,6 @@ void BM_LeastSquaresRidge(benchmark::State& state) {
   linalg::LeastSquaresOptions opts;
   opts.ridge = 1e-7;
   opts.relative_ridge = true;
-  opts.prefer_qr = false;
   for (auto _ : state) {
     benchmark::DoNotOptimize(linalg::solve_least_squares(z, y, opts));
   }

@@ -83,18 +83,16 @@ struct SpectralAnalysis {
 
 /// Eigendecomposition of the (chosen) Laplacian of `weights`.
 ///
-/// `method` selects the solver (resolved against the vertex count when
-/// kAuto). `max_pairs` bounds the spectrum: 0 means the full spectrum;
-/// a positive value below n computes only the `max_pairs` smallest
-/// eigenpairs via the tridiagonal partial path — or, for kLanczos, via
-/// the sparse CSR path that never forms the dense Laplacian. Jacobi is
-/// the full-spectrum reference implementation and ignores `max_pairs`;
-/// kLanczos without a usable `max_pairs` falls back to the dense
-/// tridiagonal solver.
+/// The solver follows from the input alone. `max_pairs` bounds the
+/// spectrum: 0 (or >= n) computes the full spectrum with the dense
+/// tridiagonal QL solver; a positive value below n computes only the
+/// `max_pairs` smallest eigenpairs — with the dense partial solver below
+/// linalg::kEigenSparseThreshold vertices, and from there up with sparse
+/// CSR Lanczos, which never forms the dense Laplacian (pair it with
+/// GraphSparsification::kKnn so the Laplacian is actually sparse).
 [[nodiscard]] SpectralAnalysis analyze_spectrum(
     const linalg::Matrix& weights,
     LaplacianKind kind = LaplacianKind::kSymmetricNormalized,
-    linalg::EigenMethod method = linalg::EigenMethod::kAuto,
     std::size_t max_pairs = 0);
 
 /// Final output of spectral clustering.
@@ -137,15 +135,6 @@ struct SpectralOptions {
   /// objective and hiding the spatial partition.
   bool normalize_rows = true;
   KMeansOptions kmeans;
-  /// Which eigensolver computes the Laplacian spectrum. kAuto keeps the
-  /// paper-scale graphs (n < linalg::kEigenAutoThreshold) on the Jacobi
-  /// reference — bitwise identical to historical results — routes larger
-  /// graphs through the tridiagonal partial path (only needed_eigenpairs()
-  /// pairs instead of the full spectrum), and from
-  /// linalg::kEigenSparseThreshold vertices up switches to the sparse
-  /// CSR + Lanczos path (pair with GraphSparsification::kKnn so the
-  /// Laplacian is actually sparse).
-  linalg::EigenMethod eigen_method = linalg::EigenMethod::kAuto;
 };
 
 /// Number of smallest eigenpairs spectral clustering actually consumes
@@ -155,9 +144,9 @@ struct SpectralOptions {
 [[nodiscard]] std::size_t needed_eigenpairs(const SpectralOptions& options,
                                             std::size_t n);
 
-/// Run spectral clustering on a similarity graph.
-/// Throws std::invalid_argument when cluster_count exceeds the vertex
-/// count.
+/// Run spectral clustering on a similarity graph: analyze_spectrum() over
+/// the needed_eigenpairs() smallest pairs, then the embedding. Throws
+/// std::invalid_argument when cluster_count exceeds the vertex count.
 [[nodiscard]] ClusteringResult spectral_cluster(
     const SimilarityGraph& graph, const SpectralOptions& options = {});
 

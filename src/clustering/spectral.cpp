@@ -142,13 +142,11 @@ linalg::Matrix normalized_laplacian(const linalg::Matrix& weights) {
 }
 
 SpectralAnalysis analyze_spectrum(const linalg::Matrix& weights,
-                                  LaplacianKind kind,
-                                  linalg::EigenMethod method,
-                                  std::size_t max_pairs) {
-  const auto resolved = linalg::resolve_eigen_method(method, weights.rows());
+                                  LaplacianKind kind, std::size_t max_pairs) {
+  const std::size_t n = weights.rows();
+  const bool partial = max_pairs > 0 && max_pairs < n;
   linalg::SymmetricEigen eig;
-  if (resolved == linalg::EigenMethod::kLanczos && max_pairs > 0 &&
-      max_pairs < weights.rows()) {
+  if (partial && n >= linalg::kEigenSparseThreshold) {
     // Sparse path: compress the Laplacian to CSR (never forming the dense
     // operator) and pull only the requested smallest pairs out of the
     // Lanczos iteration.
@@ -158,17 +156,8 @@ SpectralAnalysis analyze_spectrum(const linalg::Matrix& weights,
     const auto l = kind == LaplacianKind::kUnnormalized
                        ? laplacian(weights)
                        : normalized_laplacian(weights);
-    if (resolved == linalg::EigenMethod::kTridiagonal ||
-        resolved == linalg::EigenMethod::kLanczos) {
-      // A Lanczos request without a usable max_pairs falls back to the
-      // dense solver of the same output contract (full spectrum).
-      eig = max_pairs > 0 && max_pairs < l.rows()
-                ? linalg::eigen_symmetric_smallest(l, max_pairs)
-                : linalg::eigen_symmetric_tridiagonal(l);
-    } else {
-      // Jacobi is the full-spectrum reference; max_pairs does not apply.
-      eig = linalg::eigen_symmetric(l);
-    }
+    eig = partial ? linalg::eigen_symmetric_smallest(l, max_pairs)
+                  : linalg::eigen_symmetric_tridiagonal(l);
   }
   SpectralAnalysis a;
   a.eigenvalues = std::move(eig.eigenvalues);
@@ -214,7 +203,7 @@ ClusteringResult spectral_cluster(const SimilarityGraph& graph,
                                   const SpectralOptions& options) {
   return spectral_cluster(
       graph,
-      analyze_spectrum(graph.weights, options.laplacian, options.eigen_method,
+      analyze_spectrum(graph.weights, options.laplacian,
                        needed_eigenpairs(options, graph.channels.size())),
       options);
 }

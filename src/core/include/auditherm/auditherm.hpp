@@ -20,7 +20,6 @@
 // Gapped multi-channel traces.
 #include "auditherm/timeseries/csv_io.hpp"
 #include "auditherm/timeseries/multi_trace.hpp"
-#include "auditherm/timeseries/resample.hpp"
 #include "auditherm/timeseries/segmentation.hpp"
 #include "auditherm/timeseries/time_grid.hpp"
 #include "auditherm/timeseries/trace_stats.hpp"
@@ -59,7 +58,6 @@
 #include "auditherm/selection/evaluation.hpp"
 #include "auditherm/selection/gp_placement.hpp"
 #include "auditherm/selection/strategies.hpp"
-#include "auditherm/selection/variance_placement.hpp"
 
 // Model-based HVAC control (the paper's motivating application).
 #include "auditherm/control/closed_loop.hpp"

@@ -82,8 +82,9 @@ struct StageArtifacts {
   /// uncached path.
   std::shared_ptr<const timeseries::MultiTrace> training_store;
   std::shared_ptr<const clustering::SimilarityGraph> graph;
-  /// Laplacian eigendecomposition of the graph (reused across cluster
-  /// counts — only the cheap k-means embedding depends on k).
+  /// Laplacian eigendecomposition of the graph: its needed_eigenpairs()
+  /// smallest pairs, reused across cluster counts up to k_max + 1 — only
+  /// the cheap k-means embedding depends on k.
   std::shared_ptr<const clustering::SpectralAnalysis> spectrum;
   std::shared_ptr<const clustering::ClusteringResult> clustering;
   std::shared_ptr<const selection::ClusterSets> clusters;

@@ -162,29 +162,19 @@ StageArtifacts ThermalModelingPipeline::prepare(
   });
 
   // --- Laplacian eigendecomposition (the expensive operator). ------------
-  // The key folds in the resolved solver and the partial-spectrum width so
-  // a partial artifact can never be mistaken for a full one. On the Jacobi
-  // path (paper-scale graphs under kAuto) the pair count is 0 = full
-  // spectrum, so sweep cases with different k keep sharing one spectrum
-  // artifact exactly as before this knob existed.
-  const std::size_t vertex_count = art.graph->weights.rows();
-  const auto eigen_method = linalg::resolve_eigen_method(
-      config_.spectral.eigen_method, vertex_count);
-  const std::size_t eigen_pairs =
-      eigen_method == linalg::EigenMethod::kTridiagonal ||
-              eigen_method == linalg::EigenMethod::kLanczos
-          ? clustering::needed_eigenpairs(config_.spectral, vertex_count)
-          : 0;
+  // The solver is a function of the vertex and pair counts, so the key
+  // folds in the pair count: a partial artifact can never be mistaken for
+  // a wider one, while sweep cases (same k) share one spectrum.
+  const std::size_t eigen_pairs = clustering::needed_eigenpairs(
+      config_.spectral, art.graph->weights.rows());
   StageKeyHasher spectrum_h;
   spectrum_h.add(graph_key);
   spectrum_h.add(static_cast<std::uint64_t>(config_.spectral.laplacian));
-  spectrum_h.add(static_cast<std::uint64_t>(eigen_method));
   spectrum_h.add(static_cast<std::uint64_t>(eigen_pairs));
   const std::uint64_t spectrum_key = spectrum_h.value();
   art.spectrum = run_stage(stage::kSpectrum, spectrum_key, [&] {
-    return clustering::analyze_spectrum(art.graph->weights,
-                                        config_.spectral.laplacian,
-                                        eigen_method, eigen_pairs);
+    return clustering::analyze_spectrum(
+        art.graph->weights, config_.spectral.laplacian, eigen_pairs);
   });
 
   // --- Clustering: eigengap + k-means on the spectral embedding. ---------

@@ -405,69 +405,6 @@ double CholeskyDecomposition::log_determinant() const noexcept {
 }
 
 // ---------------------------------------------------------------------------
-// LU
-// ---------------------------------------------------------------------------
-
-LuDecomposition::LuDecomposition(const Matrix& a) : lu_(a), perm_(a.rows()) {
-  if (a.rows() != a.cols()) {
-    throw std::invalid_argument("LuDecomposition: matrix not square");
-  }
-  const std::size_t n = a.rows();
-  std::iota(perm_.begin(), perm_.end(), std::size_t{0});
-  for (std::size_t k = 0; k < n; ++k) {
-    std::size_t p = k;
-    for (std::size_t i = k + 1; i < n; ++i) {
-      if (std::abs(lu_(i, k)) > std::abs(lu_(p, k))) p = i;
-    }
-    if (p != k) {
-      for (std::size_t j = 0; j < n; ++j) std::swap(lu_(p, j), lu_(k, j));
-      std::swap(perm_[p], perm_[k]);
-      pivot_sign_ = -pivot_sign_;
-    }
-    if (lu_(k, k) == 0.0) {
-      throw std::domain_error("LuDecomposition: singular matrix");
-    }
-    for (std::size_t i = k + 1; i < n; ++i) {
-      lu_(i, k) /= lu_(k, k);
-      const double f = lu_(i, k);
-      for (std::size_t j = k + 1; j < n; ++j) lu_(i, j) -= f * lu_(k, j);
-    }
-  }
-}
-
-Vector LuDecomposition::solve(const Vector& b) const {
-  const std::size_t n = lu_.rows();
-  if (b.size() != n) {
-    throw std::invalid_argument("LuDecomposition::solve: rhs mismatch");
-  }
-  Vector x(n);
-  for (std::size_t i = 0; i < n; ++i) x[i] = b[perm_[i]];
-  for (std::size_t i = 1; i < n; ++i) {
-    for (std::size_t k = 0; k < i; ++k) x[i] -= lu_(i, k) * x[k];
-  }
-  for (std::size_t ii = n; ii-- > 0;) {
-    for (std::size_t k = ii + 1; k < n; ++k) x[ii] -= lu_(ii, k) * x[k];
-    x[ii] /= lu_(ii, ii);
-  }
-  return x;
-}
-
-Matrix LuDecomposition::solve(const Matrix& b) const {
-  if (b.rows() != lu_.rows()) {
-    throw std::invalid_argument("LuDecomposition::solve: rhs mismatch");
-  }
-  Matrix x(lu_.rows(), b.cols());
-  for (std::size_t j = 0; j < b.cols(); ++j) x.set_col(j, solve(b.col_vector(j)));
-  return x;
-}
-
-double LuDecomposition::determinant() const noexcept {
-  double d = pivot_sign_;
-  for (std::size_t i = 0; i < lu_.rows(); ++i) d *= lu_(i, i);
-  return d;
-}
-
-// ---------------------------------------------------------------------------
 // Symmetric eigensolvers
 // ---------------------------------------------------------------------------
 

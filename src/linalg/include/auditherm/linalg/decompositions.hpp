@@ -1,8 +1,8 @@
 #pragma once
 
 /// \file decompositions.hpp
-/// Matrix factorizations: Householder QR, Cholesky, partial-pivot LU, and a
-/// Jacobi eigensolver for symmetric matrices.
+/// Matrix factorizations: Householder QR (batch and row-updatable),
+/// Cholesky, and dense symmetric eigensolvers.
 ///
 /// These are the direct solvers behind the paper's convex least-squares
 /// identification problem (eq. 4) and the spectral-clustering Laplacian
@@ -186,28 +186,6 @@ class CholeskyDecomposition {
   Matrix l_;
 };
 
-/// Partial-pivoting LU factorization P A = L U for square systems.
-class LuDecomposition {
- public:
-  /// Factorize square `a`; throws std::invalid_argument when not square,
-  /// std::domain_error when singular to working precision.
-  explicit LuDecomposition(const Matrix& a);
-
-  /// Solve A x = b.
-  [[nodiscard]] Vector solve(const Vector& b) const;
-
-  /// Solve A X = B column-wise.
-  [[nodiscard]] Matrix solve(const Matrix& b) const;
-
-  /// Determinant of A (sign-corrected for row swaps).
-  [[nodiscard]] double determinant() const noexcept;
-
- private:
-  Matrix lu_;
-  std::vector<std::size_t> perm_;
-  int pivot_sign_ = 1;
-};
-
 /// Eigendecomposition of a symmetric matrix.
 ///
 /// Every solver in this header returns eigenpairs in this shape, with the
@@ -221,52 +199,17 @@ struct SymmetricEigen {
   Matrix eigenvectors;  ///< column j pairs with eigenvalues[j]; orthonormal
 };
 
-/// Which symmetric eigensolver to run.
-///
-/// kJacobi is the original cyclic-Jacobi solver: robust, simple, and the
-/// cross-check reference, but it always computes the full spectrum with
-/// O(n^3) work per sweep. kTridiagonal is the dense fast path (Householder
-/// tridiagonalization + implicit-shift QL, with a bisection +
-/// inverse-iteration partial mode). kLanczos is the sparse partial path
-/// (see sparse.hpp): the Laplacian is compressed to CSR and only the
-/// requested smallest pairs come out of a Lanczos iteration — the right
-/// tool once the similarity graph is k-NN sparse and dense O(n^3)
-/// tridiagonalization dominates. kAuto picks Jacobi below
-/// kEigenAutoThreshold rows — where Jacobi's constant wins and bitwise
-/// compatibility with historical results matters — the tridiagonal path
-/// up to kEigenSparseThreshold, and Lanczos at or above it.
-enum class EigenMethod {
-  kJacobi,       ///< full-spectrum cyclic Jacobi (reference)
-  kTridiagonal,  ///< Householder + QL, partial spectrum when asked
-  kAuto,         ///< Jacobi / tridiagonal / Lanczos by matrix size
-  kLanczos,      ///< sparse CSR Lanczos, partial spectrum only
-};
-
-/// Matrix size at which EigenMethod::kAuto switches from Jacobi to the
-/// tridiagonal path. The paper's 25-27 sensor Laplacians stay on Jacobi
-/// (bitwise-identical to historical results); simulated networks of 64+
-/// sensors take the asymptotically cheaper solver.
-inline constexpr std::size_t kEigenAutoThreshold = 64;
-
-/// Matrix size at which EigenMethod::kAuto switches from the dense
-/// tridiagonal path to sparse Lanczos. Below it the dense partial solver's
-/// O(n^3/3) tridiagonalization is still cheap; above it the Laplacian of a
-/// sparsified similarity graph is mostly zeros and the O(iters x nnz)
-/// Lanczos iteration wins.
+/// Matrix size at which a partial Laplacian spectrum switches from the
+/// dense eigen_symmetric_smallest() to sparse Lanczos (sparse.hpp). Below
+/// it the dense solver's O(n^3/3) tridiagonalization is still cheap; above
+/// it the Laplacian of a sparsified similarity graph is mostly zeros and
+/// the O(iters x nnz) Lanczos iteration wins.
 inline constexpr std::size_t kEigenSparseThreshold = 512;
-
-/// Resolve kAuto against a concrete matrix size; explicit methods pass
-/// through unchanged.
-[[nodiscard]] constexpr EigenMethod resolve_eigen_method(
-    EigenMethod method, std::size_t n) noexcept {
-  if (method != EigenMethod::kAuto) return method;
-  if (n < kEigenAutoThreshold) return EigenMethod::kJacobi;
-  return n < kEigenSparseThreshold ? EigenMethod::kTridiagonal
-                                   : EigenMethod::kLanczos;
-}
 
 /// Compute all eigenpairs of symmetric `a` by the cyclic Jacobi method.
 ///
+/// Simple and robust but O(n^3) per sweep: the reference oracle the other
+/// solvers are tested against, not a production path.
 /// `a` is symmetrized as (A + A^T)/2 first, so tiny asymmetries from
 /// accumulated roundoff are tolerated. Throws std::invalid_argument when
 /// `a` is not square. Performs up to `max_sweeps` rotation sweeps and

@@ -5,9 +5,10 @@
 ///
 /// The paper solves its model-identification objective (eq. 3/4) with
 /// CVX + SeDuMi; since the objective is an ordinary linear least squares,
-/// a direct solver reaches the same global optimum. We provide a QR path
-/// (numerically safest) and a ridge-regularized normal-equations path
-/// (fast, and robust to the near-collinear regressors real traces produce).
+/// a direct solver reaches the same global optimum: Householder QR for the
+/// plain problem (numerically safest) and ridge-regularized normal
+/// equations when a penalty is set (fast, and robust to the near-collinear
+/// regressors real traces produce).
 
 #include "auditherm/linalg/matrix.hpp"
 
@@ -24,23 +25,13 @@ struct LeastSquaresOptions {
   /// setting meaningful across regressors of very different scales, which
   /// matters for thermal regressors dominated by a ~20 degC DC component.
   bool relative_ridge = false;
-
-  /// Take the QR path. With ridge == 0 this is a plain Householder solve;
-  /// with ridge > 0 the factorization runs on the augmented system
-  /// [A; sqrt(lambda) I], which reaches the same minimizer as the
-  /// regularized normal equations without squaring the condition number.
-  /// When false, ridge > 0 uses the Cholesky normal-equations path (the
-  /// historical solver; the paper-pipeline golden pins are tied to its
-  /// bits).
-  bool prefer_qr = true;
 };
 
 /// Solve argmin_X ||A X - B||_F^2 (+ ridge * ||X||_F^2).
 ///
-/// A is m x n with m >= n, B is m x k; the result is n x k. With
-/// prefer_qr, uses Householder QR (on the ridge-augmented system when
-/// ridge > 0); otherwise solves the (regularized) normal equations by
-/// Cholesky. Throws std::invalid_argument on shape mismatch and
+/// A is m x n with m >= n, B is m x k; the result is n x k. ridge == 0
+/// uses Householder QR; ridge > 0 solves the regularized normal equations
+/// by Cholesky. Throws std::invalid_argument on shape mismatch and
 /// std::domain_error when the system is singular and unregularized.
 [[nodiscard]] Matrix solve_least_squares(const Matrix& a, const Matrix& b,
                                          const LeastSquaresOptions& opts = {});

@@ -1,6 +1,5 @@
 #include "auditherm/linalg/least_squares.hpp"
 
-#include <cmath>
 #include <stdexcept>
 
 #include "auditherm/linalg/decompositions.hpp"
@@ -8,22 +7,6 @@
 #include "auditherm/obs/trace_span.hpp"
 
 namespace auditherm::linalg {
-
-namespace {
-
-/// Effective ridge penalty: `ridge` itself, or scaled by the mean diagonal
-/// of A^T A (= ||A||_F^2 / n) when relative_ridge is set. Computed straight
-/// from A so the QR path never forms the Gram matrix.
-double effective_ridge(const Matrix& a, const LeastSquaresOptions& opts) {
-  if (!opts.relative_ridge) return opts.ridge;
-  double tr = 0.0;
-  for (std::size_t i = 0; i < a.rows(); ++i) {
-    for (std::size_t j = 0; j < a.cols(); ++j) tr += a(i, j) * a(i, j);
-  }
-  return opts.ridge * tr / static_cast<double>(a.cols());
-}
-
-}  // namespace
 
 Matrix solve_least_squares(const Matrix& a, const Matrix& b,
                            const LeastSquaresOptions& opts) {
@@ -40,30 +23,10 @@ Matrix solve_least_squares(const Matrix& a, const Matrix& b,
   if (opts.ridge < 0.0) {
     throw std::invalid_argument("solve_least_squares: negative ridge");
   }
-  if (opts.ridge == 0.0 && opts.prefer_qr) {
-    return QrDecomposition(a).solve(b);
-  }
-  if (opts.prefer_qr) {
-    // Ridge via QR on the augmented system [A; sqrt(lambda) I] x = [B; 0]:
-    // the exact same minimizer as the regularized normal equations below,
-    // but the factorization sees cond(A) rather than cond(A)^2, which is
-    // what keeps ill-conditioned regressors solvable at working precision.
-    const double lambda = effective_ridge(a, opts);
-    const std::size_t m = a.rows();
-    const std::size_t n = a.cols();
-    Matrix aug(m + n, n);
-    for (std::size_t i = 0; i < m; ++i) {
-      for (std::size_t j = 0; j < n; ++j) aug(i, j) = a(i, j);
-    }
-    const double s = std::sqrt(lambda);
-    for (std::size_t i = 0; i < n; ++i) aug(m + i, i) = s;
-    Matrix baug(m + n, b.cols());
-    for (std::size_t i = 0; i < m; ++i) {
-      for (std::size_t j = 0; j < b.cols(); ++j) baug(i, j) = b(i, j);
-    }
-    return QrDecomposition(aug).solve(baug);
-  }
-  // Normal equations: (A^T A + ridge I) X = A^T B.
+  // Plain least squares factors A itself (cond(A), not cond(A)^2); a ridge
+  // solves the regularized normal equations (A^T A + lambda I) X = A^T B,
+  // whose shift keeps the Cholesky factor positive definite.
+  if (opts.ridge == 0.0) return QrDecomposition(a).solve(b);
   Matrix ata = gram(a, a);
   double lambda = opts.ridge;
   if (opts.relative_ridge) {

@@ -9,24 +9,14 @@
 /// daemon response byte-identical to the one-shot CLI's stdout for the
 /// same inputs — there is exactly one code path from request to text.
 ///
-/// Request batching (DESIGN.md §"Serving"): concurrent requests that
-/// share a *stage-key prefix* — same trace bytes and same Step-1-relevant
-/// options (metric, graph, eigen, clusters, knn), regardless of order /
-/// per-cluster / sweep — coalesce onto one prepared Step-1 context the
-/// way run_strategy_sweep fans its cases out over one prepare() call. The
-/// first request in leads and prepares through the shared StageCache;
-/// joiners block until the context publishes, then run Steps 2-3 against
-/// it. The context is held by weak_ptr, so a batch lives exactly as long
-/// as some request is using it; the underlying artifacts stay in the
-/// budgeted StageCache and re-prepare as pure cache hits later.
+/// Concurrent requests deduplicate through the shared StageCache alone
+/// (DESIGN.md §"Serving"): every Step-1 stage is keyed by content, and a
+/// request that needs a stage another request is still building parks on
+/// that in-flight key and reuses the artifact instead of recomputing it.
 
-#include <condition_variable>
-#include <cstdint>
 #include <limits>
 #include <memory>
-#include <mutex>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "auditherm/core/pipeline.hpp"
@@ -45,7 +35,6 @@ struct AnalyzeRequest {
   long order = 2;       ///< model order, 1 | 2
   long per_cluster = 1; ///< representatives per cluster
   long sweep = 0;       ///< seeds for the strategy sweep (0 = none)
-  std::string eigen;    ///< "" = auto | jacobi | tridiagonal | lanczos
   std::string graph;    ///< "" = epsilon | knn
   long knn = 0;         ///< neighbors for --graph knn (0 = default)
   /// Sliding-window length in rows for the streaming-identification
@@ -122,63 +111,25 @@ class AnalysisService {
   /// values and std::runtime_error for data problems.
   [[nodiscard]] std::string analyze(const AnalyzeRequest& request);
 
-  /// The stage-key-prefix identity of a request: requests with equal keys
-  /// share every Step-1 artifact and batch onto one prepared context.
-  /// Loads (and caches) the trace to fingerprint its bytes.
-  [[nodiscard]] std::uint64_t prefix_key(const AnalyzeRequest& request);
-
   [[nodiscard]] const core::StageCache& cache() const noexcept {
     return cache_;
   }
   [[nodiscard]] core::StageCache& cache() noexcept { return cache_; }
 
  private:
-  /// Everything Step-2/3 of a request needs from the shared Step-1 work.
-  struct PreparedContext {
-    std::shared_ptr<const timeseries::MultiTrace> trace;
-    std::uint64_t raw_hash = 0;  ///< FNV-1a of the CSV bytes
-    ChannelSets sets;
-    core::DataSplit split;
-    core::StageArtifacts artifacts;
-  };
-
-  /// In-flight/live batch bookkeeping per prefix key (guarded by
-  /// batch_mutex_). Mirrors the StageCache entry protocol: one leader
-  /// builds, joiners wait on batch_cv_; ctx is weak so a finished batch
-  /// releases its pin on the artifacts.
-  struct BatchSlot {
-    bool building = false;
-    std::weak_ptr<const PreparedContext> ctx;
-  };
-
   /// Load a trace CSV, memoized in the stage cache under the raw byte
   /// hash (stage "trace_load") so repeated requests against the same file
-  /// skip the parse. Returns the trace and its byte hash.
-  [[nodiscard]] std::pair<std::shared_ptr<const timeseries::MultiTrace>,
-                          std::uint64_t>
-  load_trace(const std::string& path);
+  /// skip the parse.
+  [[nodiscard]] std::shared_ptr<const timeseries::MultiTrace> load_trace(
+      const std::string& path);
 
   /// Translate request options into a pipeline configuration (validates
-  /// eigen/graph values; throws std::invalid_argument on unknown ones).
+  /// the graph value; throws core::cli::UsageError on an unknown one).
   [[nodiscard]] static core::PipelineConfig make_config(
       const AnalyzeRequest& request);
 
-  [[nodiscard]] static std::uint64_t prefix_key_for(
-      std::uint64_t raw_hash, const AnalyzeRequest& request);
-
-  /// Fetch or build the shared Step-1 context for a request (the batch
-  /// entry point).
-  [[nodiscard]] std::shared_ptr<const PreparedContext> prepare_context(
-      const AnalyzeRequest& request,
-      std::shared_ptr<const timeseries::MultiTrace> trace,
-      std::uint64_t raw_hash);
-
   ServiceConfig config_;
   core::StageCache cache_;
-
-  std::mutex batch_mutex_;
-  std::condition_variable batch_cv_;
-  std::unordered_map<std::uint64_t, BatchSlot> batches_;
 };
 
 }  // namespace auditherm::serve

@@ -66,6 +66,22 @@ std::string string_field(const json::Value& v, const std::string& key) {
   return v.string;
 }
 
+/// The one list of occupancy input sources (AnalyzeRequest::occupancy).
+/// A request keeps "" for the unset CLI flag, meaning "truth"; a JSON body
+/// that sets inputs.occupancy must name one of these.
+bool is_occupancy_source(const std::string& source) {
+  return source == "truth" || source == "estimated" || source == "schedule";
+}
+
+/// The service-side occupancy check shared by analyze() and
+/// input_plan_for(): an unset source or a known one.
+void require_occupancy_source(const AnalyzeRequest& request) {
+  if (!request.occupancy.empty() && !is_occupancy_source(request.occupancy)) {
+    throw core::cli::UsageError("analyze: unknown --occupancy value '" +
+                                request.occupancy + "'");
+  }
+}
+
 /// Decode the nested "inputs" object. Errors carry the full key path
 /// (inputs.<key>) so a client sees exactly which field is wrong.
 void decode_inputs(const json::Value& v, AnalyzeRequest& request) {
@@ -79,8 +95,7 @@ void decode_inputs(const json::Value& v, AnalyzeRequest& request) {
         throw std::invalid_argument(
             "analyze request: inputs.occupancy: must be a string");
       }
-      if (value.string != "truth" && value.string != "estimated" &&
-          value.string != "schedule") {
+      if (!is_occupancy_source(value.string)) {
         throw std::invalid_argument(
             "analyze request: inputs.occupancy: unknown source '" +
             value.string + "'");
@@ -125,8 +140,6 @@ AnalyzeRequest request_from_json(const json::Value& body) {
       request.per_cluster = integer_field(value, key);
     } else if (key == "sweep") {
       request.sweep = integer_field(value, key);
-    } else if (key == "eigen") {
-      request.eigen = string_field(value, key);
     } else if (key == "graph") {
       request.graph = string_field(value, key);
     } else if (key == "knn") {
@@ -185,11 +198,7 @@ ChannelSets classify_channels(const timeseries::MultiTrace& trace) {
 
 sysid::InputPlan input_plan_for(const AnalyzeRequest& request,
                                 const ChannelSets& sets) {
-  if (!request.occupancy.empty() && request.occupancy != "truth" &&
-      request.occupancy != "estimated" && request.occupancy != "schedule") {
-    throw core::cli::UsageError("analyze: unknown --occupancy value '" +
-                                request.occupancy + "'");
-  }
+  require_occupancy_source(request);
   sysid::InputPlan plan;
   plan.slots.reserve(sets.inputs.size());
   bool replaced = false;
@@ -231,8 +240,8 @@ sysid::InputPlan input_plan_for(const AnalyzeRequest& request,
 AnalysisService::AnalysisService(ServiceConfig config)
     : config_(config), cache_(config.cache_budget) {}
 
-std::pair<std::shared_ptr<const timeseries::MultiTrace>, std::uint64_t>
-AnalysisService::load_trace(const std::string& path) {
+std::shared_ptr<const timeseries::MultiTrace> AnalysisService::load_trace(
+    const std::string& path) {
   std::ifstream in(path, std::ios::binary);
   if (!in) {
     throw std::runtime_error("analyze: could not read '" + path + "'");
@@ -240,21 +249,17 @@ AnalysisService::load_trace(const std::string& path) {
   std::ostringstream buffer;
   buffer << in.rdbuf();
   const std::string bytes = buffer.str();
-  core::StageKeyHasher h;
-  h.add(std::string_view(bytes));
-  const std::uint64_t raw_hash = h.value();
-
   const auto parse = [&] {
     std::istringstream stream(bytes);
     return timeseries::read_csv(stream);
   };
   if (!config_.cache_enabled) {
-    return {std::make_shared<const timeseries::MultiTrace>(parse()),
-            raw_hash};
+    return std::make_shared<const timeseries::MultiTrace>(parse());
   }
-  return {cache_.get_or_build<timeseries::MultiTrace>("trace_load", raw_hash,
-                                                      parse),
-          raw_hash};
+  core::StageKeyHasher h;
+  h.add(std::string_view(bytes));
+  return cache_.get_or_build<timeseries::MultiTrace>("trace_load", h.value(),
+                                                     parse);
 }
 
 core::PipelineConfig AnalysisService::make_config(
@@ -269,20 +274,6 @@ core::PipelineConfig AnalysisService::make_config(
                                    : clustering::SimilarityMetric::kCorrelation;
   }
   config.spectral.cluster_count = static_cast<std::size_t>(request.clusters);
-  if (!request.eigen.empty()) {
-    if (request.eigen == "jacobi") {
-      config.spectral.eigen_method = linalg::EigenMethod::kJacobi;
-    } else if (request.eigen == "tridiagonal") {
-      config.spectral.eigen_method = linalg::EigenMethod::kTridiagonal;
-    } else if (request.eigen == "lanczos") {
-      config.spectral.eigen_method = linalg::EigenMethod::kLanczos;
-    } else if (request.eigen == "auto") {
-      config.spectral.eigen_method = linalg::EigenMethod::kAuto;
-    } else {
-      throw cli::UsageError("analyze: unknown --eigen value '" +
-                            request.eigen + "'");
-    }
-  }
   if (!request.graph.empty()) {
     if (request.graph == "epsilon") {
       config.similarity.sparsification =
@@ -303,138 +294,29 @@ core::PipelineConfig AnalysisService::make_config(
   return config;
 }
 
-std::uint64_t AnalysisService::prefix_key_for(std::uint64_t raw_hash,
-                                              const AnalyzeRequest& request) {
-  // Fold exactly the request fields prepare() consumes: trace bytes plus
-  // the Step-1 options. Order, per_cluster, and sweep select/fit only —
-  // requests differing in them still share one prepared context.
-  const core::PipelineConfig config = make_config(request);
-  core::StageKeyHasher h;
-  h.add(raw_hash);
-  h.add(static_cast<std::uint64_t>(config.similarity.metric));
-  h.add(static_cast<std::uint64_t>(config.similarity.sparsification));
-  h.add(static_cast<std::uint64_t>(config.similarity.knn_k));
-  h.add(static_cast<std::uint64_t>(config.spectral.cluster_count));
-  h.add(static_cast<std::uint64_t>(config.spectral.eigen_method));
-  // Input plan: "" and "truth" hash identically (both the ground-truth
-  // path); estimated/schedule split off their own prepared contexts so a
-  // truth joiner can never receive plan-derived artifacts.
-  const std::uint64_t source = request.occupancy == "estimated" ? 1
-                               : request.occupancy == "schedule" ? 2
-                                                                 : 0;
-  h.add(source);
-  if (source != 0) {
-    h.add(request.occupancy_round);
-    h.add(request.occupancy_clamp);
-  }
-  return h.value();
-}
-
-std::uint64_t AnalysisService::prefix_key(const AnalyzeRequest& request) {
-  return prefix_key_for(load_trace(request.data).second, request);
-}
-
-std::shared_ptr<const AnalysisService::PreparedContext>
-AnalysisService::prepare_context(
-    const AnalyzeRequest& request,
-    std::shared_ptr<const timeseries::MultiTrace> trace,
-    std::uint64_t raw_hash) {
-  const std::uint64_t key = prefix_key_for(raw_hash, request);
-  bool leader = false;
-  {
-    std::unique_lock<std::mutex> lock(batch_mutex_);
-    for (;;) {
-      BatchSlot& slot = batches_[key];
-      if (auto live = slot.ctx.lock()) {
-        lock.unlock();
-        obs::add_counter("serve.batch.join");
-        return live;
-      }
-      if (!slot.building) {
-        slot.building = true;
-        leader = true;
-        break;
-      }
-      batch_cv_.wait(lock);
-    }
-    // Opportunistic pruning: slots are a dozen bytes, but a daemon that
-    // sees many distinct traces should not grow the map forever.
-    if (batches_.size() > 64) {
-      for (auto it = batches_.begin(); it != batches_.end();) {
-        if (!it->second.building && it->second.ctx.expired() &&
-            it->first != key) {
-          it = batches_.erase(it);
-        } else {
-          ++it;
-        }
-      }
-    }
-  }
-
-  auto ctx = std::make_shared<PreparedContext>();
-  try {
-    ctx->trace = std::move(trace);
-    ctx->raw_hash = raw_hash;
-    ctx->sets = classify_channels(*ctx->trace);
-    auto required = ctx->sets.sensors;
-    required.insert(required.end(), ctx->sets.thermostats.begin(),
-                    ctx->sets.thermostats.end());
-    required.insert(required.end(), ctx->sets.inputs.begin(),
-                    ctx->sets.inputs.end());
-    const hvac::Schedule schedule;
-    ctx->split = core::split_dataset(*ctx->trace, required, schedule,
-                                     hvac::Mode::kOccupied);
-    const core::ThermalModelingPipeline pipeline(make_config(request));
-    // A non-truth occupancy source rides in as an input plan; the
-    // ground-truth default passes none, keeping that path bit for bit.
-    const bool planned =
-        request.occupancy == "estimated" || request.occupancy == "schedule";
-    sysid::InputPlan plan;
-    if (planned) plan = input_plan_for(request, ctx->sets);
-    ctx->artifacts = pipeline.prepare(
-        *ctx->trace, schedule, ctx->split, ctx->sets.sensors,
-        ctx->sets.inputs, config_.cache_enabled ? &cache_ : nullptr,
-        planned ? &plan : nullptr);
-  } catch (...) {
-    {
-      const std::lock_guard<std::mutex> lock(batch_mutex_);
-      batches_[key].building = false;
-    }
-    batch_cv_.notify_all();
-    throw;
-  }
-
-  {
-    const std::lock_guard<std::mutex> lock(batch_mutex_);
-    BatchSlot& slot = batches_[key];
-    slot.building = false;
-    slot.ctx = ctx;
-  }
-  batch_cv_.notify_all();
-  if (leader) obs::add_counter("serve.batch.lead");
-  return ctx;
-}
-
 std::string AnalysisService::analyze(const AnalyzeRequest& request) {
   obs::add_counter("serve.request");
-  if (!request.occupancy.empty() && request.occupancy != "truth" &&
-      request.occupancy != "estimated" && request.occupancy != "schedule") {
-    throw core::cli::UsageError("analyze: unknown --occupancy value '" +
-                                request.occupancy + "'");
-  }
+  require_occupancy_source(request);
   Report report;
   report.append("loading %s...\n", request.data.c_str());
-  auto [trace, raw_hash] = load_trace(request.data);
-  const auto ctx = prepare_context(request, std::move(trace), raw_hash);
-  const auto& sets = ctx->sets;
+  const auto trace = load_trace(request.data);
+  const core::PipelineConfig config = make_config(request);
+  const ChannelSets sets = classify_channels(*trace);
+  auto required = sets.sensors;
+  required.insert(required.end(), sets.thermostats.begin(),
+                  sets.thermostats.end());
+  required.insert(required.end(), sets.inputs.begin(), sets.inputs.end());
+  const hvac::Schedule schedule;
+  const core::DataSplit split =
+      core::split_dataset(*trace, required, schedule, hvac::Mode::kOccupied);
   report.append("channels: %zu sensors, %zu thermostats, %zu inputs; %zu "
                 "samples at %lld-minute steps\n",
                 sets.sensors.size(), sets.thermostats.size(),
-                sets.inputs.size(), ctx->trace->size(),
-                static_cast<long long>(ctx->trace->grid().step()));
+                sets.inputs.size(), trace->size(),
+                static_cast<long long>(trace->grid().step()));
   report.append("usable days: %zu (train %zu / validate %zu)\n",
-                ctx->split.usable_days.size(), ctx->split.train_days.size(),
-                ctx->split.validation_days.size());
+                split.usable_days.size(), split.train_days.size(),
+                split.validation_days.size());
   if (request.occupancy == "estimated") {
     report.append(
         "occupancy input: estimated from CO2 mass balance "
@@ -443,16 +325,26 @@ std::string AnalysisService::analyze(const AnalyzeRequest& request) {
     report.append("occupancy input: two-level schedule prior\n");
   }
 
-  const core::PipelineConfig config = make_config(request);
+  // Step 1 goes through the shared StageCache, which is also what
+  // deduplicates concurrent requests: a stage another request is still
+  // building is waited for, not rebuilt. A non-truth occupancy source
+  // rides in as an input plan; the ground-truth default passes none,
+  // keeping that path bit for bit.
   const core::ThermalModelingPipeline pipeline(config);
-  const hvac::Schedule schedule;
+  core::StageCache* cache = config_.cache_enabled ? &cache_ : nullptr;
+  const bool planned =
+      request.occupancy == "estimated" || request.occupancy == "schedule";
+  sysid::InputPlan plan;
+  if (planned) plan = input_plan_for(request, sets);
+  const core::StageArtifacts artifacts =
+      pipeline.prepare(*trace, schedule, split, sets.sensors, sets.inputs,
+                       cache, planned ? &plan : nullptr);
   core::RunOptions run_options;
   run_options.thermostat_ids = sets.thermostats;
-  run_options.artifacts = &ctx->artifacts;
-  if (config_.cache_enabled) run_options.cache = &cache_;
-  const auto result =
-      pipeline.run(*ctx->trace, schedule, ctx->split, sets.sensors,
-                   sets.inputs, run_options);
+  run_options.artifacts = &artifacts;
+  run_options.cache = cache;
+  const auto result = pipeline.run(*trace, schedule, split, sets.sensors,
+                                   sets.inputs, run_options);
 
   report.append("\nclusters (%zu):\n", result.clustering.cluster_count);
   const auto clusters = result.clustering.clusters();
@@ -489,9 +381,8 @@ std::string AnalysisService::analyze(const AnalyzeRequest& request) {
     // inputs are pushed row-at-a-time like any other column): the online
     // counterpart of the batch Step-3 fit above.
     const timeseries::TraceView stream_view =
-        ctx->artifacts.inputs != nullptr
-            ? ctx->artifacts.inputs->augment(*ctx->trace)
-            : timeseries::TraceView(*ctx->trace);
+        artifacts.inputs != nullptr ? artifacts.inputs->augment(*trace)
+                                    : timeseries::TraceView(*trace);
     const auto streamed = core::run_streaming_identification(
         stream_view, result.reduced_model.state_channels(),
         result.reduced_model.input_channels(), stream_config);
@@ -532,9 +423,9 @@ std::string AnalysisService::analyze(const AnalyzeRequest& request) {
     if (!sets.thermostats.empty()) {
       cases.push_back({core::SelectionStrategy::kThermostats, 1});
     }
-    const auto sweep = core::run_strategy_sweep(
-        config, cases, *ctx->trace, schedule, ctx->split, sets.sensors,
-        sets.inputs, run_options);
+    const auto sweep =
+        core::run_strategy_sweep(config, cases, *trace, schedule, split,
+                                 sets.sensors, sets.inputs, run_options);
     report.append("\nstrategy sweep (%zu cases, %ld seeds):\n", cases.size(),
                   request.sweep);
     for (std::size_t i = 0; i < cases.size(); ++i) {

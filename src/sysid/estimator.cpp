@@ -141,7 +141,6 @@ ThermalModel ModelEstimator::fit(const timeseries::TraceView& trace,
   linalg::LeastSquaresOptions ls;
   ls.ridge = options_.ridge;
   ls.relative_ridge = options_.relative_ridge;
-  ls.prefer_qr = options_.ridge == 0.0;
   // theta is n_params x p; output row i of the model is theta column i.
   const linalg::Matrix theta = linalg::solve_least_squares(z, y, ls);
 

@@ -87,7 +87,6 @@ void Co2OccupancyEstimator::calibrate(const timeseries::TraceView& training) {
   linalg::LeastSquaresOptions opts;
   opts.ridge = 1e-9;
   opts.relative_ridge = true;
-  opts.prefer_qr = false;
   const auto theta = linalg::solve_least_squares(z, y, opts);
   a_ = theta[0];
   b_ = theta[1];

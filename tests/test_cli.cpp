@@ -1,10 +1,12 @@
 // Tests for the shared CLI option parser: the declarative OptionSet,
 // the duplicate/unknown/missing-flag error paths, and decoding of the
 // common observability flags (--threads, --cache, --metrics-out,
-// --trace).
+// --trace); plus the built `auditherm` binary's exit status on a bad flag.
 
 #include <gtest/gtest.h>
+#include <sys/wait.h>
 
+#include <cstdio>
 #include <string>
 #include <vector>
 
@@ -197,6 +199,32 @@ TEST(CliCommonOptions, RejectsBadCacheAndNegativeThreads) {
   EXPECT_THROW(
       (void)cli::parse_common(parse(common_set(), {"--threads", "-2"})),
       cli::UsageError);
+}
+
+/// Run the built `auditherm` binary with `args`, capturing stdout and
+/// stderr into `output`; returns the exit status (-1 if it did not exit).
+int run_auditherm(const std::string& args, std::string& output) {
+  const std::string command =
+      std::string("'") + AUDITHERM_CLI_PATH + "' " + args + " 2>&1";
+  std::FILE* pipe = ::popen(command.c_str(), "r");
+  if (pipe == nullptr) return -1;
+  char buf[4096];
+  for (std::size_t n; (n = std::fread(buf, 1, sizeof(buf), pipe)) > 0;) {
+    output.append(buf, n);
+  }
+  const int status = ::pclose(pipe);
+  return WIFEXITED(status) ? WEXITSTATUS(status) : -1;
+}
+
+TEST(CliBinary, AnalyzeRejectsTheRemovedEigenFlag) {
+  // The eigensolver follows from the graph, so --eigen is an unknown flag:
+  // a usage error (exit 2) that prints the analyze usage.
+  std::string output;
+  EXPECT_EQ(run_auditherm("analyze --data unused.csv --eigen jacobi", output),
+            2);
+  EXPECT_NE(output.find("unknown flag --eigen"), std::string::npos) << output;
+  EXPECT_NE(output.find("usage: auditherm analyze"), std::string::npos)
+      << output;
 }
 
 }  // namespace

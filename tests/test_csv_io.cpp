@@ -3,9 +3,11 @@
 #include "auditherm/timeseries/csv_io.hpp"
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <cmath>
 #include <cstdint>
+#include <cstdio>
 #include <limits>
 #include <random>
 #include <sstream>
@@ -244,11 +246,14 @@ TEST(CsvIo, RejectsNonIncreasingTime) {
 
 TEST(CsvIo, FileRoundTrip) {
   const auto original = make_trace();
-  const std::string path = ::testing::TempDir() + "/auditherm_trace.csv";
+  // Per-process name: ctest runs tests as parallel processes.
+  const std::string path = ::testing::TempDir() + "/auditherm_trace_" +
+                           std::to_string(::getpid()) + ".csv";
   ts::write_csv_file(path, original);
   const auto loaded = ts::read_csv_file(path);
   EXPECT_EQ(loaded.grid(), original.grid());
   EXPECT_NEAR(loaded.coverage(), original.coverage(), 1e-12);
+  std::remove(path.c_str());
 }
 
 TEST(CsvIo, MissingFileThrows) {

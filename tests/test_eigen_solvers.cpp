@@ -263,28 +263,6 @@ TEST(EigenSolvers, TrivialSizes) {
   EXPECT_DOUBLE_EQ(small.eigenvalues[0], 4.0);
 }
 
-TEST(EigenSolvers, ResolveEigenMethod) {
-  using linalg::EigenMethod;
-  EXPECT_EQ(linalg::resolve_eigen_method(EigenMethod::kJacobi, 1000),
-            EigenMethod::kJacobi);
-  EXPECT_EQ(linalg::resolve_eigen_method(EigenMethod::kTridiagonal, 4),
-            EigenMethod::kTridiagonal);
-  EXPECT_EQ(linalg::resolve_eigen_method(EigenMethod::kAuto,
-                                         linalg::kEigenAutoThreshold - 1),
-            EigenMethod::kJacobi);
-  EXPECT_EQ(linalg::resolve_eigen_method(EigenMethod::kAuto,
-                                         linalg::kEigenAutoThreshold),
-            EigenMethod::kTridiagonal);
-  EXPECT_EQ(linalg::resolve_eigen_method(EigenMethod::kAuto,
-                                         linalg::kEigenSparseThreshold - 1),
-            EigenMethod::kTridiagonal);
-  EXPECT_EQ(linalg::resolve_eigen_method(EigenMethod::kAuto,
-                                         linalg::kEigenSparseThreshold),
-            EigenMethod::kLanczos);
-  EXPECT_EQ(linalg::resolve_eigen_method(EigenMethod::kLanczos, 4),
-            EigenMethod::kLanczos);
-}
-
 // ---------------------------------------------------------------------------
 // Thread-count invariance of the new solvers (bitwise).
 // ---------------------------------------------------------------------------

@@ -16,12 +16,16 @@
 #include <cmath>
 #include <vector>
 
+#include "auditherm/clustering/spectral.hpp"
 #include "auditherm/core/pipeline.hpp"
+#include "auditherm/linalg/decompositions.hpp"
 #include "auditherm/sim/dataset.hpp"
 #include "auditherm/sysid/estimator.hpp"
 #include "auditherm/sysid/evaluation.hpp"
 
+namespace clustering = auditherm::clustering;
 namespace core = auditherm::core;
+namespace linalg = auditherm::linalg;
 namespace sim = auditherm::sim;
 namespace hvac = auditherm::hvac;
 namespace sysid = auditherm::sysid;
@@ -102,6 +106,42 @@ TEST(GoldenPipeline, EigengapFindsTheTwoZoneSplit) {
   }
   EXPECT_GE(agree, 20u) << "only " << agree << "/25 sensors on the expected "
                         << "side of the front/back split";
+}
+
+TEST(GoldenPipeline, SpectrumMatchesTheJacobiOracleOnTheGoldenGraph) {
+  // The 98-day run's own similarity graph: the spectrum the pipeline
+  // computes (the dense partial solver at 25 sensors) must reproduce the
+  // smallest pairs of the Jacobi oracle's full spectrum, and clustering on
+  // the oracle must give the pipeline's labels exactly.
+  const core::PipelineConfig config;
+  const auto artifacts = core::ThermalModelingPipeline(config).prepare(
+      dataset().trace, dataset().schedule, standard_split(),
+      dataset().wireless_ids(), dataset().input_ids());
+  const auto& graph = *artifacts.graph;
+  const auto& spectrum = *artifacts.spectrum;
+  const std::size_t n = graph.channels.size();
+  const std::size_t pairs = clustering::needed_eigenpairs(config.spectral, n);
+  ASSERT_EQ(n, 25u);
+  ASSERT_EQ(spectrum.eigenvalues.size(), pairs);
+
+  auto oracle = linalg::eigen_symmetric(
+      clustering::normalized_laplacian(graph.weights));
+  for (std::size_t j = 0; j < pairs; ++j) {
+    EXPECT_NEAR(spectrum.eigenvalues[j], oracle.eigenvalues[j], 1e-10)
+        << "pair " << j;
+    for (std::size_t i = 0; i < n; ++i) {
+      EXPECT_NEAR(spectrum.eigenvectors(i, j), oracle.eigenvectors(i, j),
+                  1e-10)
+          << "pair " << j << " component " << i;
+    }
+  }
+  const auto from_oracle = clustering::spectral_cluster(
+      graph,
+      clustering::SpectralAnalysis{std::move(oracle.eigenvalues),
+                                   std::move(oracle.eigenvectors)},
+      config.spectral);
+  EXPECT_EQ(from_oracle.cluster_count, artifacts.clustering->cluster_count);
+  EXPECT_EQ(from_oracle.labels, artifacts.clustering->labels);
 }
 
 TEST(GoldenPipeline, SelectionStrategyErrorsStayPinned) {

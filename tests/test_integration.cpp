@@ -3,6 +3,9 @@
 // speed, same machinery).
 
 #include <gtest/gtest.h>
+#include <unistd.h>
+
+#include <cstdio>
 
 #include "auditherm/auditherm.hpp"
 
@@ -125,10 +128,13 @@ TEST(Integration, SmsBeatsClusterBlindBaselines) {
 
 TEST(Integration, CsvRoundTripOfGeneratedDataset) {
   const auto& ds = dataset();
-  const std::string path = ::testing::TempDir() + "/auditherm_dataset.csv";
+  // Per-process name: ctest runs tests as parallel processes.
+  const std::string path = ::testing::TempDir() + "/auditherm_dataset_" +
+                           std::to_string(::getpid()) + ".csv";
   timeseries::write_csv_file(path, ds.trace);
   const auto loaded = timeseries::read_csv_file(path);
   EXPECT_EQ(loaded.grid(), ds.trace.grid());
   EXPECT_EQ(loaded.channels(), ds.trace.channels());
   EXPECT_NEAR(loaded.coverage(), ds.trace.coverage(), 1e-12);
+  std::remove(path.c_str());
 }

@@ -214,6 +214,24 @@ std::vector<std::size_t> canonical_labels(const std::vector<std::size_t>& in) {
   return out;
 }
 
+/// Spectral analyses of the normalized Laplacian from a named solver, built
+/// outside analyze_spectrum() (which picks the solver from the graph size)
+/// so small graphs can exercise both: the Jacobi oracle's full spectrum,
+/// and Lanczos over the `pairs` smallest pairs.
+clustering::SpectralAnalysis jacobi_analysis(const Matrix& weights) {
+  auto eig = linalg::eigen_symmetric(clustering::normalized_laplacian(weights));
+  return {std::move(eig.eigenvalues), std::move(eig.eigenvectors)};
+}
+
+clustering::SpectralAnalysis lanczos_analysis(const Matrix& weights,
+                                              std::size_t pairs) {
+  auto eig = linalg::eigen_symmetric_smallest_sparse(
+      clustering::laplacian_csr(
+          weights, clustering::LaplacianKind::kSymmetricNormalized),
+      pairs);
+  return {std::move(eig.eigenvalues), std::move(eig.eigenvectors)};
+}
+
 /// Campus-style traces: `halls` groups of `per_hall` sensors, each hall
 /// driven by its own smooth signal, per-sensor deterministic noise far
 /// smaller than the hall separation. Channel ids are 1..n in hall order.
@@ -374,21 +392,21 @@ TEST(Lanczos, KnnSparsifiedLabelsMatchDensePath) {
   for (int i = 1; i <= 27; ++i) ids.push_back(i);
 
   // Dense path: the paper's epsilon/quantile graph + Jacobi reference.
+  const clustering::SpectralOptions options;
   const auto dense_graph = clustering::build_similarity_graph(trace, ids);
-  clustering::SpectralOptions dense_options;
-  dense_options.eigen_method = linalg::EigenMethod::kJacobi;
-  const auto dense_result =
-      clustering::spectral_cluster(dense_graph, dense_options);
+  const auto dense_result = clustering::spectral_cluster(
+      dense_graph, jacobi_analysis(dense_graph.weights), options);
 
-  // Sparse path: k-NN graph + forced Lanczos partial spectrum.
+  // Sparse path: k-NN graph + Lanczos partial spectrum.
   clustering::SimilarityOptions knn;
   knn.sparsification = clustering::GraphSparsification::kKnn;
   knn.knn_k = 4;
   const auto knn_graph = clustering::build_similarity_graph(trace, ids, knn);
-  clustering::SpectralOptions sparse_options;
-  sparse_options.eigen_method = linalg::EigenMethod::kLanczos;
-  const auto sparse_result =
-      clustering::spectral_cluster(knn_graph, sparse_options);
+  const auto sparse_result = clustering::spectral_cluster(
+      knn_graph,
+      lanczos_analysis(knn_graph.weights,
+                       clustering::needed_eigenpairs(options, ids.size())),
+      options);
 
   // Both discover the three halls and agree label-for-label (as
   // partitions; cluster numbering is canonicalized).
@@ -409,13 +427,14 @@ TEST(Lanczos, SparseSolverMatchesDenseOnSameKnnGraph) {
   knn.knn_k = 3;
   const auto graph = clustering::build_similarity_graph(trace, ids, knn);
 
-  clustering::SpectralOptions jacobi_options;
-  jacobi_options.eigen_method = linalg::EigenMethod::kJacobi;
-  const auto jacobi = clustering::spectral_cluster(graph, jacobi_options);
-
-  clustering::SpectralOptions lanczos_options;
-  lanczos_options.eigen_method = linalg::EigenMethod::kLanczos;
-  const auto lanczos = clustering::spectral_cluster(graph, lanczos_options);
+  const clustering::SpectralOptions options;
+  const auto jacobi = clustering::spectral_cluster(
+      graph, jacobi_analysis(graph.weights), options);
+  const auto lanczos = clustering::spectral_cluster(
+      graph,
+      lanczos_analysis(graph.weights,
+                       clustering::needed_eigenpairs(options, ids.size())),
+      options);
 
   EXPECT_EQ(jacobi.cluster_count, 4u);
   EXPECT_EQ(lanczos.cluster_count, jacobi.cluster_count);

@@ -1,4 +1,5 @@
-// Tests for the least-squares solvers (plain QR, ridge normal equations).
+// Tests for the least-squares solvers (plain QR, ridge normal equations)
+// and their agreement with the QR ridge solve UpdatableQr::solve_ridge.
 
 #include "auditherm/linalg/least_squares.hpp"
 
@@ -7,6 +8,7 @@
 #include <random>
 #include <stdexcept>
 
+#include "auditherm/linalg/decompositions.hpp"
 #include "auditherm/linalg/vector_ops.hpp"
 
 namespace linalg = auditherm::linalg;
@@ -51,14 +53,13 @@ TEST(LeastSquares, SolutionIsOptimal) {
 }
 
 TEST(LeastSquares, QrAndNormalEquationsAgree) {
+  // The unregularized solve (Householder QR) against the normal equations
+  // A^T A x = A^T b solved directly by Cholesky.
   const auto a = random_matrix(25, 5, 4);
   const auto b = random_matrix(25, 2, 5);
-  linalg::LeastSquaresOptions qr_opts;
-  qr_opts.prefer_qr = true;
-  linalg::LeastSquaresOptions ne_opts;
-  ne_opts.prefer_qr = false;
-  const auto x_qr = linalg::solve_least_squares(a, b, qr_opts);
-  const auto x_ne = linalg::solve_least_squares(a, b, ne_opts);
+  const auto x_qr = linalg::solve_least_squares(a, b);
+  const auto x_ne = linalg::CholeskyDecomposition(linalg::gram(a, a))
+                        .solve(linalg::gram(a, b));
   EXPECT_TRUE(linalg::approx_equal(x_qr, x_ne, 1e-8));
 }
 
@@ -97,58 +98,56 @@ TEST(LeastSquares, RelativeRidgeInvariantToScale) {
   linalg::LeastSquaresOptions opts;
   opts.ridge = 1e-4;
   opts.relative_ridge = true;
-  opts.prefer_qr = false;
   const auto x1 = linalg::solve_least_squares(a, b, opts);
   const auto x2 = linalg::solve_least_squares(a * 1000.0, b * 1000.0, opts);
   EXPECT_TRUE(linalg::approx_equal(x1, x2, 1e-8));
 }
 
 TEST(LeastSquares, RidgeQrMatchesNormalEquationsWhenWellConditioned) {
+  // The ridge normal equations against the QR ridge solve on [A; sqrt(l) I]
+  // that UpdatableQr runs for streaming identification.
   const auto a = random_matrix(30, 5, 21);
   const auto b = random_matrix(30, 2, 22);
+  const linalg::UpdatableQr qr(a, b);
   for (const bool relative : {false, true}) {
-    linalg::LeastSquaresOptions qr_opts;
-    qr_opts.ridge = 1e-4;
-    qr_opts.relative_ridge = relative;
-    qr_opts.prefer_qr = true;
-    linalg::LeastSquaresOptions ne_opts = qr_opts;
-    ne_opts.prefer_qr = false;
-    const auto x_qr = linalg::solve_least_squares(a, b, qr_opts);
-    const auto x_ne = linalg::solve_least_squares(a, b, ne_opts);
-    EXPECT_TRUE(linalg::approx_equal(x_qr, x_ne, 1e-9));
+    linalg::LeastSquaresOptions opts;
+    opts.ridge = 1e-4;
+    opts.relative_ridge = relative;
+    const double lambda =
+        relative ? opts.ridge * qr.gram_trace() / 5.0 : opts.ridge;
+    const auto x_ne = linalg::solve_least_squares(a, b, opts);
+    EXPECT_TRUE(linalg::approx_equal(qr.solve_ridge(lambda), x_ne, 1e-9));
   }
 }
 
 TEST(LeastSquares, RidgeQrSurvivesIllConditioning) {
-  // Laeuchli regression test for the augmented-QR ridge path: with
-  // eps = 1e-8, A^T A = [[1+eps^2, 1], [1, 1+eps^2]] rounds to the exactly
-  // singular ones matrix in double precision, so the normal-equations path
-  // cannot see the independent information in rows 2-3 no matter the
-  // (tiny) ridge. The QR path works at cond(A) ~ 1e8 and recovers the true
-  // minimizer x = (0.5, 0.5) to full working accuracy.
+  // Laeuchli regression test for the QR ridge solve: with eps = 1e-8,
+  // A^T A = [[1+eps^2, 1], [1, 1+eps^2]] rounds to the exactly singular
+  // ones matrix in double precision, so the normal equations cannot see the
+  // independent information in rows 2-3 no matter the (tiny) ridge. The
+  // QR path works at cond(A) ~ 1e8 and recovers the true minimizer
+  // x = (0.5, 0.5) to full working accuracy.
   const double eps = 1e-8;
   Matrix a(3, 2);
   a(0, 0) = 1.0;
   a(0, 1) = 1.0;
   a(1, 0) = eps;
   a(2, 1) = eps;
-  const Vector b{1.0, 0.0, 0.0};
-  linalg::LeastSquaresOptions opts;
-  opts.ridge = 1e-30;  // takes the ridge path; negligible shrinkage
-  opts.prefer_qr = true;
-  const Vector x = linalg::solve_least_squares(a, b, opts);
-  EXPECT_NEAR(x[0], 0.5, 1e-6);
-  EXPECT_NEAR(x[1], 0.5, 1e-6);
+  const Matrix b = Matrix::column(Vector{1.0, 0.0, 0.0});
+  const double lambda = 1e-30;  // negligible shrinkage
+  const auto x = linalg::UpdatableQr(a, b).solve_ridge(lambda);
+  EXPECT_NEAR(x(0, 0), 0.5, 1e-6);
+  EXPECT_NEAR(x(1, 0), 0.5, 1e-6);
 
-  // The historical normal-equations path either throws (singular Cholesky)
-  // or returns something much further from the minimizer — that is the
-  // condition-number squaring this regression test pins down.
-  linalg::LeastSquaresOptions ne_opts = opts;
-  ne_opts.prefer_qr = false;
+  // The normal equations either throw (singular Cholesky) or return
+  // something much further from the minimizer — the condition-number
+  // squaring this regression test pins down.
+  linalg::LeastSquaresOptions ne_opts;
+  ne_opts.ridge = lambda;
   try {
-    const Vector x_ne = linalg::solve_least_squares(a, b, ne_opts);
-    const double err = std::max(std::abs(x_ne[0] - 0.5),
-                                std::abs(x_ne[1] - 0.5));
+    const auto x_ne = linalg::solve_least_squares(a, b, ne_opts);
+    const double err = std::max(std::abs(x_ne(0, 0) - 0.5),
+                                std::abs(x_ne(1, 0) - 0.5));
     EXPECT_GT(err, 1e-4);
   } catch (const std::domain_error&) {
     // Singular to working precision: the expected failure mode.

@@ -1,7 +1,8 @@
 // Tests for the serve layer: the strict JSON request parser, HTTP request
 // framing, request decoding, channel classification, the transport-
-// independent AnalysisService (repeat- and concurrency-identical
-// reports), and a socket-level end-to-end pass over every endpoint.
+// independent AnalysisService (repeat-identical reports, concurrent
+// requests deduplicated by the StageCache alone), and a socket-level
+// end-to-end pass over every endpoint.
 
 #include "auditherm/serve/server.hpp"
 
@@ -20,6 +21,7 @@
 #include <thread>
 #include <vector>
 
+#include "auditherm/core/cli.hpp"
 #include "auditherm/serve/json.hpp"
 #include "auditherm/serve/scenario_codec.hpp"
 #include "auditherm/serve/service.hpp"
@@ -108,15 +110,14 @@ TEST(ServeHttp, RejectsMalformedRequests) {
 TEST(ServeRequest, DecodesFullBodyAndDefaults) {
   const auto full = serve::request_from_json(json::parse(
       R"({"data": "t.csv", "metric": "euclidean", "clusters": 3,)"
-      R"( "order": 1, "per_cluster": 2, "sweep": 4, "eigen": "jacobi",)"
-      R"( "graph": "knn", "knn": 6})"));
+      R"( "order": 1, "per_cluster": 2, "sweep": 4, "graph": "knn",)"
+      R"( "knn": 6})"));
   EXPECT_EQ(full.data, "t.csv");
   EXPECT_EQ(full.metric, "euclidean");
   EXPECT_EQ(full.clusters, 3);
   EXPECT_EQ(full.order, 1);
   EXPECT_EQ(full.per_cluster, 2);
   EXPECT_EQ(full.sweep, 4);
-  EXPECT_EQ(full.eigen, "jacobi");
   EXPECT_EQ(full.graph, "knn");
   EXPECT_EQ(full.knn, 6);
 
@@ -179,18 +180,23 @@ TEST(ServeChannels, ThrowsWithoutEnoughSensorsOrInputs) {
 
 // --- AnalysisService ------------------------------------------------------
 
-/// Shared small trace CSV on disk (simulation costs a few hundred ms).
+/// Shared small trace CSV on disk (simulation costs a few hundred ms),
+/// named per process and removed at exit: ctest runs every test as its own
+/// process, in parallel, and a shared name would let one truncate
+/// another's input.
 const std::string& trace_csv_path() {
-  static const std::string path = [] {
-    sim::DatasetConfig config;
-    config.days = 14;
-    config.failure_days = 2;
-    const auto dataset = sim::generate_dataset(config);
-    const std::string p = testing::TempDir() + "test_serve_trace.csv";
-    timeseries::write_csv_file(p, dataset.trace);
-    return p;
-  }();
-  return path;
+  static const struct TraceFile {
+    std::string path = testing::TempDir() + "test_serve_trace_" +
+                       std::to_string(::getpid()) + ".csv";
+    TraceFile() {
+      sim::DatasetConfig config;
+      config.days = 14;
+      config.failure_days = 2;
+      timeseries::write_csv_file(path, sim::generate_dataset(config).trace);
+    }
+    ~TraceFile() { std::remove(path.c_str()); }
+  } file;
+  return file.path;
 }
 
 serve::AnalyzeRequest small_request() {
@@ -222,10 +228,16 @@ TEST(ServeService, CacheOnAndOffProduceIdenticalReports) {
   EXPECT_EQ(uncached.cache().size(), 0u);
 }
 
-TEST(ServeService, ConcurrentRequestsBatchAndMatch) {
-  // Request threads (outside any parallel region) racing the same
-  // request must coalesce onto one prepared context and produce
-  // byte-identical reports.
+TEST(ServeService, ConcurrentRequestsDedupeThroughTheCache) {
+  // Request threads (outside any parallel region) racing one request on a
+  // fresh service: the StageCache parks every thread that needs a stage
+  // another is still building, so the trace load and each stage are built
+  // once. The reports match, and the race costs exactly the misses of one
+  // request on another fresh service.
+  serve::AnalysisService alone;
+  const auto expected = alone.analyze(small_request());
+  const auto one_request_misses = alone.cache().totals().misses;
+
   constexpr int kThreads = 4;
   serve::AnalysisService service;
   std::vector<std::string> reports(kThreads);
@@ -236,10 +248,10 @@ TEST(ServeService, ConcurrentRequestsBatchAndMatch) {
         [&, t] { reports[t] = service.analyze(small_request()); });
   }
   for (auto& t : threads) t.join();
-  for (int t = 1; t < kThreads; ++t) {
-    EXPECT_EQ(reports[t], reports[0]) << "thread " << t;
+  for (int t = 0; t < kThreads; ++t) {
+    EXPECT_EQ(reports[t], expected) << "thread " << t;
   }
-  EXPECT_EQ(reports[0], service.analyze(small_request()));
+  EXPECT_EQ(service.cache().totals().misses, one_request_misses);
 }
 
 TEST(ServeService, SweepRequestSharesThePreparedStages) {
@@ -257,9 +269,9 @@ TEST(ServeService, SweepRequestSharesThePreparedStages) {
 
 TEST(ServeService, InvalidOptionValuesThrow) {
   serve::AnalysisService service;
-  auto bad_eigen = small_request();
-  bad_eigen.eigen = "cholesky";
-  EXPECT_THROW((void)service.analyze(bad_eigen), std::exception);
+  auto bad_graph = small_request();
+  bad_graph.graph = "ring";
+  EXPECT_THROW((void)service.analyze(bad_graph), core::cli::UsageError);
   auto bad_path = small_request();
   bad_path.data = "/nonexistent/nope.csv";
   EXPECT_THROW((void)service.analyze(bad_path), std::runtime_error);
@@ -337,6 +349,14 @@ TEST(ServeServer, EndToEndOverLoopbackSockets) {
   const auto bad =
       http_exchange(server.port(), "POST", "/analyze", "{not json");
   EXPECT_NE(bad.find("HTTP/1.1 400"), std::string::npos);
+  // The eigensolver follows from the graph, so "eigen" is an unknown key
+  // like any other, answered with a 400 that names it.
+  const auto eigen = http_exchange(
+      server.port(), "POST", "/analyze",
+      R"({"data": ")" + json::escape(trace_csv_path()) +
+          R"(", "eigen": "jacobi"})");
+  EXPECT_NE(eigen.find("HTTP/1.1 400"), std::string::npos);
+  EXPECT_NE(response_body(eigen).find("'eigen'"), std::string::npos);
   const auto missing = http_exchange(server.port(), "GET", "/nope", "");
   EXPECT_NE(missing.find("HTTP/1.1 404"), std::string::npos);
   const auto wrong_method =

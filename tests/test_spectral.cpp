@@ -38,6 +38,14 @@ clustering::SimilarityGraph block_graph(std::size_t blocks, std::size_t size,
   return graph;
 }
 
+/// Full-spectrum analysis of the normalized Laplacian from the Jacobi test
+/// oracle, built outside analyze_spectrum() so the production spectrum can
+/// be compared against it.
+clustering::SpectralAnalysis jacobi_analysis(const Matrix& weights) {
+  auto eig = linalg::eigen_symmetric(clustering::normalized_laplacian(weights));
+  return {std::move(eig.eigenvalues), std::move(eig.eigenvectors)};
+}
+
 /// True when the two labelings induce the same partition (label ids may
 /// permute between numerically different embeddings).
 bool same_partition(const std::vector<std::size_t>& a,
@@ -125,7 +133,9 @@ TEST(Spectral, AutoKMatchesEigengap) {
   const auto graph = block_graph(2, 8);
   const auto result = clustering::spectral_cluster(graph);
   EXPECT_EQ(result.cluster_count, 2u);
-  EXPECT_EQ(result.eigenvalues.size(), 16u);
+  // Only the pairs the eigengap scan and the embedding read are computed.
+  EXPECT_EQ(result.eigenvalues.size(),
+            clustering::needed_eigenpairs(clustering::SpectralOptions{}, 16));
 }
 
 TEST(Spectral, ClustersAccessor) {
@@ -175,8 +185,9 @@ TEST(Spectral, PrecomputedAnalysisOverloadMatchesOneShot) {
   clustering::SpectralOptions options;
   options.cluster_count = 3;
   const auto one_shot = clustering::spectral_cluster(graph, options);
-  const auto analysis =
-      clustering::analyze_spectrum(graph.weights, options.laplacian);
+  const auto analysis = clustering::analyze_spectrum(
+      graph.weights, options.laplacian,
+      clustering::needed_eigenpairs(options, graph.channels.size()));
   const auto staged = clustering::spectral_cluster(graph, analysis, options);
   EXPECT_EQ(one_shot.labels, staged.labels);
   EXPECT_EQ(one_shot.cluster_count, staged.cluster_count);
@@ -205,24 +216,20 @@ TEST(Spectral, DeterministicForSameSeed) {
 }
 
 TEST(Spectral, TridiagonalMethodRecoversSameClusters) {
+  // The production spectrum (the dense partial solver at this size) and
+  // the Jacobi oracle's full spectrum give the same clusters, and the
+  // leading eigenvalues agree.
   const auto graph = block_graph(3, 6);
-  clustering::SpectralOptions jacobi;
-  jacobi.cluster_count = 3;
-  jacobi.eigen_method = linalg::EigenMethod::kJacobi;
-  clustering::SpectralOptions tridiagonal = jacobi;
-  tridiagonal.eigen_method = linalg::EigenMethod::kTridiagonal;
-  const auto a = clustering::spectral_cluster(graph, jacobi);
-  const auto b = clustering::spectral_cluster(graph, tridiagonal);
+  clustering::SpectralOptions options;
+  options.cluster_count = 3;
+  const auto a = clustering::spectral_cluster(
+      graph, jacobi_analysis(graph.weights), options);
+  const auto b = clustering::spectral_cluster(graph, options);
   EXPECT_TRUE(same_partition(a.labels, b.labels));
   EXPECT_EQ(a.cluster_count, b.cluster_count);
-  // The tridiagonal path computes only the needed leading pairs; those
-  // must agree with Jacobi's full spectrum.
-  const std::size_t shared =
-      std::min(a.eigenvalues.size(), b.eigenvalues.size());
   ASSERT_EQ(b.eigenvalues.size(),
-            clustering::needed_eigenpairs(tridiagonal,
-                                          graph.channels.size()));
-  for (std::size_t i = 0; i < shared; ++i) {
+            clustering::needed_eigenpairs(options, graph.channels.size()));
+  for (std::size_t i = 0; i < b.eigenvalues.size(); ++i) {
     EXPECT_NEAR(a.eigenvalues[i], b.eigenvalues[i], 1e-10) << "i=" << i;
   }
 }
@@ -237,10 +244,12 @@ TEST(Spectral, PartialAnalysisClustersLikeFullSpectrum) {
   const auto pairs = clustering::needed_eigenpairs(options, n);
   EXPECT_EQ(pairs, std::min(n, options.k_max + 1));
 
-  const auto full = clustering::spectral_cluster(graph, options);
-  const auto partial = clustering::analyze_spectrum(
-      graph.weights, options.laplacian, linalg::EigenMethod::kTridiagonal,
-      pairs);
+  const auto full = clustering::spectral_cluster(
+      graph, clustering::analyze_spectrum(graph.weights, options.laplacian),
+      options);
+  ASSERT_EQ(full.eigenvalues.size(), n);
+  const auto partial =
+      clustering::analyze_spectrum(graph.weights, options.laplacian, pairs);
   ASSERT_EQ(partial.eigenvalues.size(), pairs);
   ASSERT_EQ(partial.eigenvectors.cols(), pairs);
   ASSERT_EQ(partial.eigenvectors.rows(), n);
@@ -255,7 +264,7 @@ TEST(Spectral, PartialAnalysisTooShallowForKThrows) {
   const auto graph = block_graph(2, 4);
   const auto partial = clustering::analyze_spectrum(
       graph.weights, clustering::LaplacianKind::kSymmetricNormalized,
-      linalg::EigenMethod::kTridiagonal, /*max_pairs=*/2);
+      /*max_pairs=*/2);
   clustering::SpectralOptions options;
   options.cluster_count = 3;  // needs 3 embedding columns, analysis has 2
   EXPECT_THROW((void)clustering::spectral_cluster(graph, partial, options),
@@ -272,15 +281,17 @@ TEST(Spectral, NeededEigenpairsClampsToMatrixSize) {
 }
 
 TEST(Spectral, AutoMethodMatchesJacobiOnSmallGraphs) {
-  // Below the auto threshold the pipeline stays on Jacobi, so kAuto must
-  // be bitwise identical to explicitly requesting it.
+  // The solver analyze_spectrum() picks for a small graph reproduces the
+  // Jacobi oracle: identical labels and the same leading eigenvalues.
   const auto graph = block_graph(3, 5);
-  clustering::SpectralOptions auto_opts;
-  auto_opts.eigen_method = linalg::EigenMethod::kAuto;
-  clustering::SpectralOptions jacobi_opts;
-  jacobi_opts.eigen_method = linalg::EigenMethod::kJacobi;
-  const auto a = clustering::spectral_cluster(graph, auto_opts);
-  const auto b = clustering::spectral_cluster(graph, jacobi_opts);
+  const clustering::SpectralOptions options;
+  const auto a = clustering::spectral_cluster(graph, options);
+  const auto b = clustering::spectral_cluster(
+      graph, jacobi_analysis(graph.weights), options);
   EXPECT_EQ(a.labels, b.labels);
-  EXPECT_EQ(a.eigenvalues, b.eigenvalues);
+  ASSERT_EQ(a.eigenvalues.size(),
+            clustering::needed_eigenpairs(options, graph.channels.size()));
+  for (std::size_t i = 0; i < a.eigenvalues.size(); ++i) {
+    EXPECT_NEAR(a.eigenvalues[i], b.eigenvalues[i], 1e-10) << "i=" << i;
+  }
 }

@@ -24,7 +24,6 @@
 #include "auditherm/selection/evaluation.hpp"
 #include "auditherm/selection/gp_placement.hpp"
 #include "auditherm/selection/strategies.hpp"
-#include "auditherm/selection/variance_placement.hpp"
 #include "auditherm/sysid/estimator.hpp"
 #include "auditherm/sysid/evaluation.hpp"
 #include "auditherm/timeseries/multi_trace.hpp"
@@ -393,8 +392,6 @@ TEST(TraceViewConsumers, ClusteringAndSelectionBitwiseEqual) {
             selection::simple_random(copy, clusters, 7).per_cluster);
   EXPECT_EQ(selection::gp_mutual_information_selection(view, sensors, 2),
             selection::gp_mutual_information_selection(copy, sensors, 2));
-  EXPECT_EQ(selection::max_variance_selection(view, sensors, 2),
-            selection::max_variance_selection(copy, sensors, 2));
 
   const selection::Selection sel = selection::stratified_near_mean(view, clusters);
   const auto errors_v =
@@ -471,7 +468,6 @@ TEST(TraceViewBytes, ViewPathCopiesNothing) {
     (void)clustering::build_similarity_graph(view, sensors);
     (void)selection::stratified_near_mean(view, {{1, 2, 3, 4}, {5, 6, 7, 8}});
     (void)selection::gp_mutual_information_selection(view, sensors, 2);
-    (void)selection::max_variance_selection(view, sensors, 2);
     (void)ts::correlation_matrix(view);
     (void)ts::rows_with_all_valid(view);
     (void)ts::row_mean(view);

@@ -5,8 +5,8 @@
 //   auditherm simulate --fleet specs.json [--out-dir DIR]
 //   auditherm analyze --data trace.csv [--metric correlation|euclidean]
 //       [--clusters K] [--order 1|2] [--per-cluster N] [--sweep SEEDS]
-//       [--eigen jacobi|tridiagonal|lanczos|auto] [--graph epsilon|knn]
-//       [--knn K] [--stream ROWS] [--occupancy truth|estimated|schedule]
+//       [--graph epsilon|knn] [--knn K] [--stream ROWS]
+//       [--occupancy truth|estimated|schedule]
 //   auditherm serve --port P [--workers N] [--cache-budget-mb MB]
 //
 // Every subcommand also accepts the shared flags (--threads, --cache,
@@ -109,9 +109,6 @@ cli::OptionSet analyze_options() {
        "representative sensors per cluster (default 1)"},
       {"sweep", true, false, "SEEDS",
        "compare strategies over SEEDS seeds, reusing cached stages"},
-      {"eigen", true, false, "jacobi|tridiagonal|lanczos|auto",
-       "Laplacian eigensolver (default auto: Jacobi below 64 sensors, "
-       "tridiagonal partial spectrum above, sparse Lanczos from 512)"},
       {"graph", true, false, "epsilon|knn",
        "similarity-graph sparsifier (default epsilon: the paper's "
        "quantile threshold; knn keeps each sensor's K strongest edges)"},
@@ -295,7 +292,6 @@ serve::AnalyzeRequest analyze_request_from_args(
   request.order = args.get_long("order", 2);
   request.per_cluster = args.get_long("per-cluster", 1);
   request.sweep = args.get_long("sweep", 0);
-  if (const auto eigen = args.get("eigen")) request.eigen = *eigen;
   if (const auto graph = args.get("graph")) request.graph = *graph;
   request.knn = args.get_long("knn", 0);
   request.stream = args.get_long("stream", 0);
