@@ -89,7 +89,10 @@ struct SpectralAnalysis {
 /// `max_pairs` smallest eigenpairs — with the dense partial solver below
 /// linalg::kEigenSparseThreshold vertices, and from there up with sparse
 /// CSR Lanczos, which never forms the dense Laplacian (pair it with
-/// GraphSparsification::kKnn so the Laplacian is actually sparse).
+/// GraphSparsification::kKnn so the Laplacian is actually sparse). The
+/// Lanczos path locks the Laplacian's null space up front, one vector per
+/// connected component, when every weight is finite and non-negative.
+/// `weights` must be symmetric, as SimilarityGraph::weights is.
 [[nodiscard]] SpectralAnalysis analyze_spectrum(
     const linalg::Matrix& weights,
     LaplacianKind kind = LaplacianKind::kSymmetricNormalized,

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <stdexcept>
+#include <vector>
 
 #include "auditherm/linalg/decompositions.hpp"
 
@@ -117,6 +118,69 @@ linalg::CsrMatrix laplacian_csr(const linalg::Matrix& weights,
                            std::move(values));
 }
 
+namespace {
+
+/// Orthonormal basis of the null space of `l`, the CSR Laplacian of
+/// `weights`: one vector per connected component of l's off-diagonal
+/// pattern (an O(nnz) BFS), in order of each component's lowest vertex,
+/// at most `max_vectors` of them. Normalized: D^{1/2} 1_C / ||.|| per
+/// component with an edge (an isolated vertex keeps its identity row,
+/// eigenvalue 1). Unnormalized: 1_C / sqrt(|C|) per component, isolated
+/// vertices included. Empty unless the weights are finite and
+/// non-negative — only then are these vectors the null space.
+std::vector<linalg::Vector> laplacian_null_basis(const linalg::Matrix& weights,
+                                                 const linalg::CsrMatrix& l,
+                                                 LaplacianKind kind,
+                                                 std::size_t max_vectors) {
+  for (const double w : weights.data()) {
+    if (!std::isfinite(w) || w < 0.0) return {};
+  }
+  const bool normalized = kind == LaplacianKind::kSymmetricNormalized;
+  const std::size_t n = l.rows();
+  const auto& row_ptr = l.row_ptr();
+  const auto& col_idx = l.col_idx();
+  std::vector<linalg::Vector> basis;
+  std::vector<bool> seen(n, false);
+  std::vector<std::size_t> members;
+  for (std::size_t start = 0; start < n && basis.size() < max_vectors;
+       ++start) {
+    if (seen[start]) continue;
+    seen[start] = true;
+    members.assign(1, start);
+    for (std::size_t head = 0; head < members.size(); ++head) {
+      const std::size_t v = members[head];
+      for (std::size_t p = row_ptr[v]; p < row_ptr[v + 1]; ++p) {
+        const std::size_t u = col_idx[p];
+        if (!seen[u]) {
+          seen[u] = true;
+          members.push_back(u);
+        }
+      }
+    }
+    if (normalized && members.size() == 1) continue;
+    // Entry mass: the vertex degree (normalized) or 1 (unnormalized).
+    linalg::Vector x(n, 0.0);
+    double total = 0.0;
+    for (const std::size_t v : members) {
+      double mass = 1.0;
+      if (normalized) {
+        mass = 0.0;
+        for (std::size_t p = row_ptr[v]; p < row_ptr[v + 1]; ++p) {
+          if (col_idx[p] != v) mass += weights(v, col_idx[p]);
+        }
+      }
+      x[v] = std::sqrt(mass);
+      total += mass;
+    }
+    const double scale = 1.0 / std::sqrt(total);
+    for (const std::size_t v : members) x[v] *= scale;
+    basis.push_back(std::move(x));
+  }
+  return basis;
+}
+
+}  // namespace
+
 linalg::Matrix normalized_laplacian(const linalg::Matrix& weights) {
   if (weights.rows() != weights.cols()) {
     throw std::invalid_argument("normalized_laplacian: weights not square");
@@ -148,10 +212,11 @@ SpectralAnalysis analyze_spectrum(const linalg::Matrix& weights,
   linalg::SymmetricEigen eig;
   if (partial && n >= linalg::kEigenSparseThreshold) {
     // Sparse path: compress the Laplacian to CSR (never forming the dense
-    // operator) and pull only the requested smallest pairs out of the
-    // Lanczos iteration.
-    eig = linalg::eigen_symmetric_smallest_sparse(laplacian_csr(weights, kind),
-                                                  max_pairs);
+    // operator), lock its null space from the graph's components, and pull
+    // only the remaining smallest pairs out of the Lanczos iteration.
+    const auto l = laplacian_csr(weights, kind);
+    eig = linalg::eigen_symmetric_smallest_sparse(
+        l, max_pairs, laplacian_null_basis(weights, l, kind, max_pairs));
   } else {
     const auto l = kind == LaplacianKind::kUnnormalized
                        ? laplacian(weights)

@@ -707,6 +707,104 @@ SymmetricEigen trivial_eigen(const Matrix& a) {
 
 }  // namespace
 
+namespace detail {
+
+TridiagonalEigen tridiagonal_smallest(const Vector& d, const Vector& e,
+                                      std::size_t m) {
+  const std::size_t n = d.size();
+  // A 1x1 T is its own eigenpair. The general path would divide by the
+  // pivot floor, which overflows when T is zero (a Lanczos breakdown on
+  // the zero matrix).
+  if (n == 1) return {Vector{d[0]}, {Vector{1.0}}};
+  // Gershgorin interval of T bounds every eigenvalue and sets the scale
+  // for all tolerances below.
+  double glo = std::numeric_limits<double>::infinity();
+  double ghi = -glo;
+  for (std::size_t i = 0; i < n; ++i) {
+    const double radius = (i > 0 ? std::abs(e[i - 1]) : 0.0) +
+                          (i + 1 < n ? std::abs(e[i]) : 0.0);
+    glo = std::min(glo, d[i] - radius);
+    ghi = std::max(ghi, d[i] + radius);
+  }
+  const double eps = std::numeric_limits<double>::epsilon();
+  const double anorm = std::max({std::abs(glo), std::abs(ghi), 1e-300});
+  const double pivot_floor = eps * anorm;
+  glo -= pivot_floor;
+  ghi += pivot_floor;
+
+  // Bisection on the Sturm count: lambda_j is the infimum of x with
+  // count(x) >= j+1. Fully deterministic, O(n) per probe. Each bracket
+  // starts at the previous eigenvalue's lower bound since the spectrum is
+  // sorted.
+  Vector evals(m);
+  double lower = glo;
+  for (std::size_t j = 0; j < m; ++j) {
+    double lo = lower;
+    double hi = ghi;
+    for (std::size_t it = 0;
+         it < 200 &&
+         hi - lo > 2.0 * eps * (std::abs(lo) + std::abs(hi)) + pivot_floor;
+         ++it) {
+      const double mid = 0.5 * (lo + hi);
+      if (count_below(d, e, mid, pivot_floor) >= j + 1) {
+        hi = mid;
+      } else {
+        lo = mid;
+      }
+    }
+    evals[j] = 0.5 * (lo + hi);
+    lower = lo;
+  }
+
+  // Inverse iteration in the tridiagonal basis. Eigenvalues closer than
+  // cluster_tol form one multiplet: each member gets a slightly offset
+  // shift and is reorthogonalized against the members before it, which is
+  // what keeps repeated eigenvalues (e.g. the zero modes of a
+  // rank-deficient Laplacian) from collapsing onto a single vector.
+  const double cluster_tol = 1e-7 * anorm;
+  std::vector<Vector> tri(m);
+  std::size_t cluster_start = 0;
+  for (std::size_t j = 0; j < m; ++j) {
+    if (j > 0 && evals[j] - evals[j - 1] > cluster_tol) cluster_start = j;
+    const double shift =
+        evals[j] +
+        static_cast<double>(j - cluster_start) * pivot_floor * 64.0;
+    const ShiftedTridiagonalLu lu = factor_shifted(d, e, shift, pivot_floor);
+    Vector z(n);
+    for (std::size_t attempt = 0; attempt < 4; ++attempt) {
+      for (std::size_t i = 0; i < n; ++i) {
+        z[i] = hash_unit(static_cast<std::uint64_t>(j) * 1000003ULL +
+                         static_cast<std::uint64_t>(attempt) * 7919ULL +
+                         static_cast<std::uint64_t>(i)) -
+               0.5;
+      }
+      bool collapsed = false;
+      for (std::size_t iter = 0; iter < 3; ++iter) {
+        solve_shifted(lu, z);
+        for (std::size_t p = cluster_start; p < j; ++p) {
+          double dot = 0.0;
+          for (std::size_t i = 0; i < n; ++i) dot += tri[p][i] * z[i];
+          for (std::size_t i = 0; i < n; ++i) z[i] -= dot * tri[p][i];
+        }
+        double norm = 0.0;
+        for (double zi : z) norm += zi * zi;
+        norm = std::sqrt(norm);
+        if (norm < 1e-12) {
+          collapsed = true;  // start vector lay in the span already found
+          break;
+        }
+        for (double& zi : z) zi /= norm;
+      }
+      if (!collapsed) break;
+    }
+    tri[j] = std::move(z);
+  }
+
+  return {std::move(evals), std::move(tri)};
+}
+
+}  // namespace detail
+
 SymmetricEigen eigen_symmetric(const Matrix& a, std::size_t max_sweeps) {
   if (a.rows() != a.cols()) {
     throw std::invalid_argument("eigen_symmetric: matrix not square");
@@ -870,103 +968,20 @@ SymmetricEigen eigen_symmetric_smallest(const Matrix& a, std::size_t m) {
   obs::add_counter(kEigenCalls);
 
   HouseholderTridiagonal t = tridiagonalize(symmetrized(a));
-  const Vector& d = t.diag;
-  const Vector& e = t.off;
-
-  // Gershgorin interval of T bounds every eigenvalue and sets the scale
-  // for all tolerances below.
-  double glo = std::numeric_limits<double>::infinity();
-  double ghi = -glo;
-  for (std::size_t i = 0; i < n; ++i) {
-    const double radius = (i > 0 ? std::abs(e[i - 1]) : 0.0) +
-                          (i + 1 < n ? std::abs(e[i]) : 0.0);
-    glo = std::min(glo, d[i] - radius);
-    ghi = std::max(ghi, d[i] + radius);
-  }
-  const double eps = std::numeric_limits<double>::epsilon();
-  const double anorm = std::max({std::abs(glo), std::abs(ghi), 1e-300});
-  const double pivot_floor = eps * anorm;
-  glo -= pivot_floor;
-  ghi += pivot_floor;
-
-  // Bisection on the Sturm count: lambda_j is the infimum of x with
-  // count(x) >= j+1. Fully deterministic, O(n) per probe. Each bracket
-  // starts at the previous eigenvalue's lower bound since the spectrum is
-  // sorted.
-  Vector evals(m);
-  double lower = glo;
-  for (std::size_t j = 0; j < m; ++j) {
-    double lo = lower;
-    double hi = ghi;
-    for (std::size_t it = 0;
-         it < 200 &&
-         hi - lo > 2.0 * eps * (std::abs(lo) + std::abs(hi)) + pivot_floor;
-         ++it) {
-      const double mid = 0.5 * (lo + hi);
-      if (count_below(d, e, mid, pivot_floor) >= j + 1) {
-        hi = mid;
-      } else {
-        lo = mid;
-      }
-    }
-    evals[j] = 0.5 * (lo + hi);
-    lower = lo;
-  }
-
-  // Inverse iteration in the tridiagonal basis. Eigenvalues closer than
-  // cluster_tol form one multiplet: each member gets a slightly offset
-  // shift and is reorthogonalized against the members before it, which is
-  // what keeps repeated eigenvalues (e.g. the zero modes of a
-  // rank-deficient Laplacian) from collapsing onto a single vector.
-  const double cluster_tol = 1e-7 * anorm;
-  std::vector<Vector> tri(m);
-  std::size_t cluster_start = 0;
-  for (std::size_t j = 0; j < m; ++j) {
-    if (j > 0 && evals[j] - evals[j - 1] > cluster_tol) cluster_start = j;
-    const double shift =
-        evals[j] +
-        static_cast<double>(j - cluster_start) * pivot_floor * 64.0;
-    const ShiftedTridiagonalLu lu = factor_shifted(d, e, shift, pivot_floor);
-    Vector z(n);
-    for (std::size_t attempt = 0; attempt < 4; ++attempt) {
-      for (std::size_t i = 0; i < n; ++i) {
-        z[i] = hash_unit(static_cast<std::uint64_t>(j) * 1000003ULL +
-                         static_cast<std::uint64_t>(attempt) * 7919ULL +
-                         static_cast<std::uint64_t>(i)) -
-               0.5;
-      }
-      bool collapsed = false;
-      for (std::size_t iter = 0; iter < 3; ++iter) {
-        solve_shifted(lu, z);
-        for (std::size_t p = cluster_start; p < j; ++p) {
-          double dot = 0.0;
-          for (std::size_t i = 0; i < n; ++i) dot += tri[p][i] * z[i];
-          for (std::size_t i = 0; i < n; ++i) z[i] -= dot * tri[p][i];
-        }
-        double norm = 0.0;
-        for (double zi : z) norm += zi * zi;
-        norm = std::sqrt(norm);
-        if (norm < 1e-12) {
-          collapsed = true;  // start vector lay in the span already found
-          break;
-        }
-        for (double& zi : z) zi /= norm;
-      }
-      if (!collapsed) break;
-    }
-    tri[j] = std::move(z);
-  }
+  auto tri = detail::tridiagonal_smallest(t.diag, t.off, m);
 
   // Back-transform through the stored reflectors; vectors are independent
   // so the row of work per j is deterministic regardless of thread count.
   core::parallel_for(0, m, core::grain_for_cost(n * n), [&](std::size_t j) {
-    back_transform(t, tri[j]);
+    back_transform(t, tri.vectors[j]);
   });
 
   SymmetricEigen out;
-  out.eigenvalues = std::move(evals);
+  out.eigenvalues = std::move(tri.eigenvalues);
   out.eigenvectors = Matrix(n, m);
-  for (std::size_t j = 0; j < m; ++j) out.eigenvectors.set_col(j, tri[j]);
+  for (std::size_t j = 0; j < m; ++j) {
+    out.eigenvectors.set_col(j, tri.vectors[j]);
+  }
   pin_column_signs(out.eigenvectors);
   return out;
 }

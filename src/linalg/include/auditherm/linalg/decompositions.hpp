@@ -10,6 +10,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <vector>
 
 #include "auditherm/linalg/matrix.hpp"
 
@@ -201,9 +202,12 @@ struct SymmetricEigen {
 
 /// Matrix size at which a partial Laplacian spectrum switches from the
 /// dense eigen_symmetric_smallest() to sparse Lanczos (sparse.hpp). Below
-/// it the dense solver's O(n^3/3) tridiagonalization is still cheap; above
-/// it the Laplacian of a sparsified similarity graph is mostly zeros and
-/// the O(iters x nnz) Lanczos iteration wins.
+/// it the dense solver's O(n^3/3) tridiagonalization is still cheap; from
+/// it up the Laplacian of a k-NN-sparsified graph is mostly zeros, and
+/// Lanczos — O(j) bisection convergence checks, the null space locked from
+/// the graph's components — wins: 9 pairs of a one-component 512-vertex
+/// k-NN hall take it ~50 ms at 1 thread against the dense solver's
+/// 105-185 ms (4-vCPU host).
 inline constexpr std::size_t kEigenSparseThreshold = 512;
 
 /// Compute all eigenpairs of symmetric `a` by the cyclic Jacobi method.
@@ -253,6 +257,28 @@ namespace detail {
 /// (lowest index on ties) ends up positive — the normalization every
 /// solver in this header and in sparse.hpp applies before returning.
 void pin_column_signs(Matrix& eigenvectors);
+
+/// The smallest eigenpairs of a symmetric tridiagonal matrix T, in T's own
+/// basis (no sign pin: callers pin after mapping the vectors back).
+struct TridiagonalEigen {
+  Vector eigenvalues;           ///< ascending
+  std::vector<Vector> vectors;  ///< unit eigenvectors of T, one per value
+};
+
+/// The `m` smallest eigenpairs of the tridiagonal T with diagonal `d`
+/// (size n >= 1) and couplings `e` (e[i] joins rows i and i+1; entries
+/// past e[n-2] are ignored; zeros make T block-diagonal), for
+/// 1 <= m <= n. Bisection on the Sturm count finds the eigenvalues at
+/// O(n) per probe; shifted inverse iteration from splitmix64 start
+/// vectors finds the vectors at O(n) per solve, with members of a cluster
+/// of nearly equal eigenvalues reorthogonalized against each other so
+/// repeated eigenvalues keep their full multiplicity. Serial and
+/// deterministic. This is the one tridiagonal kernel behind
+/// eigen_symmetric_smallest() (after Householder reduction) and the
+/// Lanczos convergence checks in sparse.hpp.
+[[nodiscard]] TridiagonalEigen tridiagonal_smallest(const Vector& d,
+                                                    const Vector& e,
+                                                    std::size_t m);
 
 }  // namespace detail
 

@@ -94,21 +94,40 @@ class CsrMatrix {
 ///
 /// Output matches eigen_symmetric_smallest(): eigenvalues ascending,
 /// eigenvectors orthonormal with the largest-|component|-positive sign
-/// pin. The Krylov basis is grown with deterministic splitmix64 start
-/// vectors (restarting with a fresh orthogonal vector on breakdown, which
-/// is how the zero modes of a disconnected Laplacian are all found) and
-/// every basis vector is reorthogonalized against the whole basis — the
-/// O(j^2 n) insurance that keeps Ritz pairs from duplicating in floating
-/// point. Work is O(iterations x nnz) SpMV plus the reorthogonalization;
+/// pin. Each deflated pass grows a Krylov basis from a deterministic
+/// splitmix64 start vector, reorthogonalized against every locked vector
+/// and the whole basis (the O(j^2 n) insurance that keeps Ritz pairs from
+/// duplicating in floating point), and locks the smallest Ritz pair once
+/// its residual bound is below 1e-10 * ||A||_inf. Convergence is checked
+/// every few steps by bisection on the Lanczos tridiagonal
+/// (detail::tridiagonal_smallest), O(j) per probe. One pair per pass is
+/// what gives a repeated eigenvalue its full multiplicity: with no locked
+/// basis, each zero mode of a disconnected Laplacian comes from its own
+/// pass, started from a fresh vector orthogonal to the modes already
+/// found. Work is O(iterations x nnz) SpMV plus the reorthogonalization;
 /// memory is the basis (iterations x n).
+///
+/// `locked` holds eigenvectors the caller already knows (e.g. a
+/// Laplacian's null space from its connected components). They become the
+/// first |locked| pairs, in the given order, each with its Rayleigh
+/// quotient as eigenvalue, and the passes compute only the remaining
+/// m - |locked| pairs in their orthogonal complement. Pass eigenvectors
+/// of the smallest eigenvalues, or the result is not the m smallest
+/// pairs. Throws std::invalid_argument when a vector's length is not
+/// rows(), the set is not orthonormal to 1e-10, it holds more than m
+/// vectors, or a vector's residual ||A x - theta x|| exceeds
+/// 1e-10 * ||A||_inf.
 ///
 /// `a` is used as stored — callers pass a numerically symmetric matrix
 /// (e.g. a graph Laplacian); tiny asymmetries shift eigenvalues by O(eps)
 /// like any perturbation. Throws std::invalid_argument when `a` is not
 /// square, m == 0, or m > rows (callers must size partial-spectrum
-/// requests, matching the dense solver's contract), std::domain_error
-/// when the iteration exhausts its budget without converging.
+/// requests, matching the dense solver's contract); std::domain_error
+/// when the matrix holds a non-finite entry — as soon as a Lanczos
+/// coefficient or a locked vector's residual comes out NaN or Inf, naming
+/// the iteration or the vector — or when no start vector outside the
+/// converged subspace can be found.
 [[nodiscard]] SymmetricEigen eigen_symmetric_smallest_sparse(
-    const CsrMatrix& a, std::size_t m);
+    const CsrMatrix& a, std::size_t m, const std::vector<Vector>& locked = {});
 
 }  // namespace auditherm::linalg

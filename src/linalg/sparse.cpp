@@ -167,27 +167,14 @@ Vector fresh_start_vector(std::size_t n, std::uint64_t salt,
       "outside the converged subspace");
 }
 
-/// Dense copy of the Lanczos tridiagonal T_j (alpha on the diagonal,
-/// beta coupling neighbors; a zero beta from a breakdown restart leaves
-/// T block-diagonal, which the dense solver handles transparently).
-Matrix dense_tridiagonal(const Vector& alpha, const Vector& beta) {
-  const std::size_t j = alpha.size();
-  Matrix t(j, j);
-  for (std::size_t i = 0; i < j; ++i) {
-    t(i, i) = alpha[i];
-    if (i + 1 < j) {
-      t(i, i + 1) = beta[i];
-      t(i + 1, i) = beta[i];
-    }
-  }
-  return t;
-}
-
 struct LanczosMetrics {
   obs::MetricId calls = obs::counter_id("linalg.eigen_lanczos_calls");
   obs::MetricId passes = obs::counter_id("linalg.eigen_lanczos_passes");
   obs::MetricId iterations =
       obs::counter_id("linalg.eigen_lanczos_iterations");
+  obs::MetricId locked_pairs =
+      obs::counter_id("linalg.eigen_lanczos_locked_pairs");
+  obs::MetricId residual = obs::histogram_id("linalg.eigen_lanczos_residual");
   obs::MetricId eigen_calls = obs::counter_id("linalg.eigen_calls");
 };
 
@@ -196,28 +183,36 @@ const LanczosMetrics& lanczos_metrics() {
   return m;
 }
 
+/// A converged Ritz pair and its residual bound |beta_j s_j|.
+struct RitzPair {
+  double value = 0.0;
+  Vector vector;
+  double residual = 0.0;
+};
+
 /// One deflated Lanczos pass: grow a Krylov basis orthogonal to `locked`
 /// until the smallest Ritz pair's residual drops below `tol` (or the
 /// complement is exhausted), and return that pair. Finding only the single
 /// smallest pair per pass is what makes repeated eigenvalues come out with
 /// full multiplicity: a Krylov space from one start vector can hold at
 /// most one direction per distinct eigenvalue, so each extra copy (e.g.
-/// every zero mode of a disconnected Laplacian) must come from its own
-/// deflated pass.
-std::pair<double, Vector> lanczos_smallest_deflated(
-    const CsrMatrix& a, const std::vector<Vector>& locked, std::uint64_t salt,
-    double anorm, double tol) {
+/// every zero mode of a disconnected Laplacian the caller did not lock)
+/// must come from its own deflated pass.
+RitzPair lanczos_smallest_deflated(const CsrMatrix& a,
+                                   const std::vector<Vector>& locked,
+                                   std::uint64_t salt, double anorm,
+                                   double tol) {
   const std::size_t n = a.rows();
   const std::size_t max_dim = n - locked.size();
   const double breakdown_tol =
       64.0 * std::numeric_limits<double>::epsilon() * anorm;
-  // Re-solving T every step would be O(j^3) each; every few steps loses at
-  // most that many extra SpMVs, which is cheaper.
+  // Each check is a bisection on T_j, O(j) per probe; checking every few
+  // steps costs at most that many extra SpMVs, which is cheaper still.
   constexpr std::size_t kCheckInterval = 4;
 
   std::vector<Vector> basis;
   Vector alpha;
-  Vector beta;  // beta[i] couples basis i and i+1; 0 after a breakdown
+  Vector beta;  // beta[i] couples basis i and i+1
   Vector v = fresh_start_vector(n, salt, locked, basis);
   Vector v_prev(n, 0.0);
   double beta_prev = 0.0;
@@ -234,22 +229,28 @@ std::pair<double, Vector> lanczos_smallest_deflated(
     reorthogonalize(w, locked, basis);
     const double b = norm(w);
     const std::size_t j = basis.size();
+    // NaN/Inf in A poisons the very first coefficient; without this check
+    // a pass would run to its full budget on garbage before failing.
+    if (!std::isfinite(al) || !std::isfinite(b)) {
+      throw std::domain_error(
+          "eigen_symmetric_smallest_sparse: non-finite Lanczos coefficient "
+          "at iteration " +
+          std::to_string(j) + " (the matrix holds NaN or Inf)");
+    }
 
     const bool exhausted = j == max_dim;
     const bool broke_down = b <= breakdown_tol;
     if (exhausted || broke_down || j % kCheckInterval == 0) {
-      const auto t_eig = eigen_symmetric_tridiagonal(dense_tridiagonal(
-          alpha, Vector(beta.begin(), beta.end())));
-      const double theta = t_eig.eigenvalues[0];
+      const auto ritz = detail::tridiagonal_smallest(alpha, beta, 1);
+      const Vector& s = ritz.vectors[0];
       // Residual bound ||A x - theta x|| = |beta_j * s_j| for the Ritz
       // vector x = B s; a breakdown or exhausted complement makes the
       // pair exact up to rounding.
-      const double resid = std::abs(b * t_eig.eigenvectors(j - 1, 0));
+      const double resid = std::abs(b * s[j - 1]);
       if (exhausted || broke_down || resid <= tol) {
         Vector x(n, 0.0);
         for (std::size_t k = 0; k < j; ++k) {
-          const double s = t_eig.eigenvectors(k, 0);
-          for (std::size_t i = 0; i < n; ++i) x[i] += s * basis[k][i];
+          for (std::size_t i = 0; i < n; ++i) x[i] += s[k] * basis[k][i];
         }
         // Deflation leakage guard: re-project off the locked space and
         // renormalize before the pair is locked itself.
@@ -258,7 +259,7 @@ std::pair<double, Vector> lanczos_smallest_deflated(
         if (nx > 0.0) {
           for (double& xi : x) xi /= nx;
         }
-        return {theta, std::move(x)};
+        return {ritz.eigenvalues[0], std::move(x), resid};
       }
     }
 
@@ -272,8 +273,8 @@ std::pair<double, Vector> lanczos_smallest_deflated(
 
 }  // namespace
 
-SymmetricEigen eigen_symmetric_smallest_sparse(const CsrMatrix& a,
-                                               std::size_t m) {
+SymmetricEigen eigen_symmetric_smallest_sparse(
+    const CsrMatrix& a, std::size_t m, const std::vector<Vector>& locked) {
   if (a.rows() != a.cols()) {
     throw std::invalid_argument(
         "eigen_symmetric_smallest_sparse: matrix not square");
@@ -289,19 +290,40 @@ SymmetricEigen eigen_symmetric_smallest_sparse(const CsrMatrix& a,
         " eigenpairs from a " + std::to_string(n) + "x" + std::to_string(n) +
         " matrix (m must be <= n)");
   }
+  if (locked.size() > m) {
+    throw std::invalid_argument(
+        "eigen_symmetric_smallest_sparse: " + std::to_string(locked.size()) +
+        " locked vectors exceed the " + std::to_string(m) +
+        " requested eigenpairs");
+  }
+  for (std::size_t k = 0; k < locked.size(); ++k) {
+    if (locked[k].size() != n) {
+      throw std::invalid_argument(
+          "eigen_symmetric_smallest_sparse: locked vector " +
+          std::to_string(k) + " has length " +
+          std::to_string(locked[k].size()) + ", expected " +
+          std::to_string(n));
+    }
+    for (std::size_t l = 0; l <= k; ++l) {
+      const double expected = l == k ? 1.0 : 0.0;
+      if (!(std::abs(dot(locked[k], locked[l]) - expected) <= 1e-10)) {
+        throw std::invalid_argument(
+            "eigen_symmetric_smallest_sparse: locked vectors " +
+            std::to_string(l) + " and " + std::to_string(k) +
+            " are not orthonormal to 1e-10");
+      }
+    }
+  }
   obs::TraceSpan span("linalg.eigen_lanczos");
   obs::add_counter(lanczos_metrics().calls);
   obs::add_counter(lanczos_metrics().eigen_calls);
 
-  SymmetricEigen out;
-  if (n <= 1) {
+  if (n == 1) {
     double a00 = 0.0;
-    for (std::size_t p = a.row_ptr()[0]; n == 1 && p < a.row_ptr()[1]; ++p) {
+    for (std::size_t p = a.row_ptr()[0]; p < a.row_ptr()[1]; ++p) {
       a00 += a.values()[p];
     }
-    out.eigenvalues = n == 1 ? Vector{a00} : Vector{};
-    out.eigenvectors = Matrix::identity(n);
-    return out;
+    return {Vector{a00}, Matrix::identity(1)};
   }
 
   // Gershgorin-style infinity norm bounds |lambda| and scales every
@@ -318,22 +340,54 @@ SymmetricEigen eigen_symmetric_smallest_sparse(const CsrMatrix& a,
   anorm = std::max(anorm, 1e-300);
   const double tol = 1e-10 * anorm;
 
-  std::vector<Vector> locked;
+  // The caller's eigenvectors are locked as given: each one's eigenvalue
+  // is its Rayleigh quotient, and the deflated passes below skip their
+  // span exactly as they skip pairs they found themselves.
+  std::vector<Vector> converged = locked;
   Vector eigenvalues;
-  locked.reserve(m);
+  converged.reserve(m);
   eigenvalues.reserve(m);
-  while (locked.size() < m) {
-    obs::add_counter(lanczos_metrics().passes);
-    auto [theta, x] = lanczos_smallest_deflated(
-        a, locked, static_cast<std::uint64_t>(locked.size()), anorm, tol);
+  for (std::size_t k = 0; k < locked.size(); ++k) {
+    const Vector ax = a.multiply(locked[k]);
+    const double theta = dot(locked[k], ax);
+    double resid_sq = 0.0;
+    for (std::size_t i = 0; i < n; ++i) {
+      const double r = ax[i] - theta * locked[k][i];
+      resid_sq += r * r;
+    }
+    const double resid = std::sqrt(resid_sq);
+    if (!std::isfinite(resid)) {
+      throw std::domain_error(
+          "eigen_symmetric_smallest_sparse: non-finite residual for locked "
+          "vector " +
+          std::to_string(k) + " (the matrix holds NaN or Inf)");
+    }
+    if (resid > tol) {
+      throw std::invalid_argument(
+          "eigen_symmetric_smallest_sparse: locked vector " +
+          std::to_string(k) +
+          " is not an eigenvector (residual above 1e-10 * ||A||_inf)");
+    }
+    obs::observe(lanczos_metrics().residual, resid / anorm);
     eigenvalues.push_back(theta);
-    locked.push_back(std::move(x));
+  }
+  obs::add_counter(lanczos_metrics().locked_pairs, locked.size());
+
+  while (converged.size() < m) {
+    obs::add_counter(lanczos_metrics().passes);
+    auto ritz = lanczos_smallest_deflated(
+        a, converged, static_cast<std::uint64_t>(converged.size()), anorm,
+        tol);
+    obs::observe(lanczos_metrics().residual, ritz.residual / anorm);
+    eigenvalues.push_back(ritz.value);
+    converged.push_back(std::move(ritz.vector));
   }
 
+  SymmetricEigen out;
   out.eigenvalues = std::move(eigenvalues);
   out.eigenvectors = Matrix(n, m);
   for (std::size_t j = 0; j < m; ++j) {
-    out.eigenvectors.set_col(j, locked[j]);
+    out.eigenvectors.set_col(j, converged[j]);
   }
   detail::pin_column_signs(out.eigenvectors);
   return out;

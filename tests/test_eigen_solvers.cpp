@@ -9,10 +9,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <random>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "auditherm/clustering/spectral.hpp"
@@ -232,6 +234,79 @@ TEST(EigenSolvers, PartialMatchesJacobiLeadingPairs) {
                                 std::to_string(m) + " seed=" +
                                 std::to_string(seed);
     expect_matches_reference(a, ref, got, std::min(m, n), context);
+  }
+}
+
+TEST(EigenSolvers, TridiagonalKernelMatchesQlOnSeededTridiagonals) {
+  // detail::tridiagonal_smallest is the one bisection + inverse-iteration
+  // kernel behind the dense partial solver and the Lanczos convergence
+  // checks; QL on the dense copy of T is the reference. A third of the
+  // seeds zero some couplings (a block-diagonal T, as after a Lanczos
+  // breakdown) and a third repeat one 2x2 block down the diagonal, so
+  // eigenvalues recur exactly.
+  for (std::uint64_t seed = 0; seed < 48; ++seed) {
+    std::mt19937_64 rng(5000 + seed);
+    std::uniform_real_distribution<double> unit(-1.0, 1.0);
+    const std::size_t n = 2 + seed % 23;
+    const std::size_t m = 1 + seed % std::min<std::size_t>(n, 6);
+    Vector d(n);
+    Vector e(n - 1);
+    for (double& di : d) di = 4.0 * unit(rng);
+    for (double& ei : e) ei = unit(rng);
+    if (seed % 3 == 1) {
+      for (std::size_t i = 0; i + 1 < n; ++i) {
+        if (i % 4 == 3) e[i] = 0.0;
+      }
+    } else if (seed % 3 == 2) {
+      const double d0 = d[0];
+      const double d1 = d[1];
+      const double coupling = e[0];
+      for (std::size_t i = 0; i < n; ++i) d[i] = i % 2 == 0 ? d0 : d1;
+      for (std::size_t i = 0; i + 1 < n; ++i) {
+        e[i] = i % 2 == 0 ? coupling : 0.0;
+      }
+    }
+    Matrix t(n, n);
+    for (std::size_t i = 0; i < n; ++i) {
+      t(i, i) = d[i];
+      if (i + 1 < n) {
+        t(i, i + 1) = e[i];
+        t(i + 1, i) = e[i];
+      }
+    }
+    const std::string context = "n=" + std::to_string(n) + " m=" +
+                                std::to_string(m) + " seed=" +
+                                std::to_string(seed);
+    const auto ref = linalg::eigen_symmetric_tridiagonal(t);
+    const auto got = linalg::detail::tridiagonal_smallest(d, e, m);
+    ASSERT_EQ(got.eigenvalues.size(), m) << context;
+    ASSERT_EQ(got.vectors.size(), m) << context;
+    const double scale = std::max(1.0, t.max_abs());
+    for (std::size_t j = 0; j < m; ++j) {
+      EXPECT_NEAR(got.eigenvalues[j], ref.eigenvalues[j], 1e-10 * scale)
+          << context << " eigenvalue " << j;
+      const Vector& s = got.vectors[j];
+      ASSERT_EQ(s.size(), n) << context;
+      EXPECT_NEAR(linalg::norm2(s), 1.0, 1e-10) << context << " vector " << j;
+      const Vector residual =
+          linalg::subtract(t * s, linalg::scale(got.eigenvalues[j], s));
+      EXPECT_LE(linalg::norm2(residual), 1e-9 * scale)
+          << context << " residual " << j;
+      for (std::size_t l = 0; l < j; ++l) {
+        EXPECT_NEAR(linalg::dot(s, got.vectors[l]), 0.0, 1e-9)
+            << context << " vectors " << l << "," << j;
+      }
+      // An isolated eigenvalue fixes its vector up to sign.
+      const double gap = 1e-6 * scale;
+      const bool isolated =
+          (j == 0 || ref.eigenvalues[j] - ref.eigenvalues[j - 1] > gap) &&
+          (j + 1 == n || ref.eigenvalues[j + 1] - ref.eigenvalues[j] > gap);
+      if (isolated) {
+        EXPECT_GT(std::abs(linalg::dot(s, ref.eigenvectors.col_vector(j))),
+                  1.0 - 1e-9)
+            << context << " direction " << j;
+      }
+    }
   }
 }
 

@@ -4,12 +4,17 @@
 // with the dense eigen_symmetric_smallest reference to 1e-8, with
 // orthonormal sign-pinned eigenvectors, bitwise thread-count invariance,
 // and — end to end — identical cluster labels through the k-NN-sparsified
-// spectral pipeline on well-separated synthetic halls.
+// spectral pipeline on well-separated synthetic halls. The pre-locked
+// basis path (a Laplacian's null space from its components) must give the
+// same answers with fewer passes, validate its input, and export its
+// numerical health; non-finite matrices must fail on the first iteration.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <random>
 #include <stdexcept>
 #include <string>
@@ -22,11 +27,13 @@
 #include "auditherm/linalg/matrix.hpp"
 #include "auditherm/linalg/sparse.hpp"
 #include "auditherm/linalg/vector_ops.hpp"
+#include "auditherm/obs/trace_span.hpp"
 #include "auditherm/timeseries/multi_trace.hpp"
 
 namespace core = auditherm::core;
 namespace linalg = auditherm::linalg;
 namespace clustering = auditherm::clustering;
+namespace obs = auditherm::obs;
 namespace ts = auditherm::timeseries;
 using linalg::CsrMatrix;
 using linalg::Matrix;
@@ -258,6 +265,40 @@ ts::MultiTrace campus_trace(std::size_t halls, std::size_t per_hall,
   return trace;
 }
 
+/// k-NN similarity graph (the pipeline's default knn_k) over a
+/// campus_trace: one connected component per hall.
+clustering::SimilarityGraph knn_campus_graph(std::size_t halls,
+                                             std::size_t per_hall,
+                                             std::uint64_t seed) {
+  const auto trace = campus_trace(halls, per_hall, 240, seed);
+  std::vector<ts::ChannelId> ids;
+  for (std::size_t i = 0; i < halls * per_hall; ++i)
+    ids.push_back(static_cast<ts::ChannelId>(i + 1));
+  clustering::SimilarityOptions knn;
+  knn.sparsification = clustering::GraphSparsification::kKnn;
+  return clustering::build_similarity_graph(trace, ids, knn);
+}
+
+/// Unit indicator vectors 1_C / sqrt(|C|) of the residue classes i % blocks:
+/// the null basis of rank_deficient_laplacian(n, seed) for its `blocks`.
+std::vector<Vector> residue_class_basis(std::size_t n, std::size_t blocks) {
+  std::vector<Vector> basis(blocks, Vector(n, 0.0));
+  for (std::size_t i = 0; i < n; ++i) basis[i % blocks][i] = 1.0;
+  for (Vector& v : basis) {
+    const double nv = linalg::norm2(v);
+    for (double& x : v) x /= nv;
+  }
+  return basis;
+}
+
+const obs::HistogramSnapshot* find_histogram(
+    const obs::MetricsSnapshot& snap, const std::string& name) {
+  for (const auto& h : snap.histograms) {
+    if (h.name == name) return &h;
+  }
+  return nullptr;
+}
+
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -333,6 +374,97 @@ TEST(Lanczos, TrivialSizes) {
   ASSERT_EQ(got.eigenvalues.size(), 1u);
   EXPECT_DOUBLE_EQ(got.eigenvalues[0], 4.0);
   EXPECT_DOUBLE_EQ(got.eigenvectors(0, 0), 1.0);
+
+  // The zero matrix breaks down on every first step: each pass's 1x1
+  // tridiagonal is zero, and its Ritz vector must still be the start
+  // vector, not an overflowed inverse iteration.
+  const auto zero = linalg::eigen_symmetric_smallest_sparse(
+      CsrMatrix::from_dense(Matrix(8, 8)), 3);
+  for (std::size_t j = 0; j < 3; ++j) {
+    EXPECT_EQ(zero.eigenvalues[j], 0.0) << "pair " << j;
+    const Vector vj = zero.eigenvectors.col_vector(j);
+    EXPECT_NEAR(linalg::norm2(vj), 1.0, 1e-12) << "pair " << j;
+    for (std::size_t l = 0; l < j; ++l) {
+      EXPECT_NEAR(linalg::dot(vj, zero.eigenvectors.col_vector(l)), 0.0,
+                  1e-12)
+          << "pairs " << l << "," << j;
+    }
+  }
+}
+
+TEST(Lanczos, LockedBasisValidation) {
+  // Three components (residue classes mod 3): a 3-vector null basis.
+  const auto l = rank_deficient_laplacian(12, 1);
+  const auto a = CsrMatrix::from_dense(l);
+  const auto basis = residue_class_basis(12, 3);
+  auto throws = [&](const std::vector<Vector>& locked, std::size_t m) {
+    EXPECT_THROW((void)linalg::eigen_symmetric_smallest_sparse(a, m, locked),
+                 std::invalid_argument);
+  };
+  throws({Vector(11, 0.0)}, 4);                      // wrong length
+  throws({basis[0], basis[0]}, 4);                   // not orthogonal
+  throws({linalg::scale(1.0 + 1e-6, basis[0])}, 4);  // not unit length
+  throws(basis, 2);                                  // more than m
+  Vector e0(12, 0.0);
+  e0[0] = 1.0;
+  throws({e0}, 4);  // unit, but not an eigenvector
+
+  // The valid basis: locked pairs first, then the dense answer.
+  const auto got = linalg::eigen_symmetric_smallest_sparse(a, 5, basis);
+  const auto ref = linalg::eigen_symmetric_smallest(l, 5);
+  expect_matches_dense(l, ref, got, 5, "locked residue classes");
+  // Every requested pair locked: no pass runs, the basis comes back.
+  const auto all = linalg::eigen_symmetric_smallest_sparse(a, 3, basis);
+  for (std::size_t j = 0; j < 3; ++j) {
+    EXPECT_EQ(all.eigenvectors.col_vector(j), basis[j]) << "column " << j;
+  }
+}
+
+TEST(Lanczos, NonFiniteEntriesFailOnTheFirstIteration) {
+  // Path-graph Laplacian on 600 vertices with one poisoned entry: the
+  // first SpMV already carries the NaN/Inf into alpha, so the solver must
+  // stop there rather than run a 600-step pass on garbage.
+  const std::size_t n = 600;
+  std::vector<std::size_t> row_ptr{0};
+  std::vector<std::size_t> col_idx;
+  std::vector<double> values;
+  for (std::size_t i = 0; i < n; ++i) {
+    const double degree = (i > 0 ? 1.0 : 0.0) + (i + 1 < n ? 1.0 : 0.0);
+    if (i > 0) {
+      col_idx.push_back(i - 1);
+      values.push_back(-1.0);
+    }
+    col_idx.push_back(i);
+    values.push_back(degree);
+    if (i + 1 < n) {
+      col_idx.push_back(i + 1);
+      values.push_back(-1.0);
+    }
+    row_ptr.push_back(values.size());
+  }
+  for (const double bad : {std::numeric_limits<double>::quiet_NaN(),
+                           std::numeric_limits<double>::infinity()}) {
+    auto poisoned = values;
+    poisoned[poisoned.size() / 2] = bad;
+    const CsrMatrix a(n, n, row_ptr, col_idx, poisoned);
+    obs::Recorder recorder;
+    {
+      obs::RecorderScope scope(&recorder);
+      try {
+        (void)linalg::eigen_symmetric_smallest_sparse(a, 4);
+        ADD_FAILURE() << "no throw for " << bad;
+      } catch (const std::domain_error& e) {
+        EXPECT_NE(std::string(e.what()).find("iteration 1"),
+                  std::string::npos)
+            << e.what();
+      }
+    }
+    if (obs::kCompiledIn) {
+      EXPECT_LE(
+          recorder.metrics().counter("linalg.eigen_lanczos_iterations"), 1u)
+          << bad;
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -352,6 +484,22 @@ TEST(Lanczos, BitwiseStableAcrossThreads) {
     const auto eig = linalg::eigen_symmetric_smallest_sparse(csr, 6);
     EXPECT_EQ(eig.eigenvalues, serial.eigenvalues) << "threads=" << threads;
     EXPECT_EQ(eig.eigenvectors, serial.eigenvectors) << "threads=" << threads;
+  }
+
+  // Same matrix with its three zero modes pre-locked.
+  const auto basis = residue_class_basis(128, 3);
+  linalg::SymmetricEigen locked_serial;
+  {
+    core::ThreadCountScope scope(1);
+    locked_serial = linalg::eigen_symmetric_smallest_sparse(csr, 6, basis);
+  }
+  for (std::size_t threads : {2u, 4u, 8u}) {
+    core::ThreadCountScope scope(threads);
+    const auto eig = linalg::eigen_symmetric_smallest_sparse(csr, 6, basis);
+    EXPECT_EQ(eig.eigenvalues, locked_serial.eigenvalues)
+        << "locked threads=" << threads;
+    EXPECT_EQ(eig.eigenvectors, locked_serial.eigenvectors)
+        << "locked threads=" << threads;
   }
 }
 
@@ -439,4 +587,159 @@ TEST(Lanczos, SparseSolverMatchesDenseOnSameKnnGraph) {
   EXPECT_EQ(jacobi.cluster_count, 4u);
   EXPECT_EQ(lanczos.cluster_count, jacobi.cluster_count);
   EXPECT_EQ(canonical_labels(lanczos.labels), canonical_labels(jacobi.labels));
+}
+
+// ---------------------------------------------------------------------------
+// analyze_spectrum's sparse branch: the Laplacian's null basis is locked
+// from the graph's components instead of rediscovered one pass at a time.
+// ---------------------------------------------------------------------------
+
+TEST(Lanczos, AnalyzeSpectrumLocksTheNullBasisOnKnnGraphs) {
+  struct Case {
+    std::size_t halls;
+    std::size_t per_hall;
+    bool isolate;  // cut vertex 0's edges: one more (edgeless) component
+  };
+  const Case cases[] = {{1, 512, false}, {2, 256, false}, {3, 176, false},
+                        {4, 136, false}, {5, 112, false}, {6, 96, false},
+                        {3, 200, true}};
+  for (const Case& c : cases) {
+    auto graph = knn_campus_graph(c.halls, c.per_hall, 500 + c.halls);
+    ASSERT_EQ(graph.component_count, c.halls) << "halls=" << c.halls;
+    const std::size_t n = graph.channels.size();
+    std::size_t components = c.halls;
+    if (c.isolate) {
+      for (std::size_t j = 0; j < n; ++j) {
+        graph.weights(0, j) = 0.0;
+        graph.weights(j, 0) = 0.0;
+      }
+      ++components;
+    }
+    for (const auto kind : {clustering::LaplacianKind::kUnnormalized,
+                            clustering::LaplacianKind::kSymmetricNormalized}) {
+      const bool normalized =
+          kind == clustering::LaplacianKind::kSymmetricNormalized;
+      // The normalized Laplacian gives an isolated vertex eigenvalue 1.
+      const std::size_t null_size =
+          normalized && c.isolate ? components - 1 : components;
+      clustering::SpectralOptions options;
+      options.laplacian = kind;
+      const std::size_t m = clustering::needed_eigenpairs(options, n);
+      const std::string context =
+          std::string(normalized ? "normalized" : "unnormalized") +
+          " halls=" + std::to_string(c.halls) + " n=" + std::to_string(n) +
+          (c.isolate ? " +isolated" : "");
+
+      obs::Recorder recorder;
+      clustering::SpectralAnalysis got;
+      {
+        obs::RecorderScope scope(&recorder);
+        got = clustering::analyze_spectrum(graph.weights, kind, m);
+      }
+      if (obs::kCompiledIn) {
+        EXPECT_EQ(recorder.metrics().counter("linalg.eigen_lanczos_passes"),
+                  m - null_size)
+            << context;
+        EXPECT_EQ(
+            recorder.metrics().counter("linalg.eigen_lanczos_locked_pairs"),
+            null_size)
+            << context;
+      }
+
+      const Matrix l = normalized
+                           ? clustering::normalized_laplacian(graph.weights)
+                           : clustering::laplacian(graph.weights);
+      const auto ref = linalg::eigen_symmetric_smallest(l, m);
+      expect_matches_dense(l, ref, {got.eigenvalues, got.eigenvectors}, m,
+                           context);
+
+      // One cluster per null vector: the sparse spectrum partitions the
+      // graph into its halls...
+      options.cluster_count = null_size;
+      const auto sparse_labels =
+          clustering::spectral_cluster(graph, got, options).labels;
+      std::vector<std::size_t> halls(n);
+      for (std::size_t i = 0; i < n; ++i) halls[i] = i / c.per_hall;
+      if (normalized && c.isolate) {
+        // ...except the isolated vertex, whose embedding row is exactly
+        // zero in the locked basis but rounding noise in the dense one —
+        // noise that row normalization inflates to a unit vector, which
+        // can seed a k-means cluster of its own. Only the sparse labels
+        // are pinned here, with the isolated vertex left out.
+        EXPECT_EQ(canonical_labels({sparse_labels.begin() + 1,
+                                    sparse_labels.end()}),
+                  canonical_labels({halls.begin() + 1, halls.end()}))
+            << context;
+        continue;
+      }
+      if (c.isolate) halls[0] = c.halls;  // a cluster of its own
+      EXPECT_EQ(canonical_labels(sparse_labels), canonical_labels(halls))
+          << context;
+      // ...exactly as the dense spectrum does.
+      const auto dense_labels =
+          clustering::spectral_cluster(
+              graph, clustering::SpectralAnalysis{ref.eigenvalues,
+                                                  ref.eigenvectors},
+              options)
+              .labels;
+      EXPECT_EQ(canonical_labels(sparse_labels), canonical_labels(dense_labels))
+          << context;
+    }
+  }
+}
+
+TEST(Lanczos, ExportsLockedPairsAndResidualHealth) {
+  if (!obs::kCompiledIn) GTEST_SKIP() << "observability compiled out";
+  const auto graph = knn_campus_graph(4, 128, 404);
+  ASSERT_EQ(graph.component_count, 4u);
+  const std::size_t m = 9;
+  obs::Recorder recorder;
+  {
+    obs::RecorderScope scope(&recorder);
+    (void)clustering::analyze_spectrum(
+        graph.weights, clustering::LaplacianKind::kSymmetricNormalized, m);
+  }
+  const auto& metrics = recorder.metrics();
+  EXPECT_EQ(metrics.counter("linalg.eigen_lanczos_locked_pairs"), 4u);
+  EXPECT_EQ(metrics.counter("linalg.eigen_lanczos_passes"), m - 4);
+  const auto snap = metrics.snapshot();
+  const auto* residual = find_histogram(snap, "linalg.eigen_lanczos_residual");
+  ASSERT_NE(residual, nullptr);
+  EXPECT_EQ(residual->count, m);  // one observation per returned pair
+  EXPECT_LE(residual->max, 1e-10);
+}
+
+TEST(Lanczos, AnalyzeSpectrumLocksNothingForNegativeWeights) {
+  // Component indicators are null vectors only of a non-negative graph;
+  // a negative weight takes the plain deflated passes.
+  const auto graph = knn_campus_graph(4, 128, 405);
+  ASSERT_EQ(graph.component_count, 4u);
+  std::size_t i = 1;
+  while (graph.weights(0, i) == 0.0) ++i;
+  auto w = graph.weights;
+  w(0, i) = w(i, 0) = -0.5;
+  const std::size_t m = 6;
+  for (const auto kind : {clustering::LaplacianKind::kUnnormalized,
+                          clustering::LaplacianKind::kSymmetricNormalized}) {
+    const bool normalized =
+        kind == clustering::LaplacianKind::kSymmetricNormalized;
+    const std::string context = normalized ? "normalized" : "unnormalized";
+    obs::Recorder recorder;
+    clustering::SpectralAnalysis got;
+    {
+      obs::RecorderScope scope(&recorder);
+      got = clustering::analyze_spectrum(w, kind, m);
+    }
+    if (obs::kCompiledIn) {
+      EXPECT_EQ(recorder.metrics().counter("linalg.eigen_lanczos_locked_pairs"),
+                0u)
+          << context;
+      EXPECT_EQ(recorder.metrics().counter("linalg.eigen_lanczos_passes"), m)
+          << context;
+    }
+    const Matrix l = normalized ? clustering::normalized_laplacian(w)
+                                : clustering::laplacian(w);
+    expect_matches_dense(l, linalg::eigen_symmetric_smallest(l, m),
+                         {got.eigenvalues, got.eigenvectors}, m, context);
+  }
 }

@@ -7,9 +7,11 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <map>
+#include <random>
 #include <set>
 #include <sstream>
 #include <string>
@@ -290,6 +292,49 @@ TEST(ObsPipeline, CacheCountersMirrorIntoRunRecorder) {
   EXPECT_EQ(metrics.counter("stage_cache.miss." + spectrum), 1u);
   // The second eigendecomposition never ran: the cache hit skipped it.
   EXPECT_EQ(metrics.counter("linalg.eigen_calls"), 1u);
+}
+
+TEST(ObsSpectrum, KnnSpectrumIsOneEigenCallWithNoTridiagonalSpans) {
+  if (!obs::kCompiledIn) GTEST_SKIP() << "observability compiled out";
+  // 512 sensors in 4 halls, each hall following its own sinusoid: the
+  // k-NN graph has 512 vertices, so its spectrum takes the Lanczos path.
+  const std::size_t halls = 4;
+  const std::size_t per_hall = 128;
+  const std::size_t samples = 240;
+  std::vector<timeseries::ChannelId> ids;
+  for (std::size_t i = 0; i < halls * per_hall; ++i) {
+    ids.push_back(static_cast<timeseries::ChannelId>(i + 1));
+  }
+  timeseries::MultiTrace trace(timeseries::TimeGrid(0, 60, samples), ids);
+  std::mt19937_64 rng(512);
+  std::normal_distribution<double> noise(0.0, 0.05);
+  for (std::size_t c = 0; c < ids.size(); ++c) {
+    const double w = 0.15 + 0.17 * static_cast<double>(c / per_hall);
+    for (std::size_t k = 0; k < samples; ++k) {
+      trace.set(k, c, 21.0 + std::sin(w * static_cast<double>(k)) + noise(rng));
+    }
+  }
+  clustering::SimilarityOptions knn;
+  knn.sparsification = clustering::GraphSparsification::kKnn;
+  const auto graph = clustering::build_similarity_graph(trace, ids, knn);
+  ASSERT_EQ(graph.weights.rows(), linalg::kEigenSparseThreshold);
+
+  obs::Recorder recorder;
+  {
+    obs::RecorderScope scope(&recorder);
+    (void)clustering::analyze_spectrum(
+        graph.weights, clustering::LaplacianKind::kSymmetricNormalized, 9);
+  }
+  // One eigenproblem, one eigen call: the Lanczos convergence checks run
+  // on the tridiagonal kernel, which records nothing of its own.
+  EXPECT_EQ(recorder.metrics().counter("linalg.eigen_calls"), 1u);
+  EXPECT_EQ(recorder.metrics().counter("linalg.eigen_lanczos_calls"), 1u);
+  std::size_t lanczos_spans = 0;
+  for (const auto& span : recorder.spans()) {
+    EXPECT_NE(span.name, "linalg.eigen_tridiagonal");
+    if (span.name == "linalg.eigen_lanczos") ++lanczos_spans;
+  }
+  EXPECT_EQ(lanczos_spans, 1u);
 }
 
 /// Counter names whose values legitimately depend on the thread count
