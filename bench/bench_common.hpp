@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "auditherm/auditherm.hpp"
+#include "bench_json.hpp"
 
 namespace bench {
 
@@ -126,57 +127,6 @@ inline void print_cache_stats(const auditherm::core::StageCache& cache) {
   std::printf("stage cache: %zu hits / %zu misses (%zu artifacts)\n",
               totals.hits, totals.misses, cache.size());
 }
-
-/// Minimal ordered JSON-object writer for the per-PR BENCH_*.json
-/// artifacts: add() entries in output order, then write_file(). Values are
-/// emitted verbatim for numbers/raw fragments and quoted for strings;
-/// keys are plain identifiers so no escaping is needed.
-class JsonObject {
- public:
-  void add(const std::string& key, double value) {
-    char buf[64];
-    std::snprintf(buf, sizeof(buf), "%.6g", value);
-    entries_.emplace_back(key, buf);
-  }
-  void add(const std::string& key, long long value) {
-    entries_.emplace_back(key, std::to_string(value));
-  }
-  void add(const std::string& key, std::size_t value) {
-    entries_.emplace_back(key, std::to_string(value));
-  }
-  void add(const std::string& key, bool value) {
-    entries_.emplace_back(key, value ? "true" : "false");
-  }
-  void add(const std::string& key, const std::string& value) {
-    entries_.emplace_back(key, "\"" + value + "\"");
-  }
-  /// Pre-rendered JSON (arrays, nested objects) inserted verbatim.
-  void add_raw(const std::string& key, const std::string& raw) {
-    entries_.emplace_back(key, raw);
-  }
-
-  [[nodiscard]] std::string str() const {
-    std::string out = "{\n";
-    for (std::size_t i = 0; i < entries_.size(); ++i) {
-      out += "  \"" + entries_[i].first + "\": " + entries_[i].second;
-      out += i + 1 < entries_.size() ? ",\n" : "\n";
-    }
-    out += "}\n";
-    return out;
-  }
-
-  [[nodiscard]] bool write_file(const std::string& path) const {
-    std::FILE* f = std::fopen(path.c_str(), "w");
-    if (f == nullptr) return false;
-    const std::string body = str();
-    const bool ok =
-        std::fwrite(body.data(), 1, body.size(), f) == body.size();
-    return std::fclose(f) == 0 && ok;
-  }
-
- private:
-  std::vector<std::pair<std::string, std::string>> entries_;
-};
 
 inline void print_header(const std::string& title) {
   std::printf("==============================================================\n");

@@ -95,7 +95,7 @@ int main() {
 
   // --- Thread scaling with bitwise cross-check --------------------------
   bool bitwise_identical = true;
-  std::string scaling_json = "[";
+  std::vector<bench::JsonObject> scaling;
   for (const std::size_t threads : {1u, 2u, 4u, 8u}) {
     core::ThreadCountScope scope(threads);
     const auto t0 = std::chrono::steady_clock::now();
@@ -111,13 +111,9 @@ int main() {
     }
     std::printf("threads %zu: %.3f s (%.0f steps/s)\n", threads, seconds,
                 static_cast<double>(total_steps) / seconds);
-    char entry[96];
-    std::snprintf(entry, sizeof(entry),
-                  "%s{\"threads\": %zu, \"seconds\": %.6f}",
-                  scaling_json.size() > 1 ? ", " : "", threads, seconds);
-    scaling_json += entry;
+    scaling.push_back(
+        bench::JsonObject().add("threads", threads).add("seconds", seconds));
   }
-  scaling_json += "]";
   std::printf("bitwise identical across thread counts: %s\n",
               bitwise_identical ? "yes" : "NO");
 
@@ -137,32 +133,23 @@ int main() {
   std::printf("fleet-of-1 matches generate_dataset bitwise: %s\n",
               fleet_of_1_matches ? "yes" : "NO");
 
-  bench::JsonObject json;
-  json.add("bench", std::string("fleet"));
+  auto json = bench::artifact("fleet", core::thread_count());
   json.add("buildings", outcomes.size());
   json.add("total_control_steps", total_steps);
   json.add("total_trace_cells", total_samples);
   json.add("fleet_seconds", fleet_seconds);
   json.add("steps_per_second", throughput);
-  std::string per_building = "[";
-  for (std::size_t i = 0; i < outcomes.size(); ++i) {
-    char entry[160];
-    std::snprintf(entry, sizeof(entry),
-                  "%s{\"name\": \"%s\", \"wall_seconds\": %.6f, "
-                  "\"control_steps\": %zu}",
-                  i > 0 ? ", " : "", outcomes[i].spec.name.c_str(),
-                  outcomes[i].wall_seconds, outcomes[i].control_steps);
-    per_building += entry;
+  std::vector<bench::JsonObject> per_building;
+  for (const auto& outcome : outcomes) {
+    per_building.push_back(bench::JsonObject()
+                               .add("name", outcome.spec.name)
+                               .add("wall_seconds", outcome.wall_seconds)
+                               .add("control_steps", outcome.control_steps));
   }
-  per_building += "]";
-  json.add_raw("per_building", per_building);
-  json.add_raw("thread_scaling", scaling_json);
+  json.add("per_building", per_building);
+  json.add("thread_scaling", scaling);
   json.add("bitwise_identical_across_threads", bitwise_identical);
   json.add("fleet_of_1_matches_generate_dataset", fleet_of_1_matches);
-  if (!json.write_file("BENCH_fleet.json")) {
-    std::fprintf(stderr, "warning: could not write BENCH_fleet.json\n");
-    return 1;
-  }
-  std::printf("wrote BENCH_fleet.json\n");
+  if (!bench::write_artifact(json, "BENCH_fleet.json")) return 1;
   return bitwise_identical && fleet_of_1_matches ? 0 : 1;
 }

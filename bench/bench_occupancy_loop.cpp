@@ -10,7 +10,8 @@
 //      ScenarioSpec regimes (score_fleet_control).
 //
 // Writes BENCH_occupancy_loop.json with the CI perf-smoke gates:
-// estimated_pipeline_ok, max_rms_delta, mpc_energy_ok, mpc_comfort_ok.
+// estimated_pipeline_ok, max_rms_delta, mpc_energy_ok, mpc_comfort_ok; the
+// exit code is nonzero when any of them fails.
 
 #include <cmath>
 #include <cstdio>
@@ -66,12 +67,6 @@ sysid::InputPlan estimated_plan(const sim::AuditoriumDataset& dataset) {
   return plan;
 }
 
-std::string fmt(double value) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.6g", value);
-  return buf;
-}
-
 }  // namespace
 
 int main() {
@@ -92,7 +87,7 @@ int main() {
 
   const std::vector<double> noise_levels{0.0, 10.0, 25.0, 50.0};
   const auto plan = estimated_plan(dataset);
-  std::string noise_rows;
+  std::vector<bench::JsonObject> noise_rows;
   double max_rms_delta = 0.0;
   bool estimated_ok = true;
   std::printf("%-14s %12s %14s %12s\n", "CO2 noise", "occ MAE", "est RMS",
@@ -117,14 +112,15 @@ int main() {
                      dataset.input_ids(), options);
     const double est_rms = result.reduced_eval.pooled_rms;
     const double delta = est_rms - truth_rms;
-    max_rms_delta = std::max(max_rms_delta, std::abs(delta));
+    max_rms_delta = bench::max_nan(max_rms_delta, std::abs(delta));
     estimated_ok = estimated_ok && std::isfinite(est_rms) && est_rms > 0.0;
     std::printf("%8.0f ppm %10.2f p %12.3f C %+10.3f C\n", level, occ_mae,
                 est_rms, delta);
-    noise_rows += std::string(i > 0 ? ",\n    " : "    ") + "{\"noise_ppm\": " +
-                  fmt(level) + ", \"occupancy_mae\": " + fmt(occ_mae) +
-                  ", \"estimated_rms\": " + fmt(est_rms) +
-                  ", \"rms_delta\": " + fmt(delta) + "}";
+    noise_rows.push_back(bench::JsonObject()
+                             .add("noise_ppm", level)
+                             .add("occupancy_mae", occ_mae)
+                             .add("estimated_rms", est_rms)
+                             .add("rms_delta", delta));
   }
 
   // --- Study 2: MPC-vs-thermostat frontier across fleet regimes. ---
@@ -147,11 +143,10 @@ int main() {
 
   std::printf("\n%-12s %5s %8s | %22s | %22s\n", "scenario", "zones",
               "occ MAE", "thermostat (viol%, kWh)", "MPC (viol%, kWh)");
-  std::string fleet_rows;
+  std::vector<bench::JsonObject> fleet_rows;
   bool mpc_energy_ok = true;
   bool mpc_comfort_ok = true;
-  for (std::size_t i = 0; i < cases.size(); ++i) {
-    const auto& c = cases[i];
+  for (const auto& c : cases) {
     std::printf("%-12s %5zu %6.1f p | %9.1f%% %10.0f | %9.1f%% %10.0f\n",
                 c.spec.name.c_str(), c.zones, c.occupancy_mae,
                 100.0 * c.thermostat.comfort_violation_fraction,
@@ -164,18 +159,17 @@ int main() {
     mpc_comfort_ok = mpc_comfort_ok &&
                      c.mpc.comfort_violation_fraction <=
                          c.thermostat.comfort_violation_fraction + 0.02;
-    fleet_rows += std::string(i > 0 ? ",\n    " : "    ") + "{\"name\": \"" +
-                  c.spec.name + "\", \"zones\": " + std::to_string(c.zones) +
-                  ", \"loop_seed\": " + std::to_string(c.loop_seed) +
-                  ", \"occupancy_mae\": " + fmt(c.occupancy_mae) +
-                  ", \"thermostat_violation\": " +
-                  fmt(c.thermostat.comfort_violation_fraction) +
-                  ", \"thermostat_energy_kwh\": " +
-                  fmt(c.thermostat.total_energy_kwh()) +
-                  ", \"mpc_violation\": " +
-                  fmt(c.mpc.comfort_violation_fraction) +
-                  ", \"mpc_energy_kwh\": " + fmt(c.mpc.total_energy_kwh()) +
-                  "}";
+    fleet_rows.push_back(
+        bench::JsonObject()
+            .add("name", c.spec.name)
+            .add("zones", c.zones)
+            .add("loop_seed", std::size_t{c.loop_seed})
+            .add("occupancy_mae", c.occupancy_mae)
+            .add("thermostat_violation",
+                 c.thermostat.comfort_violation_fraction)
+            .add("thermostat_energy_kwh", c.thermostat.total_energy_kwh())
+            .add("mpc_violation", c.mpc.comfort_violation_fraction)
+            .add("mpc_energy_kwh", c.mpc.total_energy_kwh()));
   }
 
   std::printf("\nshape checks: estimated pipeline completes: %s | max RMS "
@@ -184,19 +178,18 @@ int main() {
               estimated_ok ? "yes" : "NO", max_rms_delta,
               mpc_energy_ok ? "yes" : "NO", mpc_comfort_ok ? "yes" : "NO");
 
-  bench::JsonObject json;
+  auto json = bench::artifact("occupancy_loop", core::thread_count());
   json.add("truth_rms", truth_rms);
-  json.add_raw("noise_study", "[\n" + noise_rows + "\n  ]");
+  json.add("noise_study", noise_rows);
   json.add("max_rms_delta", max_rms_delta);
   json.add("estimated_pipeline_ok", estimated_ok);
-  json.add_raw("fleet", "[\n" + fleet_rows + "\n  ]");
+  json.add("fleet", fleet_rows);
   json.add("mpc_energy_ok", mpc_energy_ok);
   json.add("mpc_comfort_ok", mpc_comfort_ok);
-  if (!json.write_file("BENCH_occupancy_loop.json")) {
-    std::fprintf(stderr,
-                 "warning: could not write BENCH_occupancy_loop.json\n");
-    return 1;
-  }
-  std::printf("wrote BENCH_occupancy_loop.json\n");
-  return 0;
+  if (!bench::write_artifact(json, "BENCH_occupancy_loop.json")) return 1;
+  // The same thresholds CI's perf-smoke job applies to the JSON; a NaN
+  // delta fails the comparison.
+  const bool ok = estimated_ok && max_rms_delta < 0.3 && mpc_energy_ok &&
+                  mpc_comfort_ok;
+  return ok ? 0 : 1;
 }

@@ -1,12 +1,13 @@
 // Performance microbenchmarks for the numeric kernels (google-benchmark):
 // matrix products, the QR and Cholesky factorizations, least squares and
-// the symmetric eigensolvers at the sizes the pipeline actually uses (27
-// sensors -> 27-61 column regressions, 27x27 Laplacians) plus scaled-up
-// 128/256/512-sensor halls, with the Jacobi test oracle as the baseline
-// the production solvers are measured against. After the google
-// benchmarks, main() runs a single-thread Jacobi-vs-partial scaling report
-// on synthetic-grid Laplacians and writes the BENCH_perf_linalg.json
-// artifact (CI's perf-smoke gate).
+// the production symmetric eigensolvers at the sizes the pipeline actually
+// uses (27 sensors -> 27-61 column regressions, 27x27 Laplacians) plus
+// scaled-up 128/256/512-sensor halls. After the google benchmarks, main()
+// runs a single-thread full-spectrum-QL-vs-partial scaling report on
+// synthetic-grid Laplacians and a sparse-Lanczos-vs-dense-partial report
+// on k-NN campus Laplacians, and writes the BENCH_perf_linalg.json
+// artifact (CI's perf-smoke gate). The Jacobi test oracle is checked in
+// test_eigen_solvers, not timed here.
 
 #include <benchmark/benchmark.h>
 
@@ -48,10 +49,9 @@ Matrix random_spd(std::size_t n, std::uint64_t seed) {
   return spd;
 }
 
-/// The normalized Laplacian of a synthetic `sensor_count`-sensor hall:
-/// Gaussian similarity over the grid geometry, exactly the matrix the
-/// spectral stage hands the eigensolver for a scaled-up auditorium.
-Matrix synthetic_hall_laplacian(std::size_t sensor_count) {
+/// Dense Gaussian similarity over the grid geometry of a synthetic
+/// `sensor_count`-sensor hall (thermostats excluded, zero diagonal).
+Matrix hall_weights(std::size_t sensor_count) {
   const auto plan = auditherm::sim::FloorPlan::synthetic_grid(sensor_count);
   std::vector<auditherm::sim::Position> sites;
   for (const auto& s : plan.sensors()) {
@@ -67,7 +67,27 @@ Matrix synthetic_hall_laplacian(std::size_t sensor_count) {
       weights(i, j) = std::exp(-(d * d) / (2.0 * kSigma * kSigma));
     }
   }
-  return auditherm::clustering::normalized_laplacian(weights);
+  return weights;
+}
+
+/// The normalized Laplacian of a synthetic hall: exactly the matrix the
+/// spectral stage hands the eigensolver for a scaled-up auditorium.
+Matrix synthetic_hall_laplacian(std::size_t sensor_count) {
+  return auditherm::clustering::normalized_laplacian(
+      hall_weights(sensor_count));
+}
+
+/// True when the first kPartialPairs eigenvalues agree to 1e-8 (normalized
+/// Laplacian eigenvalues are O(1), so an absolute tolerance). Written as
+/// !(diff <= tol) so a NaN on either side disagrees.
+bool eigenvalues_agree(const linalg::SymmetricEigen& a,
+                       const linalg::SymmetricEigen& b) {
+  for (std::size_t j = 0; j < kPartialPairs; ++j) {
+    if (!(std::abs(a.eigenvalues[j] - b.eigenvalues[j]) <= 1e-8)) {
+      return false;
+    }
+  }
+  return true;
 }
 
 void BM_MatrixMultiply(benchmark::State& state) {
@@ -109,24 +129,6 @@ void BM_CholeskySolve(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_CholeskySolve)->Arg(16)->Arg(34)->Arg(61);
-
-void BM_EigenSymmetric(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  const auto a = random_spd(n, 9);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(linalg::eigen_symmetric(a));
-  }
-  state.SetComplexityN(state.range(0));
-}
-BENCHMARK(BM_EigenSymmetric)
-    ->Arg(8)
-    ->Arg(16)
-    ->Arg(27)
-    ->Arg(54)
-    ->Arg(128)
-    ->Arg(256)
-    ->Arg(512)
-    ->Complexity();
 
 void BM_EigenTridiagonal(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
@@ -195,21 +197,8 @@ double best_of_ms(int reps, Fn&& fn) {
 /// the clustering layer produces with GraphSparsification::kKnn on a
 /// campus-scale deployment.
 Matrix sparsified_hall_weights(std::size_t sensor_count, std::size_t k) {
-  const auto plan = auditherm::sim::FloorPlan::synthetic_grid(sensor_count);
-  std::vector<auditherm::sim::Position> sites;
-  for (const auto& s : plan.sensors()) {
-    if (!s.is_thermostat) sites.push_back(s.position);
-  }
-  const std::size_t n = sites.size();
-  constexpr double kSigma = 4.0;
-  Matrix weights(n, n);
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t j = 0; j < n; ++j) {
-      if (i == j) continue;
-      const double d = auditherm::sim::distance(sites[i], sites[j]);
-      weights(i, j) = std::exp(-(d * d) / (2.0 * kSigma * kSigma));
-    }
-  }
+  auto weights = hall_weights(sensor_count);
+  const std::size_t n = weights.rows();
   // Union-symmetrized k-NN keep mask over the strongest weights.
   std::vector<char> keep(n * n, 0);
   std::vector<std::size_t> order(n);
@@ -246,7 +235,7 @@ bool run_sparse_report(bench::JsonObject& out) {
       "sparse Lanczos vs dense partial on k-NN Laplacians (1 thread)");
   constexpr std::size_t kNeighbors = 12;
 
-  std::string points = "[";
+  std::vector<bench::JsonObject> points;
   double speedup_2048 = 0.0;
   bool all_agree = true;
   for (const std::size_t sensors : {std::size_t{1024}, std::size_t{2048}}) {
@@ -262,13 +251,7 @@ bool run_sparse_report(bench::JsonObject& out) {
     const double sparse_ms = best_of_ms(1, [&] {
       sparse = linalg::eigen_symmetric_smallest_sparse(csr, kPartialPairs);
     });
-
-    bool agree = true;
-    for (std::size_t j = 0; j < kPartialPairs; ++j) {
-      if (std::abs(sparse.eigenvalues[j] - dense.eigenvalues[j]) > 1e-8) {
-        agree = false;
-      }
-    }
+    const bool agree = eigenvalues_agree(sparse, dense);
     all_agree = all_agree && agree;
 
     const double speedup = sparse_ms > 0.0 ? dense_ms / sparse_ms : 0.0;
@@ -279,38 +262,32 @@ bool run_sparse_report(bench::JsonObject& out) {
         l.rows(), csr.nnz(), dense_ms, sparse_ms, speedup,
         agree ? "agree" : "DISAGREE");
 
-    bench::JsonObject point;
-    point.add("n", l.rows());
-    point.add("nnz", csr.nnz());
-    point.add("knn_k", kNeighbors);
-    point.add("dense_partial_ms", dense_ms);
-    point.add("sparse_lanczos_ms", sparse_ms);
-    point.add("speedup_sparse_vs_dense", speedup);
-    point.add("eigenvalues_agree", agree);
-    std::string body = point.str();
-    body.pop_back();  // trailing newline
-    if (points.size() > 1) points += ", ";
-    points += body;
+    points.push_back(bench::JsonObject()
+                         .add("n", l.rows())
+                         .add("nnz", csr.nnz())
+                         .add("knn_k", kNeighbors)
+                         .add("dense_partial_ms", dense_ms)
+                         .add("sparse_lanczos_ms", sparse_ms)
+                         .add("speedup_sparse_vs_dense", speedup)
+                         .add("eigenvalues_agree", agree));
   }
-  points += "]";
 
   out.add("sparse_speedup_2048", speedup_2048);
   out.add("sparse_eigenvalues_agree", all_agree);
-  out.add_raw("sparse", points);
+  out.add("sparse", points);
   return all_agree && speedup_2048 > 1.0;
 }
 
-/// Single-thread Jacobi vs tridiagonal (full + partial) on the normalized
-/// Laplacians of 128/256/512-sensor synthetic halls, with an eigenvalue
-/// agreement check, written to BENCH_perf_linalg.json. CI's perf-smoke job
-/// gates on the 256-sensor partial-vs-Jacobi speedup staying > 1.
-int run_scaling_report() {
+/// Single-thread full-spectrum QL vs dense partial solver on the
+/// normalized Laplacians of 128/256/512-sensor synthetic halls — the two
+/// dense production solvers — with an eigenvalue agreement check. Adds the
+/// `scaling` section; CI's perf-smoke job gates on the 256-sensor
+/// speedup_partial_vs_full staying > 1 and on eigenvalues_agree.
+bool run_scaling_report(bench::JsonObject& out) {
   bench::print_header(
-      "eigensolver scaling: Jacobi vs tridiagonal partial (1 thread)");
-  const auditherm::core::ThreadCountScope single_thread(1);
+      "eigensolver scaling: full QL vs tridiagonal partial (1 thread)");
 
-  std::string points = "[";
-  double speedup_256 = 0.0;
+  std::vector<bench::JsonObject> points;
   bool all_agree = true;
   for (const std::size_t sensors : {std::size_t{128}, std::size_t{256},
                                     std::size_t{512}}) {
@@ -318,62 +295,35 @@ int run_scaling_report() {
     const std::size_t n = l.rows();
     const int reps = n >= 512 ? 1 : 3;
 
-    linalg::SymmetricEigen jacobi;
-    const double jacobi_ms =
-        best_of_ms(reps, [&] { jacobi = linalg::eigen_symmetric(l); });
-    const double tridiagonal_ms = best_of_ms(
-        reps, [&] { benchmark::DoNotOptimize(linalg::eigen_symmetric_tridiagonal(l)); });
+    linalg::SymmetricEigen full;
+    const double full_ms =
+        best_of_ms(reps, [&] { full = linalg::eigen_symmetric_tridiagonal(l); });
     linalg::SymmetricEigen partial;
     const double partial_ms = best_of_ms(
         reps, [&] { partial = linalg::eigen_symmetric_smallest(l, kPartialPairs); });
-
-    // The partial spectrum must reproduce Jacobi's smallest eigenvalues
-    // (normalized-Laplacian eigenvalues are O(1), so absolute tolerance).
-    bool agree = true;
-    for (std::size_t j = 0; j < kPartialPairs; ++j) {
-      if (std::abs(partial.eigenvalues[j] - jacobi.eigenvalues[j]) > 1e-8) {
-        agree = false;
-      }
-    }
+    const bool agree = eigenvalues_agree(partial, full);
     all_agree = all_agree && agree;
 
-    const double speedup = partial_ms > 0.0 ? jacobi_ms / partial_ms : 0.0;
-    if (n == 256) speedup_256 = speedup;
+    const double speedup = partial_ms > 0.0 ? full_ms / partial_ms : 0.0;
     std::printf(
-        "n=%3zu  jacobi %9.2f ms  tridiagonal %8.2f ms  partial(m=%zu) "
-        "%7.2f ms  speedup %6.1fx  eigenvalues %s\n",
-        n, jacobi_ms, tridiagonal_ms, kPartialPairs, partial_ms, speedup,
+        "n=%3zu  full QL %8.2f ms  partial(m=%zu) %7.2f ms  speedup %6.1fx  "
+        "eigenvalues %s\n",
+        n, full_ms, kPartialPairs, partial_ms, speedup,
         agree ? "agree" : "DISAGREE");
 
-    bench::JsonObject point;
-    point.add("n", n);
-    point.add("jacobi_ms", jacobi_ms);
-    point.add("tridiagonal_ms", tridiagonal_ms);
-    point.add("partial_pairs", kPartialPairs);
-    point.add("partial_ms", partial_ms);
-    point.add("speedup_partial_vs_jacobi", speedup);
-    point.add("eigenvalues_agree", agree);
-    std::string body = point.str();
-    body.pop_back();  // trailing newline
-    if (points.size() > 1) points += ", ";
-    points += body;
+    points.push_back(bench::JsonObject()
+                         .add("n", n)
+                         .add("tridiagonal_ms", full_ms)
+                         .add("partial_pairs", kPartialPairs)
+                         .add("partial_ms", partial_ms)
+                         .add("speedup_partial_vs_full", speedup)
+                         .add("eigenvalues_agree", agree));
   }
-  points += "]";
 
-  bench::JsonObject out;
-  out.add("bench", std::string("perf_linalg"));
-  out.add("threads", std::size_t{1});
   out.add("partial_pairs", kPartialPairs);
-  out.add("speedup_256", speedup_256);
   out.add("eigenvalues_agree", all_agree);
-  out.add_raw("scaling", points);
-  const bool sparse_ok = run_sparse_report(out);
-  if (!out.write_file("BENCH_perf_linalg.json")) {
-    std::fprintf(stderr, "warning: could not write BENCH_perf_linalg.json\n");
-    return 1;
-  }
-  std::printf("wrote BENCH_perf_linalg.json\n");
-  return all_agree && sparse_ok ? 0 : 1;
+  out.add("scaling", points);
+  return all_agree;
 }
 
 }  // namespace
@@ -384,5 +334,11 @@ int main(int argc, char** argv) {
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();
-  return run_scaling_report();
+
+  const auditherm::core::ThreadCountScope single_thread(1);
+  auto json = bench::artifact("perf_linalg", 1);
+  const bool scaling_ok = run_scaling_report(json);
+  const bool sparse_ok = run_sparse_report(json);
+  if (!bench::write_artifact(json, "BENCH_perf_linalg.json")) return 1;
+  return scaling_ok && sparse_ok ? 0 : 1;
 }

@@ -1,13 +1,17 @@
-// Performance benchmarks for the end-to-end machinery (google-benchmark):
-// dataset generation, similarity graphs, spectral clustering, model
-// identification, multi-step evaluation, and the full pipeline.
+// Performance reports perfbench does not cover. main() times the full
+// pipeline and a 4-strategy sweep at 1/2/4/8 threads — the sweep both
+// uncached (standalone run() per case) and through the content-keyed stage
+// cache — on the standard 98-day dataset, prints a speedup table with
+// cache hit/miss counters, and verifies the results are bitwise identical
+// across thread counts and cache modes. It then measures the sample bytes
+// the strategy sweep's data path moves (copy path vs zero-copy view path)
+// and writes everything to BENCH_perf_pipeline.json; the exit code is
+// nonzero when a bitwise check fails or the per-case view path copies.
 //
-// After the microbenchmarks, main() times the full pipeline and a
-// 4-strategy sweep at 1/2/4/8 threads — the sweep both uncached
-// (standalone run() per case) and through the content-keyed stage cache —
-// prints a speedup table with cache hit/miss counters, verifies the
-// results are bitwise identical across thread counts and cache modes, and
-// writes the numbers to BENCH_perf_pipeline.json.
+// The per-layer timings (similarity graph, spectrum, fit, evaluation, the
+// whole analyze op) live in perfbench's ledger (`--trace 1`); the one
+// google benchmark left, BM_GpPlacement, times the stage no perfbench
+// workload runs.
 
 #include <benchmark/benchmark.h>
 
@@ -26,150 +30,35 @@ using namespace auditherm;
 
 namespace {
 
-/// Shared 28-day dataset; generated once.
-const sim::AuditoriumDataset& dataset() {
+void BM_GpPlacement(benchmark::State& state) {
   static const sim::AuditoriumDataset ds = [] {
     sim::DatasetConfig config;
     config.days = 28;
     config.failure_days = 4;
     return sim::generate_dataset(config);
   }();
-  return ds;
-}
-
-const core::DataSplit& split() {
-  static const core::DataSplit s = [] {
-    auto required = dataset().sensor_ids();
-    const auto inputs = dataset().input_ids();
-    required.insert(required.end(), inputs.begin(), inputs.end());
-    return core::split_dataset(dataset().trace, required, dataset().schedule,
-                               hvac::Mode::kOccupied);
-  }();
-  return s;
-}
-
-const std::vector<bool>& occupied_mask() {
-  static const std::vector<bool> m = dataset().schedule.mode_mask(
-      dataset().trace.grid(), hvac::Mode::kOccupied);
-  return m;
-}
-
-void BM_GenerateDataset(benchmark::State& state) {
-  sim::DatasetConfig config;
-  config.days = static_cast<std::size_t>(state.range(0));
-  config.failure_days = config.days / 8;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(sim::generate_dataset(config));
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<std::int64_t>(config.days));
-}
-BENCHMARK(BM_GenerateDataset)->Arg(7)->Arg(28)->Unit(benchmark::kMillisecond);
-
-void BM_SimilarityGraph(benchmark::State& state) {
-  const auto training = dataset().trace.filter_rows(
-      core::and_masks(split().train_mask, occupied_mask()));
-  const auto metric = state.range(0) == 0
-                          ? clustering::SimilarityMetric::kCorrelation
-                          : clustering::SimilarityMetric::kEuclidean;
-  clustering::SimilarityOptions opts;
-  opts.metric = metric;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(clustering::build_similarity_graph(
-        training, dataset().wireless_ids(), opts));
-  }
-}
-BENCHMARK(BM_SimilarityGraph)->Arg(0)->Arg(1);
-
-void BM_SpectralCluster(benchmark::State& state) {
-  const auto training = dataset().trace.filter_rows(
-      core::and_masks(split().train_mask, occupied_mask()));
-  const auto graph = clustering::build_similarity_graph(
-      training, dataset().wireless_ids(), {});
-  clustering::SpectralOptions opts;
-  opts.cluster_count = static_cast<std::size_t>(state.range(0));
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(clustering::spectral_cluster(graph, opts));
-  }
-}
-BENCHMARK(BM_SpectralCluster)->Arg(2)->Arg(4)->Arg(8);
-
-void BM_FitModel(benchmark::State& state) {
-  const auto order = state.range(0) == 1 ? sysid::ModelOrder::kFirst
-                                         : sysid::ModelOrder::kSecond;
-  sysid::ModelEstimator estimator(dataset().sensor_ids(),
-                                  dataset().input_ids(), order);
-  const auto mask = core::and_masks(split().train_mask, occupied_mask());
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(estimator.fit(dataset().trace, mask));
-  }
-}
-BENCHMARK(BM_FitModel)->Arg(1)->Arg(2)->Unit(benchmark::kMillisecond);
-
-void BM_EvaluatePrediction(benchmark::State& state) {
-  sysid::ModelEstimator estimator(dataset().sensor_ids(),
-                                  dataset().input_ids(),
-                                  sysid::ModelOrder::kSecond);
-  const auto model = estimator.fit(
-      dataset().trace, core::and_masks(split().train_mask, occupied_mask()));
-  auto mask = core::and_masks(split().validation_mask, occupied_mask());
-  mask = core::and_masks(mask, timeseries::rows_with_all_valid(
-                                   dataset().trace, dataset().input_ids()));
-  const auto windows = timeseries::find_segments(mask, 2);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        sysid::evaluate_prediction(model, dataset().trace, windows, {}));
-  }
-}
-BENCHMARK(BM_EvaluatePrediction);
-
-void BM_GpPlacement(benchmark::State& state) {
-  const auto training = dataset().trace.filter_rows(
-      core::and_masks(split().train_mask, occupied_mask()));
+  const auto training = ds.trace.filter_rows(core::and_masks(
+      bench::standard_split(ds).train_mask,
+      ds.schedule.mode_mask(ds.trace.grid(), hvac::Mode::kOccupied)));
   const auto count = static_cast<std::size_t>(state.range(0));
   for (auto _ : state) {
     benchmark::DoNotOptimize(selection::gp_mutual_information_selection(
-        training, dataset().wireless_ids(), count));
+        training, ds.wireless_ids(), count));
   }
 }
 BENCHMARK(BM_GpPlacement)->Arg(2)->Arg(8)->Unit(benchmark::kMillisecond);
 
-void BM_FullPipeline(benchmark::State& state) {
-  core::PipelineConfig config;
-  config.threads = static_cast<std::size_t>(state.range(0));
-  const core::ThermalModelingPipeline pipeline(config);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(pipeline.run(
-        dataset().trace, dataset().schedule, split(),
-        dataset().wireless_ids(), dataset().input_ids(),
-        core::RunOptions{.thermostat_ids = dataset().thermostat_ids()}));
-  }
-}
-BENCHMARK(BM_FullPipeline)->Arg(1)->Arg(4)->Unit(benchmark::kMillisecond);
-
 // --- Threads-vs-serial speedup report -----------------------------------
 // Runs on the standard 98-day dataset (the paper's full trace) so the
-// numbers track the real reproduction workload, not the microbench one.
+// numbers track the real reproduction workload.
 
 const sim::AuditoriumDataset& standard_dataset() {
-  static const sim::AuditoriumDataset ds = [] {
-    sim::DatasetConfig config;
-    config.days = 98;
-    config.failure_days = 34;
-    return sim::generate_dataset(config);
-  }();
+  static const auto ds = bench::make_standard_dataset();
   return ds;
 }
 
 const core::DataSplit& standard_split() {
-  static const core::DataSplit s = [] {
-    auto required = standard_dataset().sensor_ids();
-    const auto inputs = standard_dataset().input_ids();
-    required.insert(required.end(), inputs.begin(), inputs.end());
-    return core::split_dataset(standard_dataset().trace, required,
-                               standard_dataset().schedule,
-                               hvac::Mode::kOccupied);
-  }();
+  static const auto s = bench::standard_split(standard_dataset());
   return s;
 }
 
@@ -259,16 +148,6 @@ bool results_bitwise_equal(const core::PipelineResult& a,
 // Measures how many sample bytes the strategy sweep's data path moves on
 // scaled-up synthetic halls, legacy materializing path vs the zero-copy
 // TraceView path, via the timeseries.bytes_copied counter.
-
-struct HallSweep {
-  std::size_t sensors = 0;
-  std::size_t rows = 0;
-  std::uint64_t copy_bytes = 0;    ///< legacy per-case materializing path
-  std::uint64_t view_bytes = 0;    ///< uncached view-path sweep
-  std::uint64_t view_cached_bytes = 0;  ///< view sweep via StageCache
-  double reduction = 0.0;          ///< copy_bytes / max(view_bytes, 1)
-  bool results_equal = false;      ///< sweep == per-case run(), bitwise
-};
 
 struct HallData {
   timeseries::MultiTrace trace;
@@ -385,7 +264,10 @@ std::uint64_t legacy_copy_replay(const HallData& hall, std::size_t cases,
   return sample_bytes_copied(recorder);
 }
 
-std::vector<HallSweep> copy_vs_view_report() {
+/// Prints the copy-vs-view table and adds it as `copy_vs_view`. False when
+/// a sweep result differs from its per-case run or the per-case view path
+/// copied sample bytes.
+bool copy_vs_view_report(bench::JsonObject& out) {
   std::printf("\n----------------------------------------------------------\n");
   std::printf("Copy-path vs view-path sample traffic (synthetic halls,\n");
   std::printf("8-case sweep; bytes from the timeseries.bytes_copied\n");
@@ -396,12 +278,10 @@ std::vector<HallSweep> copy_vs_view_report() {
               "copy_bytes", "view_percase", "view_sweep", "reduction",
               "bitwise");
 
-  std::vector<HallSweep> report;
+  std::vector<bench::JsonObject> rows;
+  bool ok = true;
   for (const std::size_t sensors : {std::size_t{128}, std::size_t{512}}) {
     const auto hall = make_synthetic_hall(sensors, 10);
-    HallSweep entry;
-    entry.sensors = sensors;
-    entry.rows = hall.trace.size();
 
     core::PipelineConfig base;
     base.threads = 1;
@@ -411,23 +291,24 @@ std::vector<HallSweep> copy_vs_view_report() {
     // View-path sweep (run_strategy_sweep's sweep-local cache stores one
     // materialized training copy — the only sample bytes left moving).
     std::vector<core::PipelineResult> sweep;
+    std::uint64_t view_sweep_bytes = 0;
     {
       obs::Recorder recorder;
       obs::RecorderScope scope(&recorder);
       sweep = core::run_strategy_sweep(base, hall_cases(), hall.trace,
                                        hall.schedule, hall.split,
                                        hall.sensor_ids, hall.input_ids, plain);
-      entry.view_cached_bytes = sample_bytes_copied(recorder);
+      view_sweep_bytes = sample_bytes_copied(recorder);
     }
 
-    bool training_identical = false;
-    entry.copy_bytes =
-        legacy_copy_replay(hall, hall_cases().size(), training_identical);
+    bool equal = false;
+    const std::uint64_t copy_bytes =
+        legacy_copy_replay(hall, hall_cases().size(), equal);
 
     // Per-case standalone runs: pure zero-copy views end to end. They
     // double as the equality check — the sweep must match them bit for
     // bit.
-    bool equal = training_identical;
+    std::uint64_t view_percase_bytes = 0;
     {
       obs::Recorder recorder;
       obs::RecorderScope scope(&recorder);
@@ -441,27 +322,38 @@ std::vector<HallSweep> copy_vs_view_report() {
                          hall.sensor_ids, hall.input_ids, plain);
         equal = equal && results_bitwise_equal(sweep[i], single);
       }
-      entry.view_bytes = sample_bytes_copied(recorder);
+      view_percase_bytes = sample_bytes_copied(recorder);
     }
-    entry.results_equal = equal;
+    ok = ok && equal && view_percase_bytes == 0;
     // Conservative reduction: legacy traffic over the *larger* of the two
     // view-path measurements (the sweep's single cache-owned copy).
     const std::uint64_t view_worst =
-        std::max(entry.view_bytes, entry.view_cached_bytes);
-    entry.reduction = static_cast<double>(entry.copy_bytes) /
-                      static_cast<double>(view_worst > 0 ? view_worst : 1);
+        std::max(view_percase_bytes, view_sweep_bytes);
+    const double reduction =
+        static_cast<double>(copy_bytes) /
+        static_cast<double>(view_worst > 0 ? view_worst : 1);
 
-    std::printf("%8zu %6zu %14llu %13llu %12llu %9.1fx %8s\n", entry.sensors,
-                entry.rows, static_cast<unsigned long long>(entry.copy_bytes),
-                static_cast<unsigned long long>(entry.view_bytes),
-                static_cast<unsigned long long>(entry.view_cached_bytes),
-                entry.reduction, entry.results_equal ? "yes" : "NO");
-    report.push_back(entry);
+    std::printf("%8zu %6zu %14llu %13llu %12llu %9.1fx %8s\n", sensors,
+                hall.trace.size(), static_cast<unsigned long long>(copy_bytes),
+                static_cast<unsigned long long>(view_percase_bytes),
+                static_cast<unsigned long long>(view_sweep_bytes), reduction,
+                equal ? "yes" : "NO");
+    rows.push_back(bench::JsonObject()
+                       .add("sensors", sensors)
+                       .add("rows", hall.trace.size())
+                       .add("copy_path_bytes", std::size_t{copy_bytes})
+                       .add("view_percase_bytes", std::size_t{view_percase_bytes})
+                       .add("view_sweep_bytes", std::size_t{view_sweep_bytes})
+                       .add("reduction_x", reduction)
+                       .add("results_identical", equal));
   }
-  return report;
+  out.add("copy_vs_view", rows);
+  return ok;
 }
 
-void speedup_report() {
+/// Prints the threads-vs-serial table and adds it as `runs`. False when a
+/// run differs bitwise from the 1-thread reference.
+bool speedup_report(bench::JsonObject& out) {
   const std::vector<std::size_t> thread_counts{1, 2, 4, 8};
   const auto reference = run_pipeline_at(1);
   const auto sweep_reference = run_sweep_uncached(1);
@@ -477,17 +369,18 @@ void speedup_report() {
               "speedup", "sweep4_uncached", "sweep4_cached", "cache_x",
               "bitwise");
 
-  std::vector<double> pipeline_ms, uncached_ms, cached_ms;
-  std::vector<bool> bitwise;
-  std::size_t cache_hits = 0, cache_misses = 0;
-  for (std::size_t t : thread_counts) {
+  std::vector<bench::JsonObject> runs;
+  bool all_identical = true;
+  double serial_ms = 0.0;
+  core::StageStats cache_totals;
+  for (const std::size_t t : thread_counts) {
     bool identical = true;
-    pipeline_ms.push_back(time_ms([&] {
+    const double pipeline_ms = time_ms([&] {
       const auto r = run_pipeline_at(t);
       identical = identical && results_bitwise_equal(r, reference);
-    }));
-    uncached_ms.push_back(time_ms([&] { (void)run_sweep_uncached(t); }));
-    cached_ms.push_back(time_ms([&] {
+    });
+    const double uncached_ms = time_ms([&] { (void)run_sweep_uncached(t); });
+    const double cached_ms = time_ms([&] {
       // Fresh cache per repetition: the timed region includes the one
       // Step-1 build plus the all-hit fan-out, like a real sweep.
       core::StageCache cache;
@@ -496,65 +389,32 @@ void speedup_report() {
         identical =
             identical && results_bitwise_equal(sweep[i], sweep_reference[i]);
       }
-      const auto totals = cache.totals();
-      cache_hits = totals.hits;
-      cache_misses = totals.misses;
-    }));
-    bitwise.push_back(identical);
+      cache_totals = cache.totals();
+    });
+    if (t == 1) serial_ms = pipeline_ms;
+    all_identical = all_identical && identical;
+    std::printf("%8zu %12.1f %7.2fx %17.1f %15.1f %8.2fx %8s\n", t,
+                pipeline_ms, serial_ms / pipeline_ms, uncached_ms, cached_ms,
+                uncached_ms / cached_ms, identical ? "yes" : "NO");
+    runs.push_back(bench::JsonObject()
+                       .add("threads", t)
+                       .add("pipeline_ms", pipeline_ms)
+                       .add("pipeline_speedup", serial_ms / pipeline_ms)
+                       .add("sweep4_uncached_ms", uncached_ms)
+                       .add("sweep4_cached_ms", cached_ms)
+                       .add("cache_speedup", uncached_ms / cached_ms)
+                       .add("bitwise_identical", identical));
   }
-  for (std::size_t i = 0; i < thread_counts.size(); ++i) {
-    std::printf("%8zu %12.1f %7.2fx %17.1f %15.1f %8.2fx %8s\n",
-                thread_counts[i], pipeline_ms[i],
-                pipeline_ms[0] / pipeline_ms[i], uncached_ms[i], cached_ms[i],
-                uncached_ms[i] / cached_ms[i], bitwise[i] ? "yes" : "NO");
-  }
-  std::printf("stage cache per sweep: %zu hits / %zu misses\n", cache_hits,
-              cache_misses);
+  std::printf("stage cache per sweep: %zu hits / %zu misses\n",
+              cache_totals.hits, cache_totals.misses);
 
-  FILE* json = std::fopen("BENCH_perf_pipeline.json", "w");
-  if (json == nullptr) {
-    std::fprintf(stderr, "cannot write BENCH_perf_pipeline.json\n");
-    return;
-  }
-  std::fprintf(json, "{\n  \"hardware_concurrency\": %u,\n",
-               std::thread::hardware_concurrency());
-  std::fprintf(json, "  \"dataset_days\": 98,\n");
-  std::fprintf(json, "  \"sweep_cases\": %zu,\n", sweep_cases().size());
-  std::fprintf(json,
-               "  \"stage_cache\": {\"hits\": %zu, \"misses\": %zu},\n",
-               cache_hits, cache_misses);
-  std::fprintf(json, "  \"runs\": [\n");
-  for (std::size_t i = 0; i < thread_counts.size(); ++i) {
-    std::fprintf(json,
-                 "    {\"threads\": %zu, \"pipeline_ms\": %.3f, "
-                 "\"pipeline_speedup\": %.3f, "
-                 "\"sweep4_uncached_ms\": %.3f, \"sweep4_cached_ms\": %.3f, "
-                 "\"cache_speedup\": %.3f, \"bitwise_identical\": %s}%s\n",
-                 thread_counts[i], pipeline_ms[i],
-                 pipeline_ms[0] / pipeline_ms[i], uncached_ms[i], cached_ms[i],
-                 uncached_ms[i] / cached_ms[i], bitwise[i] ? "true" : "false",
-                 i + 1 < thread_counts.size() ? "," : "");
-  }
-  std::fprintf(json, "  ],\n");
-  std::fprintf(json, "  \"copy_vs_view\": [\n");
-  const auto halls = copy_vs_view_report();
-  for (std::size_t i = 0; i < halls.size(); ++i) {
-    const auto& h = halls[i];
-    std::fprintf(json,
-                 "    {\"sensors\": %zu, \"rows\": %zu, "
-                 "\"copy_path_bytes\": %llu, \"view_percase_bytes\": %llu, "
-                 "\"view_sweep_bytes\": %llu, \"reduction_x\": %.1f, "
-                 "\"results_identical\": %s}%s\n",
-                 h.sensors, h.rows,
-                 static_cast<unsigned long long>(h.copy_bytes),
-                 static_cast<unsigned long long>(h.view_bytes),
-                 static_cast<unsigned long long>(h.view_cached_bytes),
-                 h.reduction, h.results_equal ? "true" : "false",
-                 i + 1 < halls.size() ? "," : "");
-  }
-  std::fprintf(json, "  ]\n}\n");
-  std::fclose(json);
-  std::printf("wrote BENCH_perf_pipeline.json\n");
+  out.add("dataset_days", std::size_t{98});
+  out.add("sweep_cases", sweep_cases().size());
+  out.add("stage_cache", bench::JsonObject()
+                             .add("hits", cache_totals.hits)
+                             .add("misses", cache_totals.misses));
+  out.add("runs", runs);
+  return all_identical;
 }
 
 }  // namespace
@@ -565,6 +425,10 @@ int main(int argc, char** argv) {
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();
-  speedup_report();
-  return 0;
+
+  auto json = bench::artifact("perf_pipeline", core::thread_count());
+  const bool speedup_ok = speedup_report(json);
+  const bool copy_ok = copy_vs_view_report(json);
+  if (!bench::write_artifact(json, "BENCH_perf_pipeline.json")) return 1;
+  return speedup_ok && copy_ok ? 0 : 1;
 }

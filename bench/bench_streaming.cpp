@@ -20,13 +20,15 @@ double ms_since(Clock::time_point t0) {
       .count();
 }
 
+/// Largest parameter difference between two models; NaN when any
+/// difference is NaN.
 double max_model_diff(const sysid::ThermalModel& x,
                       const sysid::ThermalModel& y) {
   double diff = 0.0;
   const auto acc = [&](const linalg::Matrix& a, const linalg::Matrix& b) {
     for (std::size_t i = 0; i < a.rows(); ++i) {
       for (std::size_t j = 0; j < a.cols(); ++j) {
-        diff = std::max(diff, std::abs(a(i, j) - b(i, j)));
+        diff = bench::max_nan(diff, std::abs(a(i, j) - b(i, j)));
       }
     }
   };
@@ -153,8 +155,8 @@ int main() {
   for (std::size_t i = 0; i < solved_rows.size(); ++i) {
     const std::size_t k = solved_rows[i];
     const auto model = batch.fit(view.slice_rows(k + 1 - window, k + 1));
-    max_param_diff =
-        std::max(max_param_diff, max_model_diff(streamed_models[i], model));
+    max_param_diff = bench::max_nan(max_param_diff,
+                                    max_model_diff(streamed_models[i], model));
   }
   const bool agree = max_param_diff <= 1e-8 && !solved_rows.empty();
   std::printf(
@@ -213,7 +215,7 @@ int main() {
   std::printf("stationary paper run: %zu drift event(s)%s\n",
               quiet.drift_events().size(), silent ? "" : " (FAIL)");
 
-  bench::JsonObject json;
+  auto json = bench::artifact("streaming", core::thread_count());
   json.add("rows", view.size());
   json.add("window_rows", window);
   json.add("incremental_ms", incremental_ms);
@@ -233,10 +235,6 @@ int main() {
   json.add("drift_fired_on_switch", fired);
   json.add("drift_events_stationary", quiet.drift_events().size());
   json.add("drift_silent_on_paper", silent);
-  if (!json.write_file("BENCH_streaming.json")) {
-    std::fprintf(stderr, "warning: could not write BENCH_streaming.json\n");
-    return 1;
-  }
-  std::printf("wrote BENCH_streaming.json\n");
+  if (!bench::write_artifact(json, "BENCH_streaming.json")) return 1;
   return agree && speedup > 5.0 && fired && silent ? 0 : 1;
 }

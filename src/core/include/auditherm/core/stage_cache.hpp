@@ -31,13 +31,11 @@
 /// completed artifacts are byte-accounted through the sized_artifact
 /// trait and evicted least-recently-used once the resident set exceeds
 /// the budget. Eviction only ever removes *completed* entries — an entry
-/// with a builder in flight has no value (and no bytes) and is skipped,
-/// as is clear(): in-flight entries are generation-tagged instead, so a
-/// builder that outlives a clear() hands its artifact to its caller but
-/// never republishes it into the post-clear table, and waiters parked on
-/// it are woken to rebuild. Hits keep their shared_ptr aliases alive
-/// across eviction, so eviction is always safe; it only costs a rebuild
-/// on the next touch of that key.
+/// with a builder in flight has no value (and no bytes) and is skipped.
+/// Hits keep their shared_ptr aliases alive across eviction, so eviction
+/// is always safe; it only costs a rebuild on the next touch of that key.
+/// A builder that throws leaves no entry behind: waiters parked on it wake
+/// and rebuild, as does the next caller.
 ///
 /// Thread safety: get_or_build() may be called concurrently from the
 /// sweep's worker threads or from serve's request threads. One mutex
@@ -199,19 +197,10 @@ class StageCache {
   [[nodiscard]] std::size_t budget_bytes() const noexcept {
     return budget_.bytes;
   }
-  /// Entries evicted over the cache's lifetime (monotonic; clear() does
-  /// not count as eviction).
+  /// Entries evicted over the cache's lifetime (monotonic).
   [[nodiscard]] std::uint64_t eviction_count() const;
   /// Bytes reclaimed by eviction over the cache's lifetime (monotonic).
   [[nodiscard]] std::uint64_t evicted_bytes() const;
-  /// Drop every completed artifact and reset the visible hit/miss
-  /// counters. Entries with a builder in flight are generation-tagged
-  /// rather than erased: the running builder's result is handed to its
-  /// caller but never republished, and its waiters rebuild against the
-  /// post-clear table. The backing registry stays monotonic (counters
-  /// never decrease, matching what a run recorder mirrors);
-  /// stats()/totals() report deltas since the last clear().
-  void clear();
 
  private:
   /// A type-erased artifact plus its sized_artifact byte estimate.
@@ -224,9 +213,6 @@ class StageCache {
     std::shared_ptr<const void> value;
     std::size_t bytes = 0;
     bool building = false;  ///< a builder is running for this key
-    /// generation_ at claim time; a clear() during the build bumps the
-    /// cache generation so the publish detects staleness.
-    std::uint64_t generation = 0;
     std::string stage;  ///< stage name, for eviction counters
     /// Position in lru_ (valid iff in_lru). Only completed, non-building
     /// entries are LRU-linked — eviction can never remove an in-flight
@@ -273,15 +259,8 @@ class StageCache {
   std::size_t resident_bytes_ = 0;
   std::uint64_t evictions_ = 0;
   std::uint64_t evicted_bytes_ = 0;
-  /// Bumped by clear(); in-flight builds claimed under an older
-  /// generation publish to their caller only.
-  std::uint64_t generation_ = 0;
   /// Hit/miss/eviction counters; see StageStats for the naming scheme.
   obs::MetricsRegistry registry_;
-  /// Counter values captured at the last clear(); stats()/totals()
-  /// subtract these so clear() resets the visible numbers without making
-  /// the registry's counters non-monotonic.
-  std::unordered_map<std::string, std::uint64_t> baseline_;
 };
 
 }  // namespace auditherm::core

@@ -142,7 +142,6 @@ std::shared_ptr<const void> StageCache::get_or_build_erased(
     std::string_view stage, std::uint64_t tagged_key,
     const std::function<ErasedArtifact()>& build) {
   bool claimed = false;
-  std::uint64_t claim_gen = 0;
   {
     std::unique_lock<std::mutex> lock(mutex_);
     for (;;) {
@@ -156,8 +155,6 @@ std::shared_ptr<const void> StageCache::get_or_build_erased(
       }
       if (!entry.building) {
         entry.building = true;
-        entry.generation = generation_;
-        claim_gen = generation_;
         claimed = true;
         break;
       }
@@ -165,10 +162,7 @@ std::shared_ptr<const void> StageCache::get_or_build_erased(
       // region would stall the pool the builder may itself be waiting
       // for, so there we race a duplicate build instead (first publish
       // wins); otherwise wait for the builder to publish.
-      if (detail::in_parallel_region()) {
-        claim_gen = generation_;
-        break;
-      }
+      if (detail::in_parallel_region()) break;
       build_done_.wait(lock);
     }
   }
@@ -183,20 +177,18 @@ std::shared_ptr<const void> StageCache::get_or_build_erased(
     if (claimed) {
       {
         const std::lock_guard<std::mutex> lock(mutex_);
+        // Our claimed entry is still present: eviction skips in-flight
+        // entries and only the claimer clears `building`.
         const auto it = entries_.find(tagged_key);
-        // Our claim is identified by (building, claim generation): clear()
-        // keeps in-flight entries and eviction skips them, so nobody else
-        // can have reclaimed the key while we were building.
-        if (it != entries_.end() && it->second.building &&
-            it->second.generation == claim_gen) {
-          if (it->second.value) {
-            // A duplicate builder published while we failed; keep its
-            // artifact and make it evictable.
-            it->second.building = false;
-            if (!it->second.in_lru) insert_lru_locked(it->second, tagged_key);
-          } else {
-            entries_.erase(it);
-          }
+        if (it->second.value) {
+          // A duplicate builder published while we failed; keep its
+          // artifact and make it evictable.
+          it->second.building = false;
+          if (!it->second.in_lru) insert_lru_locked(it->second, tagged_key);
+        } else {
+          // Leave no entry: parked waiters wake, find the key absent and
+          // rebuild, as does the next caller.
+          entries_.erase(it);
         }
       }
       build_done_.notify_all();
@@ -210,23 +202,9 @@ std::shared_ptr<const void> StageCache::get_or_build_erased(
   {
     std::unique_lock<std::mutex> lock(mutex_);
     const auto it = entries_.find(tagged_key);
-    if (claim_gen != generation_) {
-      // clear() ran while we were building: the table we claimed into no
-      // longer exists. Hand the artifact to our caller (it is a correct
-      // value for the key) but do NOT republish it; drop our stale claim
-      // so post-clear callers rebuild from scratch.
-      if (claimed && it != entries_.end() && it->second.building &&
-          it->second.generation == claim_gen) {
-        entries_.erase(it);
-      }
-      lock.unlock();
-      if (claimed) build_done_.notify_all();
-      count_event(stage, /*hit=*/false);
-      return result;
-    }
     if (claimed) {
-      // The entry is ours and still present (clear() keeps in-flight
-      // entries, eviction skips them).
+      // The entry is ours and still present (eviction skips in-flight
+      // entries).
       Entry& entry = it->second;
       entry.building = false;
       if (!entry.value) {
@@ -297,34 +275,21 @@ void StageCache::flush_events(const PendingEvents& events) {
 }
 
 StageStats StageCache::stats(std::string_view stage) const {
-  const std::lock_guard<std::mutex> lock(mutex_);
   StageStats s;
-  const std::string hit_name = event_name(kHitPrefix, stage);
-  const std::string miss_name = event_name(kMissPrefix, stage);
-  const auto since_baseline = [&](const std::string& name) -> std::size_t {
-    const std::uint64_t now = registry_.counter(name);
-    const auto it = baseline_.find(name);
-    return static_cast<std::size_t>(
-        now - (it == baseline_.end() ? 0 : it->second));
-  };
-  s.hits = since_baseline(hit_name);
-  s.misses = since_baseline(miss_name);
+  s.hits = static_cast<std::size_t>(
+      registry_.counter(event_name(kHitPrefix, stage)));
+  s.misses = static_cast<std::size_t>(
+      registry_.counter(event_name(kMissPrefix, stage)));
   return s;
 }
 
 StageStats StageCache::totals() const {
-  const std::lock_guard<std::mutex> lock(mutex_);
   StageStats total;
   for (const auto& [name, value] : registry_.snapshot().counters) {
-    std::uint64_t base = 0;
-    if (const auto it = baseline_.find(name); it != baseline_.end()) {
-      base = it->second;
-    }
-    const std::size_t delta = static_cast<std::size_t>(value - base);
     if (name.starts_with(kHitPrefix)) {
-      total.hits += delta;
+      total.hits += static_cast<std::size_t>(value);
     } else if (name.starts_with(kMissPrefix)) {
-      total.misses += delta;
+      total.misses += static_cast<std::size_t>(value);
     }
   }
   return total;
@@ -352,38 +317,6 @@ std::uint64_t StageCache::eviction_count() const {
 std::uint64_t StageCache::evicted_bytes() const {
   const std::lock_guard<std::mutex> lock(mutex_);
   return evicted_bytes_;
-}
-
-void StageCache::clear() {
-  {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    // In-flight builds are generation-tagged, not erased: the running
-    // builder finds its claim (now stale) and drops it on publish, so no
-    // pre-clear artifact is ever republished and no waiter parks on an
-    // entry that silently vanished. Their values (a duplicate builder may
-    // have published one) are dropped here like every completed entry's.
-    ++generation_;
-    for (auto it = entries_.begin(); it != entries_.end();) {
-      if (it->second.building) {
-        it->second.value.reset();
-        it->second.bytes = 0;
-        it->second.in_lru = false;
-        ++it;
-      } else {
-        it = entries_.erase(it);
-      }
-    }
-    lru_.clear();
-    resident_bytes_ = 0;
-    // Reset the visible counters by re-baselining, keeping the registry's
-    // counters (and the mirrored run-recorder copies) monotonic. This is
-    // the cache's own registry — never the run recorder's — so holding
-    // mutex_ across the snapshot cannot couple with recorder locks.
-    for (const auto& [name, value] : registry_.snapshot().counters) {
-      baseline_[name] = value;
-    }
-  }
-  build_done_.notify_all();
 }
 
 }  // namespace auditherm::core

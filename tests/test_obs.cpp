@@ -284,12 +284,6 @@ TEST(ObsPipeline, CacheCountersMirrorIntoRunRecorder) {
   EXPECT_EQ(metrics.counter("stage_cache.hit." + spectrum), 1u);
   EXPECT_EQ(cache.stats(core::stage::kSpectrum).misses, 1u);
   EXPECT_EQ(cache.stats(core::stage::kSpectrum).hits, 1u);
-
-  // clear() resets the cache's visible stats but the run recorder's
-  // mirrored counters are monotonic.
-  cache.clear();
-  EXPECT_EQ(cache.stats(core::stage::kSpectrum).misses, 0u);
-  EXPECT_EQ(metrics.counter("stage_cache.miss." + spectrum), 1u);
   // The second eigendecomposition never ran: the cache hit skipped it.
   EXPECT_EQ(metrics.counter("linalg.eigen_calls"), 1u);
 }

@@ -11,6 +11,7 @@
 #include <chrono>
 #include <cstdint>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <tuple>
@@ -161,10 +162,6 @@ TEST(StageCache, BuildsOncePerKeyAndCountsHits) {
   EXPECT_EQ(stats.hits, 1u);
   EXPECT_EQ(stats.misses, 2u);
   EXPECT_EQ(cache.size(), 2u);
-
-  cache.clear();
-  EXPECT_EQ(cache.size(), 0u);
-  EXPECT_EQ(cache.stats("stage_a").misses, 0u);
 }
 
 TEST(StageCache, StagesWithEqualKeysDoNotCollide) {
@@ -464,65 +461,61 @@ TEST(StageCacheBudget, EvictionSkipsInFlightBuilds) {
   EXPECT_GE(cache.eviction_count(), 1u);
 }
 
-TEST(StageCacheLifecycle, ClearDuringBuildDoesNotRepublishStaleArtifact) {
+TEST(StageCacheLifecycle, FailedBuildLeavesNoEntryAndWaitersRebuild) {
   core::StageCache cache;
+
+  // A throwing builder leaves no entry and counts nothing; the next
+  // caller of that key builds afresh.
+  EXPECT_THROW((void)cache.get_or_build<int>(
+                   "flaky", 1,
+                   []() -> int { throw std::runtime_error("build failed"); }),
+               std::runtime_error);
+  EXPECT_EQ(cache.size(), 0u);
+  EXPECT_EQ(cache.stats("flaky").misses, 0u);
+  int rebuilds = 0;
+  const auto next = cache.get_or_build<int>("flaky", 1, [&] {
+    ++rebuilds;
+    return 9;
+  });
+  EXPECT_EQ(*next, 9);
+  EXPECT_EQ(rebuilds, 1);
+
+  // A waiter parked on an in-flight build that then throws wakes up and
+  // builds the key itself.
   std::atomic<bool> builder_started{false};
   std::atomic<bool> release_builder{false};
-
-  std::shared_ptr<const int> stale;
+  const auto slow_failing_build = [&]() -> int {
+    builder_started.store(true);
+    while (!release_builder.load()) std::this_thread::yield();
+    throw std::runtime_error("build failed");
+  };
   std::thread builder([&] {
-    stale = cache.get_or_build<int>("slow", 1, [&] {
-      builder_started.store(true);
-      while (!release_builder.load()) std::this_thread::yield();
-      return 42;
-    });
+    EXPECT_THROW((void)cache.get_or_build<int>("flaky", 2, slow_failing_build),
+                 std::runtime_error);
   });
   while (!builder_started.load()) std::this_thread::yield();
 
-  cache.clear();  // the in-flight build's claim is now stale
-  release_builder.store(true);
-  builder.join();
-
-  // The slow builder's caller still gets its (correct) value...
-  ASSERT_TRUE(stale);
-  EXPECT_EQ(*stale, 42);
-  // ...but the post-clear table must rebuild, not serve the stale bits.
-  const auto fresh = cache.get_or_build<int>("slow", 1, [] { return 43; });
-  EXPECT_EQ(*fresh, 43);
-  EXPECT_EQ(cache.stats("slow").hits, 0u);
-}
-
-TEST(StageCacheLifecycle, WaiterSurvivesClearDuringBuild) {
-  // Regression: clear() used to erase the building entry, leaving waiters
-  // parked on build_done_ with nothing to wake them coherently.
-  core::StageCache cache;
-  std::atomic<bool> builder_started{false};
-  std::atomic<bool> release_builder{false};
-
-  std::thread builder([&] {
-    (void)cache.get_or_build<int>("slow", 7, [&] {
-      builder_started.store(true);
-      while (!release_builder.load()) std::this_thread::yield();
-      return 1;
-    });
-  });
-  while (!builder_started.load()) std::this_thread::yield();
-
+  std::atomic<int> waiter_builds{0};
   std::shared_ptr<const int> waited;
   std::thread waiter([&] {
-    waited = cache.get_or_build<int>("slow", 7, [] { return 2; });
+    waited = cache.get_or_build<int>("flaky", 2, [&] {
+      waiter_builds.fetch_add(1);
+      return 7;
+    });
   });
-  // Give the waiter a moment to park, clear, then release the builder.
+  // Give the waiter a moment to park, then fail the build it waits on.
   std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  cache.clear();
   release_builder.store(true);
   builder.join();
   waiter.join();
 
-  // The waiter either rebuilt post-clear (2) or adopted a fresh publish;
-  // it must never hang and never observe a stale artifact slot.
   ASSERT_TRUE(waited);
-  EXPECT_EQ(*waited, 2);
+  EXPECT_EQ(*waited, 7);
+  EXPECT_EQ(waiter_builds.load(), 1);
+  EXPECT_EQ(cache.size(), 2u);
+  const auto stats = cache.stats("flaky");
+  EXPECT_EQ(stats.misses, 2u);  // one successful build per key
+  EXPECT_EQ(stats.hits, 0u);
 }
 
 TEST(StageCacheLifecycle, ConcurrentRequestThreadsParkOnOneBuild) {
