@@ -64,9 +64,6 @@ struct SimilarityGraph {
   std::vector<timeseries::ChannelId> channels;
   linalg::Matrix weights;  ///< symmetric, zero diagonal, entries in [0, 1]
   double sigma_used = 0.0; ///< resolved bandwidth (Euclidean metric only)
-  // Connectivity diagnostics (filled for every sparsification mode).
-  std::size_t edge_count = 0;       ///< undirected edges with weight > 0
-  std::size_t component_count = 0;  ///< connected components (weight > 0)
 };
 
 /// ADL hook for the stage cache's byte accounting (core/stage_cache.hpp).

@@ -42,36 +42,6 @@ void sparsify_knn(linalg::Matrix& weights, std::size_t k) {
   }
 }
 
-/// Count undirected weight>0 edges and connected components (BFS).
-void connectivity_diagnostics(SimilarityGraph& graph) {
-  const std::size_t p = graph.weights.rows();
-  graph.edge_count = 0;
-  for (std::size_t i = 0; i < p; ++i) {
-    for (std::size_t j = i + 1; j < p; ++j) {
-      if (graph.weights(i, j) > 0.0) ++graph.edge_count;
-    }
-  }
-  graph.component_count = 0;
-  std::vector<bool> seen(p, false);
-  std::vector<std::size_t> queue;
-  for (std::size_t start = 0; start < p; ++start) {
-    if (seen[start]) continue;
-    ++graph.component_count;
-    queue.assign(1, start);
-    seen[start] = true;
-    while (!queue.empty()) {
-      const std::size_t v = queue.back();
-      queue.pop_back();
-      for (std::size_t j = 0; j < p; ++j) {
-        if (!seen[j] && graph.weights(v, j) > 0.0) {
-          seen[j] = true;
-          queue.push_back(j);
-        }
-      }
-    }
-  }
-}
-
 }  // namespace
 
 SimilarityGraph build_similarity_graph(
@@ -134,7 +104,6 @@ SimilarityGraph build_similarity_graph(
 
   if (options.sparsification == GraphSparsification::kKnn) {
     sparsify_knn(graph.weights, options.knn_k);
-    connectivity_diagnostics(graph);
     return graph;
   }
 
@@ -181,7 +150,6 @@ SimilarityGraph build_similarity_graph(
       }
     }
   }
-  connectivity_diagnostics(graph);
   return graph;
 }
 

@@ -263,18 +263,11 @@ struct StreamingRunResult {
 /// Evaluate a reduced model's cluster-mean predictions (Fig. 11 metric):
 /// simulate the model over each window, average the predicted selected
 /// sensors per cluster, and compare against the measured all-sensor
-/// cluster mean wherever it exists.
-[[nodiscard]] selection::ClusterMeanErrors evaluate_reduced_model_cluster_mean(
-    const sysid::ThermalModel& model, const timeseries::TraceView& trace,
-    const selection::ClusterSets& clusters,
-    const selection::Selection& selection,
-    const std::vector<timeseries::Segment>& windows,
-    const sysid::EvaluationOptions& options);
-
-/// Same, with the measured per-cluster means precomputed (the stage-cache
-/// path: the means depend only on trace and clustering, so a sweep
-/// computes them once). `cluster_means[c]` must be row-aligned with
-/// `trace`; throws std::invalid_argument on count mismatch.
+/// cluster mean wherever it exists. The measured per-cluster means come
+/// precomputed (the stage-cache path: they depend only on trace and
+/// clustering, so a sweep computes them once); `cluster_means[c]` must be
+/// row-aligned with `trace`. Throws std::invalid_argument on count
+/// mismatch.
 [[nodiscard]] selection::ClusterMeanErrors evaluate_reduced_model_cluster_mean(
     const sysid::ThermalModel& model, const timeseries::TraceView& trace,
     const selection::ClusterSets& clusters,

@@ -27,15 +27,10 @@ struct DataSplit {
   std::vector<bool> validation_mask;
 };
 
-/// Fraction of a day's rows in `mode` where all `required` channels are
-/// valid; 0 when the day has no mode rows on the grid.
-[[nodiscard]] double day_mode_coverage(
-    const timeseries::MultiTrace& trace,
-    const std::vector<timeseries::ChannelId>& required,
-    const hvac::Schedule& schedule, hvac::Mode mode, std::size_t day);
-
 /// Split `trace` chronologically: usable days are found, then the first
-/// `train_fraction` of them train and the rest validate.
+/// `train_fraction` of them train and the rest validate. A day is usable
+/// when at least `min_coverage` of its rows in `mode` have every
+/// `required` channel valid (a day with no such rows is never usable).
 /// Throws std::invalid_argument for fractions outside (0, 1) or
 /// min_coverage outside [0, 1].
 [[nodiscard]] DataSplit split_dataset(

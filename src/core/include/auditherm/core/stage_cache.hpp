@@ -64,32 +64,11 @@
 #include <unordered_map>
 #include <vector>
 
+#include "auditherm/core/stage_key.hpp"
 #include "auditherm/obs/metrics.hpp"
 #include "auditherm/timeseries/multi_trace.hpp"
 
 namespace auditherm::core {
-
-/// Incremental FNV-1a (64-bit) over the structural content of cache-key
-/// inputs. Not cryptographic — keys are a memoization address, not a
-/// security boundary.
-class StageKeyHasher {
- public:
-  void add_bytes(const void* data, std::size_t size) noexcept;
-  void add(std::uint64_t v) noexcept;
-  void add(std::int64_t v) noexcept { add(static_cast<std::uint64_t>(v)); }
-  void add(bool v) noexcept { add(static_cast<std::uint64_t>(v ? 1 : 2)); }
-  /// Doubles hash by bit pattern; NaNs collapse to one sentinel so every
-  /// gap encoding keys identically.
-  void add(double v) noexcept;
-  void add(std::string_view s) noexcept;
-  void add(const std::vector<bool>& mask) noexcept;
-  void add(const std::vector<int>& v) noexcept;
-
-  [[nodiscard]] std::uint64_t value() const noexcept { return state_; }
-
- private:
-  std::uint64_t state_ = 0xcbf29ce484222325ull;  // FNV offset basis
-};
 
 /// Structural fingerprint of a trace: grid, channel ids, and all sample
 /// bits. O(rows x channels) but pure streaming arithmetic — microseconds

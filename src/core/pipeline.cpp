@@ -339,22 +339,6 @@ selection::ClusterMeanErrors evaluate_reduced_model_cluster_mean(
     const selection::ClusterSets& clusters,
     const selection::Selection& selection,
     const std::vector<timeseries::Segment>& windows,
-    const sysid::EvaluationOptions& options) {
-  // Measured all-sensor mean per cluster over the whole trace.
-  std::vector<linalg::Vector> cluster_means;
-  cluster_means.reserve(clusters.size());
-  for (const auto& members : clusters) {
-    cluster_means.push_back(timeseries::row_mean(trace, members));
-  }
-  return evaluate_reduced_model_cluster_mean(model, trace, clusters, selection,
-                                             windows, cluster_means, options);
-}
-
-selection::ClusterMeanErrors evaluate_reduced_model_cluster_mean(
-    const sysid::ThermalModel& model, const timeseries::TraceView& trace,
-    const selection::ClusterSets& clusters,
-    const selection::Selection& selection,
-    const std::vector<timeseries::Segment>& windows,
     const std::vector<linalg::Vector>& cluster_means,
     const sysid::EvaluationOptions& options) {
   if (selection.per_cluster.size() != clusters.size()) {

@@ -5,24 +5,6 @@
 
 namespace auditherm::core {
 
-double day_mode_coverage(const timeseries::MultiTrace& trace,
-                         const std::vector<timeseries::ChannelId>& required,
-                         const hvac::Schedule& schedule, hvac::Mode mode,
-                         std::size_t day) {
-  const auto valid = timeseries::rows_with_all_valid(trace, required);
-  std::size_t mode_rows = 0;
-  std::size_t valid_rows = 0;
-  for (std::size_t k = 0; k < trace.size(); ++k) {
-    const auto t = trace.grid()[k];
-    if (static_cast<std::size_t>(timeseries::day_of(t)) != day) continue;
-    if (schedule.mode_at(t) != mode) continue;
-    ++mode_rows;
-    if (valid[k]) ++valid_rows;
-  }
-  if (mode_rows == 0) return 0.0;
-  return static_cast<double>(valid_rows) / static_cast<double>(mode_rows);
-}
-
 DataSplit split_dataset(const timeseries::MultiTrace& trace,
                         const std::vector<timeseries::ChannelId>& required,
                         const hvac::Schedule& schedule, hvac::Mode mode,
@@ -37,7 +19,6 @@ DataSplit split_dataset(const timeseries::MultiTrace& trace,
     throw std::invalid_argument("split_dataset: empty trace");
   }
 
-  // Precompute validity once; day_mode_coverage would rescan per day.
   const auto valid = timeseries::rows_with_all_valid(trace, required);
   const auto last_day = static_cast<std::size_t>(
       timeseries::day_of(trace.grid()[trace.size() - 1]));

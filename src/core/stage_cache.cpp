@@ -1,8 +1,5 @@
 #include "auditherm/core/stage_cache.hpp"
 
-#include <bit>
-#include <cmath>
-#include <cstring>
 #include <utility>
 
 #include "auditherm/core/parallel.hpp"
@@ -11,11 +8,6 @@
 namespace auditherm::core {
 
 namespace {
-
-constexpr std::uint64_t kFnvPrime = 0x100000001b3ull;
-
-/// All NaN payloads key identically: a gap is a gap.
-constexpr std::uint64_t kNanSentinel = 0x7ff8dead00000000ull;
 
 constexpr std::string_view kHitPrefix = "stage_cache.hit.";
 constexpr std::string_view kMissPrefix = "stage_cache.miss.";
@@ -32,51 +24,6 @@ std::string event_name(std::string_view prefix, std::string_view stage) {
 }
 
 }  // namespace
-
-void StageKeyHasher::add_bytes(const void* data, std::size_t size) noexcept {
-  const auto* bytes = static_cast<const unsigned char*>(data);
-  std::uint64_t h = state_;
-  for (std::size_t i = 0; i < size; ++i) {
-    h ^= bytes[i];
-    h *= kFnvPrime;
-  }
-  state_ = h;
-}
-
-void StageKeyHasher::add(std::uint64_t v) noexcept {
-  add_bytes(&v, sizeof(v));
-}
-
-void StageKeyHasher::add(double v) noexcept {
-  const std::uint64_t bits =
-      std::isnan(v) ? kNanSentinel : std::bit_cast<std::uint64_t>(v);
-  add(bits);
-}
-
-void StageKeyHasher::add(std::string_view s) noexcept {
-  add(static_cast<std::uint64_t>(s.size()));
-  add_bytes(s.data(), s.size());
-}
-
-void StageKeyHasher::add(const std::vector<bool>& mask) noexcept {
-  add(static_cast<std::uint64_t>(mask.size()));
-  std::uint64_t word = 0;
-  std::size_t filled = 0;
-  for (bool b : mask) {
-    word = (word << 1) | (b ? 1u : 0u);
-    if (++filled == 64) {
-      add(word);
-      word = 0;
-      filled = 0;
-    }
-  }
-  if (filled > 0) add(word);
-}
-
-void StageKeyHasher::add(const std::vector<int>& v) noexcept {
-  add(static_cast<std::uint64_t>(v.size()));
-  for (int x : v) add(static_cast<std::uint64_t>(static_cast<std::int64_t>(x)));
-}
 
 std::uint64_t trace_fingerprint(const timeseries::TraceView& trace) {
   StageKeyHasher h;

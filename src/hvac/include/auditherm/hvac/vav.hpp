@@ -49,13 +49,6 @@ class VavBox {
   /// Throws std::invalid_argument when dt <= 0.
   VavOutput step(double dt_s);
 
-  /// Heat delivered to the room this step (W), negative when cooling:
-  /// rho * cp * flow * (supply - room).
-  [[nodiscard]] double thermal_power_w(double room_temp_c) const noexcept;
-
-  /// Reset the damper to the off-mode minimum instantly.
-  void reset() noexcept;
-
  private:
   VavConfig config_;
   double flow_ = 0.0;

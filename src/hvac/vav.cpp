@@ -28,14 +28,4 @@ VavOutput VavBox::step(double dt_s) {
   return {flow_, config_.supply_temp_c};
 }
 
-double VavBox::thermal_power_w(double room_temp_c) const noexcept {
-  return kAirVolumetricHeatCapacity * flow_ *
-         (config_.supply_temp_c - room_temp_c);
-}
-
-void VavBox::reset() noexcept {
-  flow_ = config_.min_flow_m3_s;
-  command_ = config_.min_flow_m3_s;
-}
-
 }  // namespace auditherm::hvac

@@ -113,24 +113,6 @@ Matrix QrDecomposition::qt_times(const Matrix& b) const {
   return qtb;
 }
 
-Matrix QrDecomposition::thin_q() const {
-  Matrix q(m_, n_);
-  for (std::size_t col = n_; col-- > 0;) {
-    Vector e(m_, 0.0);
-    e[col] = 1.0;
-    // q_col = H_0 H_1 ... H_{n-1} e_col applied in reverse order.
-    for (std::size_t k = n_; k-- > 0;) {
-      if (qr_(k, k) == 0.0) continue;
-      double s = 0.0;
-      for (std::size_t i = k; i < m_; ++i) s += qr_(i, k) * e[i];
-      s = -s / qr_(k, k);
-      for (std::size_t i = k; i < m_; ++i) e[i] += s * qr_(i, k);
-    }
-    q.set_col(col, e);
-  }
-  return q;
-}
-
 // ---------------------------------------------------------------------------
 // UpdatableQr
 // ---------------------------------------------------------------------------
@@ -248,13 +230,6 @@ void UpdatableQr::append(const double* a_row, const double* b_row) {
   ++rows_;
 }
 
-void UpdatableQr::append(const Vector& a_row, const Vector& b_row) {
-  if (a_row.size() != n_ || b_row.size() != k_) {
-    throw std::invalid_argument("UpdatableQr::append: row size mismatch");
-  }
-  append(a_row.data(), b_row.data());
-}
-
 bool UpdatableQr::downdate(const double* a_row, const double* b_row) {
   static const obs::MetricId kDowndateCalls =
       obs::counter_id("linalg.qr_downdate_calls");
@@ -300,13 +275,6 @@ bool UpdatableQr::downdate(const double* a_row, const double* b_row) {
   gram_trace_ = std::max(0.0, gram_trace_ - row_ss);
   --rows_;
   return true;
-}
-
-bool UpdatableQr::downdate(const Vector& a_row, const Vector& b_row) {
-  if (a_row.size() != n_ || b_row.size() != k_) {
-    throw std::invalid_argument("UpdatableQr::downdate: row size mismatch");
-  }
-  return downdate(a_row.data(), b_row.data());
 }
 
 Matrix UpdatableQr::solve() const {
@@ -396,12 +364,6 @@ Matrix CholeskyDecomposition::solve(const Matrix& b) const {
   Matrix x(l_.rows(), b.cols());
   for (std::size_t j = 0; j < b.cols(); ++j) x.set_col(j, solve(b.col_vector(j)));
   return x;
-}
-
-double CholeskyDecomposition::log_determinant() const noexcept {
-  double s = 0.0;
-  for (std::size_t i = 0; i < l_.rows(); ++i) s += std::log(l_(i, i));
-  return 2.0 * s;
 }
 
 // ---------------------------------------------------------------------------
@@ -804,105 +766,6 @@ TridiagonalEigen tridiagonal_smallest(const Vector& d, const Vector& e,
 }
 
 }  // namespace detail
-
-SymmetricEigen eigen_symmetric(const Matrix& a, std::size_t max_sweeps) {
-  if (a.rows() != a.cols()) {
-    throw std::invalid_argument("eigen_symmetric: matrix not square");
-  }
-  obs::TraceSpan eigen_span("linalg.eigen_symmetric");
-  const std::size_t n = a.rows();
-  if (n <= 1) return trivial_eigen(a);
-  Matrix s = symmetrized(a);
-  Matrix v = Matrix::identity(n);
-
-  const double scale = std::max(s.max_abs(), 1e-300);
-  // Row grains: the off-norm is an ordered reduction over row chunks (chunk
-  // boundaries depend only on n, so the grouping — and hence the float
-  // result — is identical at any thread count); the rotations update each
-  // row/column element independently. Both stay serial below a few
-  // thousand rows, where pool latency would dwarf the O(n) work.
-  const std::size_t row_grain = core::grain_for_cost(n);
-  const std::size_t rot_grain = core::grain_for_cost(6);
-  std::size_t sweeps_done = 0;
-  bool converged = false;
-  // max_sweeps rotation sweeps at most, with a convergence check before
-  // each and one after the last — so a matrix that converges exactly on
-  // the final allowed sweep succeeds instead of throwing.
-  for (std::size_t sweep = 0; sweep <= max_sweeps; ++sweep) {
-    const double off = core::parallel_reduce(
-        std::size_t{0}, n, row_grain, 0.0,
-        [&](std::size_t lo, std::size_t hi) {
-          double local = 0.0;
-          for (std::size_t i = lo; i < hi; ++i)
-            for (std::size_t j = i + 1; j < n; ++j) local += s(i, j) * s(i, j);
-          return local;
-        },
-        [](double acc, double part) { return acc + part; });
-    if (std::sqrt(off) <= 1e-14 * scale * static_cast<double>(n)) {
-      converged = true;
-      break;
-    }
-    if (sweep == max_sweeps) break;  // budget spent, off-norm still large
-    for (std::size_t p = 0; p < n - 1; ++p) {
-      for (std::size_t q = p + 1; q < n; ++q) {
-        const double apq = s(p, q);
-        if (std::abs(apq) <= 1e-300) continue;
-        const double theta = (s(q, q) - s(p, p)) / (2.0 * apq);
-        const double t = (theta >= 0.0 ? 1.0 : -1.0) /
-                         (std::abs(theta) + std::sqrt(theta * theta + 1.0));
-        const double c = 1.0 / std::sqrt(t * t + 1.0);
-        const double sn = t * c;
-        // Rotate rows/cols p and q of S; each k is independent.
-        core::parallel_for(0, n, rot_grain, [&](std::size_t k) {
-          const double skp = s(k, p);
-          const double skq = s(k, q);
-          s(k, p) = c * skp - sn * skq;
-          s(k, q) = sn * skp + c * skq;
-        });
-        core::parallel_for(0, n, rot_grain, [&](std::size_t k) {
-          const double spk = s(p, k);
-          const double sqk = s(q, k);
-          s(p, k) = c * spk - sn * sqk;
-          s(q, k) = sn * spk + c * sqk;
-        });
-        core::parallel_for(0, n, rot_grain, [&](std::size_t k) {
-          const double vkp = v(k, p);
-          const double vkq = v(k, q);
-          v(k, p) = c * vkp - sn * vkq;
-          v(k, q) = sn * vkp + c * vkq;
-        });
-      }
-    }
-    ++sweeps_done;
-  }
-  if (!converged) {
-    throw std::domain_error("eigen_symmetric: Jacobi did not converge");
-  }
-  // Convergence behavior per call, visible in --metrics-out output; the
-  // counts are thread-count independent because the reduction grouping is.
-  static const obs::MetricId kJacobiSweeps =
-      obs::counter_id("linalg.jacobi_sweeps");
-  static const obs::MetricId kEigenCalls =
-      obs::counter_id("linalg.eigen_calls");
-  obs::add_counter(kEigenCalls);
-  obs::add_counter(kJacobiSweeps, sweeps_done);
-
-  // Sort eigenpairs ascending.
-  std::vector<std::size_t> order(n);
-  std::iota(order.begin(), order.end(), std::size_t{0});
-  std::sort(order.begin(), order.end(),
-            [&](std::size_t i, std::size_t j) { return s(i, i) < s(j, j); });
-
-  SymmetricEigen out;
-  out.eigenvalues.resize(n);
-  out.eigenvectors = Matrix(n, n);
-  for (std::size_t j = 0; j < n; ++j) {
-    out.eigenvalues[j] = s(order[j], order[j]);
-    out.eigenvectors.set_col(j, v.col_vector(order[j]));
-  }
-  pin_column_signs(out.eigenvectors);
-  return out;
-}
 
 SymmetricEigen eigen_symmetric_tridiagonal(const Matrix& a) {
   if (a.rows() != a.cols()) {

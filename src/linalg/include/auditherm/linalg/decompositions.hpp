@@ -35,9 +35,6 @@ class QrDecomposition {
   /// The n x n upper-triangular factor R.
   [[nodiscard]] Matrix r() const;
 
-  /// The m x n thin orthonormal factor Q.
-  [[nodiscard]] Matrix thin_q() const;
-
   /// True when some |R_ii| is below `tol * max_j |R_jj|`.
   [[nodiscard]] bool rank_deficient(double tol = 1e-12) const noexcept;
 
@@ -107,14 +104,12 @@ class UpdatableQr {
   /// Fold one observation row into the factorization: `a_row` has cols()
   /// entries, `b_row` rhs_cols(). O(n (n + k)).
   void append(const double* a_row, const double* b_row);
-  void append(const Vector& a_row, const Vector& b_row);
 
   /// Remove a previously appended row. Returns false — leaving the
   /// factorization untouched — when the downdate would be numerically
   /// unsafe (see kDowndateGuard) or no rows remain; the caller must then
   /// refactorize from the surviving rows.
   [[nodiscard]] bool downdate(const double* a_row, const double* b_row);
-  [[nodiscard]] bool downdate(const Vector& a_row, const Vector& b_row);
 
   /// Least-squares solution X = R^{-1} U (n x k). Requires rows() >=
   /// cols(); throws std::domain_error when R is numerically
@@ -130,9 +125,6 @@ class UpdatableQr {
 
   /// The current R factor (n x n upper triangular, R_ii >= 0).
   [[nodiscard]] const Matrix& r() const noexcept { return r_; }
-
-  /// The rotated right-hand side U = Q^T B (n x k).
-  [[nodiscard]] const Matrix& qtb() const noexcept { return u_; }
 
   /// Residual sum of squares per right-hand-side column, maintained
   /// incrementally (appends add, downdates subtract, clamped at zero).
@@ -180,9 +172,6 @@ class CholeskyDecomposition {
   /// Lower-triangular factor L.
   [[nodiscard]] const Matrix& l() const noexcept { return l_; }
 
-  /// log(det A) via 2 * sum(log L_ii); useful for GP marginal likelihoods.
-  [[nodiscard]] double log_determinant() const noexcept;
-
  private:
   Matrix l_;
 };
@@ -210,25 +199,13 @@ struct SymmetricEigen {
 /// 105-185 ms (4-vCPU host).
 inline constexpr std::size_t kEigenSparseThreshold = 512;
 
-/// Compute all eigenpairs of symmetric `a` by the cyclic Jacobi method.
-///
-/// Simple and robust but O(n^3) per sweep: the reference oracle the other
-/// solvers are tested against, not a production path.
-/// `a` is symmetrized as (A + A^T)/2 first, so tiny asymmetries from
-/// accumulated roundoff are tolerated. Throws std::invalid_argument when
-/// `a` is not square. Performs up to `max_sweeps` rotation sweeps and
-/// throws std::domain_error when the off-diagonal norm still exceeds the
-/// tolerance afterwards (the default budget is generous).
-[[nodiscard]] SymmetricEigen eigen_symmetric(const Matrix& a,
-                                             std::size_t max_sweeps = 100);
-
 /// Compute all eigenpairs of symmetric `a` via Householder
 /// tridiagonalization followed by the implicit-shift QL iteration.
 ///
-/// Same contract and output conventions as eigen_symmetric() but roughly
-/// an order of magnitude faster at a few hundred rows. Throws
-/// std::invalid_argument when `a` is not square, std::domain_error when QL
-/// fails to converge (pathological input).
+/// `a` is symmetrized as (A + A^T)/2 first, so tiny asymmetries from
+/// accumulated roundoff are tolerated. Throws std::invalid_argument when
+/// `a` is not square, std::domain_error when QL fails to converge
+/// (pathological input).
 [[nodiscard]] SymmetricEigen eigen_symmetric_tridiagonal(const Matrix& a);
 
 /// Compute only the `m` smallest eigenpairs of symmetric `a`.
@@ -238,7 +215,7 @@ inline constexpr std::size_t kEigenSparseThreshold = 512;
 /// tridiagonal eigenvectors (with within-cluster reorthogonalization for
 /// repeated eigenvalues, e.g. a disconnected Laplacian's zero modes), and
 /// a back-transform through the stored reflectors. O(n^2 (n/3 + m)) work
-/// instead of Jacobi's O(n^3) per sweep — this is the solver behind
+/// instead of the full spectrum's O(n^3) — this is the solver behind
 /// spectral clustering at scale, which only ever needs the k+1 smallest
 /// pairs. Throws std::invalid_argument when `a` is not square, m == 0, or
 /// m > n (a partial-spectrum request must fit the matrix; silently

@@ -40,8 +40,4 @@ struct LeastSquaresOptions {
 [[nodiscard]] Vector solve_least_squares(const Matrix& a, const Vector& b,
                                          const LeastSquaresOptions& opts = {});
 
-/// Residual norm ||A x - b||_2; useful for optimality checks in tests.
-[[nodiscard]] double residual_norm(const Matrix& a, const Vector& x,
-                                   const Vector& b);
-
 }  // namespace auditherm::linalg

@@ -10,7 +10,6 @@
 
 #include <cstddef>
 #include <initializer_list>
-#include <iosfwd>
 #include <vector>
 
 namespace auditherm::linalg {
@@ -21,8 +20,8 @@ using Vector = std::vector<double>;
 /// Dense row-major matrix with value semantics.
 ///
 /// Invariants: `data().size() == rows() * cols()`; both dimensions may be
-/// zero (an empty matrix). Element access is bounds-checked in `at()` and
-/// unchecked in `operator()`.
+/// zero (an empty matrix). Element access through `operator()` is
+/// unchecked.
 class Matrix {
  public:
   /// Empty 0x0 matrix.
@@ -38,14 +37,8 @@ class Matrix {
   /// k x k identity matrix.
   [[nodiscard]] static Matrix identity(std::size_t k);
 
-  /// Diagonal matrix from a vector.
-  [[nodiscard]] static Matrix diagonal(const Vector& d);
-
   /// Matrix with a single column equal to `v`.
   [[nodiscard]] static Matrix column(const Vector& v);
-
-  /// Matrix with a single row equal to `v`.
-  [[nodiscard]] static Matrix row(const Vector& v);
 
   [[nodiscard]] std::size_t rows() const noexcept { return rows_; }
   [[nodiscard]] std::size_t cols() const noexcept { return cols_; }
@@ -58,10 +51,6 @@ class Matrix {
   [[nodiscard]] double operator()(std::size_t i, std::size_t j) const noexcept {
     return data_[i * cols_ + j];
   }
-
-  /// Bounds-checked element access; throws std::out_of_range.
-  [[nodiscard]] double& at(std::size_t i, std::size_t j);
-  [[nodiscard]] double at(std::size_t i, std::size_t j) const;
 
   /// Raw row-major storage.
   [[nodiscard]] const std::vector<double>& data() const noexcept { return data_; }
@@ -82,20 +71,9 @@ class Matrix {
   /// Transposed copy.
   [[nodiscard]] Matrix transposed() const;
 
-  /// Submatrix copy: rows [r0, r0+nr), cols [c0, c0+nc).
-  /// Throws std::out_of_range if the block exceeds the matrix.
-  [[nodiscard]] Matrix block(std::size_t r0, std::size_t c0, std::size_t nr,
-                             std::size_t nc) const;
-
   /// Write `b` into this matrix starting at (r0, c0).
   /// Throws std::out_of_range if the block does not fit.
   void set_block(std::size_t r0, std::size_t c0, const Matrix& b);
-
-  /// Frobenius norm sqrt(sum of squares).
-  [[nodiscard]] double frobenius_norm() const noexcept;
-
-  /// Largest absolute element (0 for empty matrices).
-  [[nodiscard]] double max_abs() const noexcept;
 
   Matrix& operator+=(const Matrix& rhs);
   Matrix& operator-=(const Matrix& rhs);
@@ -122,15 +100,6 @@ class Matrix {
 
 /// a^T * b without forming the transpose.
 [[nodiscard]] Matrix gram(const Matrix& a, const Matrix& b);
-
-/// a * b^T without forming the transpose.
-[[nodiscard]] Matrix outer_product(const Matrix& a, const Matrix& b);
-
-/// True when every |a_ij - b_ij| <= tol and shapes match.
-[[nodiscard]] bool approx_equal(const Matrix& a, const Matrix& b, double tol);
-
-/// Stream a matrix in a compact human-readable grid (for diagnostics).
-std::ostream& operator<<(std::ostream& os, const Matrix& m);
 
 /// ADL hook for the stage cache's byte accounting (core/stage_cache.hpp):
 /// object header plus the heap storage behind data().

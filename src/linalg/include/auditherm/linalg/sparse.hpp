@@ -31,8 +31,7 @@ namespace auditherm::linalg {
 /// non-decreasing with `row_ptr().front() == 0` and `row_ptr().back() ==
 /// nnz()`; within each row column indices are non-decreasing and < cols().
 /// Duplicate column entries are permitted (they act additively, as when
-/// the matrix is assembled from triplets); `from_dense()` never produces
-/// them.
+/// the matrix is assembled from triplets).
 class CsrMatrix {
  public:
   /// Empty 0 x 0 matrix.
@@ -44,16 +43,6 @@ class CsrMatrix {
   CsrMatrix(std::size_t rows, std::size_t cols,
             std::vector<std::size_t> row_ptr, std::vector<std::size_t> col_idx,
             std::vector<double> values);
-
-  /// Compress a dense matrix: entries with |a_ij| <= drop_tol are dropped
-  /// (0.0 keeps every nonzero, including negative zeros' positive twin —
-  /// exact zeros are always dropped). Round-tripping through to_dense()
-  /// reproduces the input bitwise when drop_tol == 0.
-  [[nodiscard]] static CsrMatrix from_dense(const Matrix& a,
-                                            double drop_tol = 0.0);
-
-  /// Expand back to dense storage; duplicate column entries accumulate.
-  [[nodiscard]] Matrix to_dense() const;
 
   [[nodiscard]] std::size_t rows() const noexcept { return rows_; }
   [[nodiscard]] std::size_t cols() const noexcept { return cols_; }
@@ -85,9 +74,6 @@ class CsrMatrix {
   std::vector<std::size_t> col_idx_;
   std::vector<double> values_;
 };
-
-/// Sparse matrix-vector product (same contract as CsrMatrix::multiply).
-[[nodiscard]] Vector operator*(const CsrMatrix& a, const Vector& x);
 
 /// Compute the `m` smallest eigenpairs of the symmetric sparse matrix `a`
 /// by a Lanczos iteration with full reorthogonalization.

@@ -1,9 +1,8 @@
 #pragma once
 
 /// \file stats.hpp
-/// Scalar statistics kernels: means, RMS, percentiles, empirical CDFs and
-/// Pearson correlation. These back every error metric the paper reports
-/// (90th/99th percentile RMS, CDFs of per-sensor error, correlation maps).
+/// Percentiles and empirical CDFs: the kernels behind every error metric
+/// the paper reports (90th/99th percentile RMS, CDFs of per-sensor error).
 
 #include <cstddef>
 #include <vector>
@@ -12,31 +11,11 @@
 
 namespace auditherm::linalg {
 
-/// Arithmetic mean; throws std::invalid_argument on empty input.
-[[nodiscard]] double mean(const Vector& x);
-
-/// Unbiased sample variance (n-1 denominator); requires size >= 2.
-[[nodiscard]] double variance(const Vector& x);
-
-/// Sample standard deviation; requires size >= 2.
-[[nodiscard]] double stddev(const Vector& x);
-
-/// Root mean square sqrt(mean(x_i^2)); throws on empty input.
-[[nodiscard]] double rms(const Vector& x);
-
 /// Percentile in [0, 100] with linear interpolation between order
 /// statistics (the convention MATLAB's prctile uses, matching the paper's
 /// 90th/99th-percentile error metrics). Throws std::invalid_argument on
 /// empty input or p outside [0, 100].
 [[nodiscard]] double percentile(Vector x, double p);
-
-/// Pearson correlation coefficient; throws std::invalid_argument on size
-/// mismatch or size < 2. Returns 0 when either series is constant (the
-/// coefficient is undefined; 0 is the conservative "no association" value).
-[[nodiscard]] double pearson_correlation(const Vector& x, const Vector& y);
-
-/// Sample covariance (n-1 denominator); same preconditions as correlation.
-[[nodiscard]] double covariance(const Vector& x, const Vector& y);
 
 /// A point on an empirical CDF.
 struct CdfPoint {

@@ -13,25 +13,10 @@ namespace auditherm::linalg {
 /// Euclidean (L2) norm.
 [[nodiscard]] double norm2(const Vector& a) noexcept;
 
-/// L-infinity norm (max |a_i|), 0 for the empty vector.
-[[nodiscard]] double norm_inf(const Vector& a) noexcept;
-
 /// y += alpha * x; throws std::invalid_argument on size mismatch.
 void axpy(double alpha, const Vector& x, Vector& y);
 
-/// Elementwise a + b.
-[[nodiscard]] Vector add(const Vector& a, const Vector& b);
-
 /// Elementwise a - b.
 [[nodiscard]] Vector subtract(const Vector& a, const Vector& b);
-
-/// alpha * a.
-[[nodiscard]] Vector scale(double alpha, Vector a) noexcept;
-
-/// Concatenate a and b.
-[[nodiscard]] Vector concat(const Vector& a, const Vector& b);
-
-/// Euclidean distance ||a - b||.
-[[nodiscard]] double distance(const Vector& a, const Vector& b);
 
 }  // namespace auditherm::linalg

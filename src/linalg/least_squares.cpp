@@ -3,7 +3,6 @@
 #include <stdexcept>
 
 #include "auditherm/linalg/decompositions.hpp"
-#include "auditherm/linalg/vector_ops.hpp"
 #include "auditherm/obs/trace_span.hpp"
 
 namespace auditherm::linalg {
@@ -42,10 +41,6 @@ Matrix solve_least_squares(const Matrix& a, const Matrix& b,
 Vector solve_least_squares(const Matrix& a, const Vector& b,
                            const LeastSquaresOptions& opts) {
   return solve_least_squares(a, Matrix::column(b), opts).col_vector(0);
-}
-
-double residual_norm(const Matrix& a, const Vector& x, const Vector& b) {
-  return norm2(subtract(a * x, b));
 }
 
 }  // namespace auditherm::linalg

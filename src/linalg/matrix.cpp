@@ -1,8 +1,6 @@
 #include "auditherm/linalg/matrix.hpp"
 
 #include <algorithm>
-#include <cmath>
-#include <ostream>
 #include <stdexcept>
 
 #include "auditherm/core/parallel.hpp"
@@ -43,32 +41,10 @@ Matrix Matrix::identity(std::size_t k) {
   return m;
 }
 
-Matrix Matrix::diagonal(const Vector& d) {
-  Matrix m(d.size(), d.size());
-  for (std::size_t i = 0; i < d.size(); ++i) m(i, i) = d[i];
-  return m;
-}
-
 Matrix Matrix::column(const Vector& v) {
   Matrix m(v.size(), 1);
   for (std::size_t i = 0; i < v.size(); ++i) m(i, 0) = v[i];
   return m;
-}
-
-Matrix Matrix::row(const Vector& v) {
-  Matrix m(1, v.size());
-  for (std::size_t j = 0; j < v.size(); ++j) m(0, j) = v[j];
-  return m;
-}
-
-double& Matrix::at(std::size_t i, std::size_t j) {
-  if (i >= rows_ || j >= cols_) throw std::out_of_range("Matrix::at");
-  return (*this)(i, j);
-}
-
-double Matrix::at(std::size_t i, std::size_t j) const {
-  if (i >= rows_ || j >= cols_) throw std::out_of_range("Matrix::at");
-  return (*this)(i, j);
 }
 
 Vector Matrix::row_vector(std::size_t i) const {
@@ -112,19 +88,6 @@ Matrix Matrix::transposed() const {
   return t;
 }
 
-Matrix Matrix::block(std::size_t r0, std::size_t c0, std::size_t nr,
-                     std::size_t nc) const {
-  if (r0 + nr > rows_ || c0 + nc > cols_)
-    throw std::out_of_range("Matrix::block");
-  Matrix b(nr, nc);
-  for (std::size_t i = 0; i < nr; ++i) {
-    const double* src = data_.data() + (r0 + i) * cols_ + c0;
-    std::copy(src, src + nc,
-              b.data_.begin() + static_cast<std::ptrdiff_t>(i * nc));
-  }
-  return b;
-}
-
 void Matrix::set_block(std::size_t r0, std::size_t c0, const Matrix& b) {
   if (r0 + b.rows() > rows_ || c0 + b.cols() > cols_)
     throw std::out_of_range("Matrix::set_block");
@@ -134,18 +97,6 @@ void Matrix::set_block(std::size_t r0, std::size_t c0, const Matrix& b) {
               data_.begin() +
                   static_cast<std::ptrdiff_t>((r0 + i) * cols_ + c0));
   }
-}
-
-double Matrix::frobenius_norm() const noexcept {
-  double s = 0.0;
-  for (double x : data_) s += x * x;
-  return std::sqrt(s);
-}
-
-double Matrix::max_abs() const noexcept {
-  double m = 0.0;
-  for (double x : data_) m = std::max(m, std::abs(x));
-  return m;
 }
 
 Matrix& Matrix::operator+=(const Matrix& rhs) {
@@ -267,55 +218,6 @@ Matrix gram(const Matrix& a, const Matrix& b) {
         }
       });
   return c;
-}
-
-Matrix outer_product(const Matrix& a, const Matrix& b) {
-  if (a.cols() != b.cols())
-    throw std::invalid_argument("outer_product: column count mismatch");
-  Matrix c(a.rows(), b.rows());
-  // Blocked over (j, k) tiles so b's rows are revisited while hot. The
-  // running sum for each c(i,j) is carried in the output element across
-  // k tiles and extended term by term in ascending k — the identical
-  // fold ((0 + t0) + t1) + ... the naive per-element dot produced, never
-  // a per-tile partial that would reassociate the sum.
-  core::parallel_for_chunks(
-      0, a.rows(), core::grain_for_cost(a.cols() * b.rows()),
-      [&](std::size_t lo, std::size_t hi) {
-        for (std::size_t kb = 0; kb < a.cols(); kb += kDenseBlock) {
-          const std::size_t kend = std::min(kb + kDenseBlock, a.cols());
-          for (std::size_t jb = 0; jb < b.rows(); jb += kDenseBlock) {
-            const std::size_t jend = std::min(jb + kDenseBlock, b.rows());
-            for (std::size_t i = lo; i < hi; ++i) {
-              for (std::size_t j = jb; j < jend; ++j) {
-                double acc = c(i, j);
-                for (std::size_t k = kb; k < kend; ++k)
-                  acc += a(i, k) * b(j, k);
-                c(i, j) = acc;
-              }
-            }
-          }
-        }
-      });
-  return c;
-}
-
-bool approx_equal(const Matrix& a, const Matrix& b, double tol) {
-  if (a.rows() != b.rows() || a.cols() != b.cols()) return false;
-  for (std::size_t i = 0; i < a.rows(); ++i)
-    for (std::size_t j = 0; j < a.cols(); ++j)
-      if (std::abs(a(i, j) - b(i, j)) > tol) return false;
-  return true;
-}
-
-std::ostream& operator<<(std::ostream& os, const Matrix& m) {
-  os << "[" << m.rows() << "x" << m.cols() << "]\n";
-  for (std::size_t i = 0; i < m.rows(); ++i) {
-    for (std::size_t j = 0; j < m.cols(); ++j) {
-      os << (j == 0 ? "" : " ") << m(i, j);
-    }
-    os << '\n';
-  }
-  return os;
 }
 
 }  // namespace auditherm::linalg

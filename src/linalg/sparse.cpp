@@ -9,6 +9,7 @@
 #include <utility>
 
 #include "auditherm/core/parallel.hpp"
+#include "auditherm/linalg/vector_ops.hpp"
 #include "auditherm/obs/trace_span.hpp"
 
 namespace auditherm::linalg {
@@ -54,33 +55,6 @@ CsrMatrix::CsrMatrix(std::size_t rows, std::size_t cols,
   }
 }
 
-CsrMatrix CsrMatrix::from_dense(const Matrix& a, double drop_tol) {
-  CsrMatrix out;
-  out.rows_ = a.rows();
-  out.cols_ = a.cols();
-  out.row_ptr_.assign(out.rows_ + 1, 0);
-  for (std::size_t i = 0; i < a.rows(); ++i) {
-    for (std::size_t j = 0; j < a.cols(); ++j) {
-      const double v = a(i, j);
-      if (v == 0.0 || std::abs(v) <= drop_tol) continue;
-      out.col_idx_.push_back(j);
-      out.values_.push_back(v);
-    }
-    out.row_ptr_[i + 1] = out.values_.size();
-  }
-  return out;
-}
-
-Matrix CsrMatrix::to_dense() const {
-  Matrix out(rows_, cols_);
-  for (std::size_t i = 0; i < rows_; ++i) {
-    for (std::size_t p = row_ptr_[i]; p < row_ptr_[i + 1]; ++p) {
-      out(i, col_idx_[p]) += values_[p];
-    }
-  }
-  return out;
-}
-
 Vector CsrMatrix::multiply(const Vector& x) const {
   if (x.size() != cols_) {
     throw std::invalid_argument("CsrMatrix::multiply: vector length " +
@@ -106,21 +80,11 @@ Vector CsrMatrix::multiply(const Vector& x) const {
   return y;
 }
 
-Vector operator*(const CsrMatrix& a, const Vector& x) { return a.multiply(x); }
-
 // ---------------------------------------------------------------------------
 // Lanczos partial eigensolver
 // ---------------------------------------------------------------------------
 
 namespace {
-
-double dot(const Vector& a, const Vector& b) {
-  double s = 0.0;
-  for (std::size_t i = 0; i < a.size(); ++i) s += a[i] * b[i];
-  return s;
-}
-
-double norm(const Vector& a) { return std::sqrt(dot(a, a)); }
 
 /// Two classical Gram-Schmidt passes of `w` against every vector in
 /// `locked` then `basis`, in index order — serial and deterministic. Two
@@ -156,7 +120,7 @@ Vector fresh_start_vector(std::size_t n, std::uint64_t salt,
              0.5;
     }
     reorthogonalize(v, locked, basis);
-    const double nv = norm(v);
+    const double nv = norm2(v);
     if (nv > 1e-6) {
       for (double& vi : v) vi /= nv;
       return v;
@@ -227,7 +191,7 @@ RitzPair lanczos_smallest_deflated(const CsrMatrix& a,
     alpha.push_back(al);
     obs::add_counter(lanczos_metrics().iterations);
     reorthogonalize(w, locked, basis);
-    const double b = norm(w);
+    const double b = norm2(w);
     const std::size_t j = basis.size();
     // NaN/Inf in A poisons the very first coefficient; without this check
     // a pass would run to its full budget on garbage before failing.
@@ -255,7 +219,7 @@ RitzPair lanczos_smallest_deflated(const CsrMatrix& a,
         // Deflation leakage guard: re-project off the locked space and
         // renormalize before the pair is locked itself.
         reorthogonalize(x, locked, {});
-        const double nx = norm(x);
+        const double nx = norm2(x);
         if (nx > 0.0) {
           for (double& xi : x) xi /= nx;
         }

@@ -1,34 +1,9 @@
 #include "auditherm/linalg/stats.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <stdexcept>
 
 namespace auditherm::linalg {
-
-double mean(const Vector& x) {
-  if (x.empty()) throw std::invalid_argument("mean: empty input");
-  double s = 0.0;
-  for (double v : x) s += v;
-  return s / static_cast<double>(x.size());
-}
-
-double variance(const Vector& x) {
-  if (x.size() < 2) throw std::invalid_argument("variance: need >= 2 samples");
-  const double m = mean(x);
-  double s = 0.0;
-  for (double v : x) s += (v - m) * (v - m);
-  return s / static_cast<double>(x.size() - 1);
-}
-
-double stddev(const Vector& x) { return std::sqrt(variance(x)); }
-
-double rms(const Vector& x) {
-  if (x.empty()) throw std::invalid_argument("rms: empty input");
-  double s = 0.0;
-  for (double v : x) s += v * v;
-  return std::sqrt(s / static_cast<double>(x.size()));
-}
 
 double percentile(Vector x, double p) {
   if (x.empty()) throw std::invalid_argument("percentile: empty input");
@@ -42,26 +17,6 @@ double percentile(Vector x, double p) {
   if (lo + 1 >= x.size()) return x.back();
   const double frac = rank - static_cast<double>(lo);
   return x[lo] + frac * (x[lo + 1] - x[lo]);
-}
-
-double covariance(const Vector& x, const Vector& y) {
-  if (x.size() != y.size()) {
-    throw std::invalid_argument("covariance: size mismatch");
-  }
-  if (x.size() < 2) throw std::invalid_argument("covariance: need >= 2");
-  const double mx = mean(x);
-  const double my = mean(y);
-  double s = 0.0;
-  for (std::size_t i = 0; i < x.size(); ++i) s += (x[i] - mx) * (y[i] - my);
-  return s / static_cast<double>(x.size() - 1);
-}
-
-double pearson_correlation(const Vector& x, const Vector& y) {
-  const double c = covariance(x, y);
-  const double sx = stddev(x);
-  const double sy = stddev(y);
-  if (sx == 0.0 || sy == 0.0) return 0.0;
-  return c / (sx * sy);
 }
 
 std::vector<CdfPoint> empirical_cdf(Vector x) {

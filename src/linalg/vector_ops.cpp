@@ -18,22 +18,9 @@ double norm2(const Vector& a) noexcept {
   return std::sqrt(s);
 }
 
-double norm_inf(const Vector& a) noexcept {
-  double m = 0.0;
-  for (double x : a) m = std::max(m, std::abs(x));
-  return m;
-}
-
 void axpy(double alpha, const Vector& x, Vector& y) {
   if (x.size() != y.size()) throw std::invalid_argument("axpy: size mismatch");
   for (std::size_t i = 0; i < x.size(); ++i) y[i] += alpha * x[i];
-}
-
-Vector add(const Vector& a, const Vector& b) {
-  if (a.size() != b.size()) throw std::invalid_argument("add: size mismatch");
-  Vector c(a.size());
-  for (std::size_t i = 0; i < a.size(); ++i) c[i] = a[i] + b[i];
-  return c;
 }
 
 Vector subtract(const Vector& a, const Vector& b) {
@@ -42,30 +29,6 @@ Vector subtract(const Vector& a, const Vector& b) {
   Vector c(a.size());
   for (std::size_t i = 0; i < a.size(); ++i) c[i] = a[i] - b[i];
   return c;
-}
-
-Vector scale(double alpha, Vector a) noexcept {
-  for (double& x : a) x *= alpha;
-  return a;
-}
-
-Vector concat(const Vector& a, const Vector& b) {
-  Vector c;
-  c.reserve(a.size() + b.size());
-  c.insert(c.end(), a.begin(), a.end());
-  c.insert(c.end(), b.begin(), b.end());
-  return c;
-}
-
-double distance(const Vector& a, const Vector& b) {
-  if (a.size() != b.size())
-    throw std::invalid_argument("distance: size mismatch");
-  double s = 0.0;
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    const double d = a[i] - b[i];
-    s += d * d;
-  }
-  return std::sqrt(s);
 }
 
 }  // namespace auditherm::linalg

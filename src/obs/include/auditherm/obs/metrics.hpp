@@ -149,7 +149,6 @@ class MetricsRegistry {
 
   void add_counter(std::string_view name, std::uint64_t delta = 1);
   void set_gauge(std::string_view name, double value);
-  void observe_histogram(std::string_view name, double value);
 
   /// Current value of a counter by name (0 when never recorded here).
   [[nodiscard]] std::uint64_t counter(std::string_view name) const;

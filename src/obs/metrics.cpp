@@ -184,10 +184,6 @@ void MetricsRegistry::set_gauge(std::string_view name, double value) {
   set(gauge_id(name), value);
 }
 
-void MetricsRegistry::observe_histogram(std::string_view name, double value) {
-  observe(histogram_id(name), value);
-}
-
 std::uint64_t MetricsRegistry::counter(std::string_view name) const {
   std::size_t index = 0;
   {

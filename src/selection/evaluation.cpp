@@ -23,14 +23,6 @@ double ClusterMeanErrors::percentile(double p) const {
   return linalg::percentile(std::move(all), p);
 }
 
-double ClusterMeanErrors::rms() const {
-  auto all = pooled();
-  if (all.empty()) {
-    throw std::runtime_error("ClusterMeanErrors::rms: no samples");
-  }
-  return linalg::rms(all);
-}
-
 ClusterMeanErrors evaluate_cluster_mean_prediction(
     const timeseries::TraceView& validation, const ClusterSets& clusters,
     const Selection& selection) {

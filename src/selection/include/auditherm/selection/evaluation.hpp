@@ -26,9 +26,6 @@ struct ClusterMeanErrors {
   /// Percentile of the pooled absolute error (the paper uses 99).
   /// Throws std::runtime_error when no samples exist.
   [[nodiscard]] double percentile(double p) const;
-
-  /// RMS of the pooled absolute error.
-  [[nodiscard]] double rms() const;
 };
 
 /// Evaluate a selection on validation data.

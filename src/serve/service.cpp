@@ -50,6 +50,16 @@ class Report {
   std::string text_;
 };
 
+/// Every floating-point value the analyze report prints passes through
+/// here, so a non-finite result (an overflowing sample poisons the fit)
+/// fails the op with a named error instead of printing "nan" or "inf".
+double finite(double v, const char* name) {
+  if (!std::isfinite(v)) {
+    throw std::runtime_error(std::string("analyze: non-finite ") + name);
+  }
+  return v;
+}
+
 long integer_field(const json::Value& v, const std::string& key) {
   if (!v.is_number() || v.number != std::floor(v.number)) {
     throw std::invalid_argument("analyze request: '" + key +
@@ -359,11 +369,13 @@ std::string AnalysisService::analyze(const AnalyzeRequest& request) {
                 config.order == sysid::ModelOrder::kFirst ? "first" : "second",
                 result.reduced_model.state_count());
   report.append("  spectral radius: %.4f\n",
-                result.reduced_model.spectral_radius_bound());
+                finite(result.reduced_model.spectral_radius_bound(),
+                       "spectral radius"));
   report.append("  validation pooled RMS (own sensors): %.3f degC\n",
-                result.reduced_eval.pooled_rms);
+                finite(result.reduced_eval.pooled_rms, "pooled RMS"));
   report.append("  cluster-mean 99th-pct error: %.3f degC\n",
-                result.cluster_mean_errors.percentile(99.0));
+                finite(result.cluster_mean_errors.percentile(99.0),
+                       "cluster-mean p99"));
 
   if (request.stream != 0) {
     if (request.stream < -1) {
@@ -400,14 +412,17 @@ std::string AnalysisService::analyze(const AnalyzeRequest& request) {
         streamed.stats.reanchors);
     if (streamed.has_model) {
       report.append("  final-window spectral radius: %.4f, AIC %.1f\n",
-                    streamed.model.spectral_radius_bound(), streamed.aic);
+                    finite(streamed.model.spectral_radius_bound(),
+                           "final-window spectral radius"),
+                    finite(streamed.aic, "AIC"));
     } else {
       report.append("  final window below the minimum transition count\n");
     }
     report.append("  drift events: %zu", streamed.drift_events.size());
     for (const auto& event : streamed.drift_events) {
       report.append("  [row %zu, %+.0f sigma]", event.row,
-                    event.direction * event.statistic);
+                    finite(event.direction * event.statistic,
+                           "drift statistic"));
     }
     report.append("\n");
   }
@@ -432,8 +447,10 @@ std::string AnalysisService::analyze(const AnalyzeRequest& request) {
       report.append("  %-22s seed %-3llu  pooled RMS %.3f  p99 %.3f\n",
                     strategy_name(cases[i].strategy),
                     static_cast<unsigned long long>(cases[i].seed),
-                    sweep[i].reduced_eval.pooled_rms,
-                    sweep[i].cluster_mean_errors.percentile(99.0));
+                    finite(sweep[i].reduced_eval.pooled_rms,
+                           "sweep pooled RMS"),
+                    finite(sweep[i].cluster_mean_errors.percentile(99.0),
+                           "sweep p99"));
     }
   }
   return report.take();

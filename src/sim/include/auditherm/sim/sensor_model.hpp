@@ -33,9 +33,6 @@ class SensorChannel {
   /// Last value reported to the base station (NaN before the first report).
   [[nodiscard]] double last_report() const noexcept { return last_report_; }
 
-  /// Forget the report state (e.g., after a dropout window).
-  void reset() noexcept;
-
  private:
   SensorNoiseConfig config_;
   double last_report_;

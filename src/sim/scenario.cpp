@@ -26,6 +26,9 @@ constexpr std::size_t kMaxSyntheticSensors = 288;
 /// are doubles, so bigger seeds are encoded as decimal strings.
 constexpr std::uint64_t kMaxExactJsonInteger = 1ull << 53;
 
+/// FNV-1a-64 of the exact CSV bytes. manifest.json and the README name
+/// this hash, so it stays FNV-1a even if the stage-cache key hash
+/// (core/stage_key.hpp) changes.
 std::uint64_t fnv1a(std::string_view bytes) noexcept {
   std::uint64_t h = 1469598103934665603ull;
   for (const unsigned char c : bytes) {

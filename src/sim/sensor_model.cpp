@@ -31,8 +31,4 @@ double SensorChannel::observe(double true_temp_c, std::mt19937_64& rng) {
   return last_report_;
 }
 
-void SensorChannel::reset() noexcept {
-  last_report_ = std::numeric_limits<double>::quiet_NaN();
-}
-
 }  // namespace auditherm::sim

@@ -34,30 +34,6 @@ double PredictionEvaluation::channel_rms_percentile(double p) const {
   return linalg::percentile(std::move(finite), p);
 }
 
-linalg::Vector PredictionEvaluation::channel_abs_percentile(double p) const {
-  linalg::Vector out(channels.size(), kNaN);
-  for (std::size_t c = 0; c < channels.size(); ++c) {
-    if (!channel_abs_errors[c].empty()) {
-      out[c] = linalg::percentile(channel_abs_errors[c], p);
-    }
-  }
-  return out;
-}
-
-std::vector<Segment> mode_windows(
-    const timeseries::TraceView& trace, const hvac::Schedule& schedule,
-    hvac::Mode mode, const std::vector<timeseries::ChannelId>& required,
-    std::size_t min_length) {
-  auto mask = schedule.mode_mask(trace.grid(), mode);
-  if (!required.empty()) {
-    const auto valid = timeseries::rows_with_all_valid(trace, required);
-    for (std::size_t k = 0; k < mask.size(); ++k) {
-      mask[k] = mask[k] && valid[k];
-    }
-  }
-  return timeseries::find_segments(mask, min_length);
-}
-
 std::optional<WindowPrediction> predict_window(
     const ThermalModel& model, const timeseries::TraceView& trace,
     const Segment& window, const EvaluationOptions& options) {

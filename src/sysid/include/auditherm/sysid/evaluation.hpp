@@ -46,10 +46,6 @@ struct PredictionEvaluation {
   /// Percentile over channels of the per-channel RMS (Table I's
   /// "RMS of prediction error at 90th percentile").
   [[nodiscard]] double channel_rms_percentile(double p) const;
-
-  /// Per-channel percentile of |error| (the paper's per-sensor error
-  /// ranges); NaN for channels without samples.
-  [[nodiscard]] linalg::Vector channel_abs_percentile(double p) const;
 };
 
 /// Evaluator configuration.
@@ -62,14 +58,6 @@ struct EvaluationOptions {
   /// How far into a window we may scan for a fully valid initial state.
   std::size_t max_start_scan = 12;
 };
-
-/// Enumerate evaluation windows: maximal runs of rows that are in the
-/// requested HVAC mode AND have every listed channel valid. The paper's
-/// daily occupied window (6:00-21:00) produces one run per clean day.
-[[nodiscard]] std::vector<timeseries::Segment> mode_windows(
-    const timeseries::TraceView& trace, const hvac::Schedule& schedule,
-    hvac::Mode mode, const std::vector<timeseries::ChannelId>& required,
-    std::size_t min_length = 2);
 
 /// Simulate the model over one window.
 ///

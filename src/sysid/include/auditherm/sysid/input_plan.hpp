@@ -87,15 +87,8 @@ struct InputSlot {
 struct InputPlan {
   std::vector<InputSlot> slots;
 
-  /// Plan reading every listed channel literally — the pre-plan behavior.
-  [[nodiscard]] static InputPlan ground_truth(
-      const std::vector<timeseries::ChannelId>& ids);
-
   /// True when every slot is ground truth (resolution is a no-op).
   [[nodiscard]] bool pure_ground_truth() const noexcept;
-
-  /// The channel ids the plan resolves to, in slot order.
-  [[nodiscard]] std::vector<timeseries::ChannelId> channel_ids() const;
 };
 
 /// A resolved plan: final channel ids, materialized derived columns, and

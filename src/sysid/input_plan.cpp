@@ -1,48 +1,25 @@
 #include "auditherm/sysid/input_plan.hpp"
 
+#include <bit>
 #include <cmath>
-#include <cstring>
 #include <stdexcept>
 #include <string>
 #include <unordered_set>
 
+#include "auditherm/core/stage_key.hpp"
 #include "auditherm/obs/trace_span.hpp"
 
 namespace auditherm::sysid {
 
 namespace {
 
-/// Local FNV-1a so the fingerprint needs no dependency on core's
-/// StageKeyHasher (sysid sits below core). Same bit-pattern conventions:
-/// doubles hash by bits with every NaN collapsed to one sentinel.
-class PlanHasher {
- public:
-  void add(std::uint64_t v) noexcept {
-    unsigned char bytes[sizeof(v)];
-    std::memcpy(bytes, &v, sizeof(v));
-    for (unsigned char b : bytes) {
-      state_ ^= b;
-      state_ *= 0x100000001b3ull;  // FNV prime
-    }
-  }
-  void add(double v) noexcept {
-    std::uint64_t bits;
-    if (std::isnan(v)) {
-      bits = 0x7ff8000000000000ull;
-    } else {
-      std::memcpy(&bits, &v, sizeof(bits));
-    }
-    add(bits);
-  }
-  void add(std::int64_t v) noexcept { add(static_cast<std::uint64_t>(v)); }
-  void add(int v) noexcept { add(static_cast<std::uint64_t>(v)); }
-  void add(bool v) noexcept { add(static_cast<std::uint64_t>(v ? 1 : 2)); }
-
-  [[nodiscard]] std::uint64_t value() const noexcept { return state_; }
-
- private:
-  std::uint64_t state_ = 0xcbf29ce484222325ull;  // FNV offset basis
-};
+/// An unset clamp (NaN) folds into the fingerprint as the canonical
+/// quiet-NaN bits, not as the hasher's NaN sentinel: the encoding plan
+/// fingerprints are defined with.
+std::uint64_t clamp_bits(double clamp_max) noexcept {
+  return std::isnan(clamp_max) ? 0x7ff8000000000000ull
+                               : std::bit_cast<std::uint64_t>(clamp_max);
+}
 
 void count_source(InputSource source) {
   static const obs::MetricId kGroundTruth =
@@ -60,7 +37,7 @@ void count_source(InputSource source) {
 
 std::shared_ptr<const linalg::Vector> materialize_co2(
     const InputSlot& slot, const timeseries::TraceView& trace,
-    const std::vector<bool>& train_mask, PlanHasher& hasher) {
+    const std::vector<bool>& train_mask, core::StageKeyHasher& hasher) {
   Co2OccupancyEstimator estimator(slot.co2);
   estimator.calibrate(trace.filter_rows(train_mask));
   linalg::Vector column = estimator.estimate(trace);
@@ -119,26 +96,11 @@ InputSlot InputSlot::schedule_prior(hvac::Schedule schedule,
   return slot;
 }
 
-InputPlan InputPlan::ground_truth(
-    const std::vector<timeseries::ChannelId>& ids) {
-  InputPlan plan;
-  plan.slots.reserve(ids.size());
-  for (auto id : ids) plan.slots.push_back(InputSlot::ground_truth(id));
-  return plan;
-}
-
 bool InputPlan::pure_ground_truth() const noexcept {
   for (const auto& slot : slots) {
     if (slot.source != InputSource::kGroundTruth) return false;
   }
   return true;
-}
-
-std::vector<timeseries::ChannelId> InputPlan::channel_ids() const {
-  std::vector<timeseries::ChannelId> ids;
-  ids.reserve(slots.size());
-  for (const auto& slot : slots) ids.push_back(slot.channel);
-  return ids;
 }
 
 timeseries::TraceView ResolvedInputPlan::augment(
@@ -175,7 +137,7 @@ ResolvedInputPlan resolve_input_plan(const InputPlan& plan,
   // Fingerprint: stays 0 for pure ground-truth plans (the bitwise no-op
   // contract); otherwise folds the whole plan structure plus — inside the
   // materializers — the calibrated parameters.
-  PlanHasher hasher;
+  core::StageKeyHasher hasher;
   const bool pure = plan.pure_ground_truth();
   if (!pure) hasher.add(std::uint64_t{plan.slots.size()});
 
@@ -199,7 +161,7 @@ ResolvedInputPlan resolve_input_plan(const InputPlan& plan,
         for (auto id : slot.co2.vav_flows) hasher.add(id);
         hasher.add(slot.co2.occupancy);
         hasher.add(slot.round_to_integer);
-        hasher.add(slot.clamp_max);
+        hasher.add(clamp_bits(slot.clamp_max));
         resolved.derived.push_back(
             {slot.channel, materialize_co2(slot, trace, train_mask, hasher)});
         break;

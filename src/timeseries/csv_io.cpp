@@ -51,21 +51,29 @@ Minutes parse_time(const std::string& cell, std::size_t line_number) {
 }
 
 /// std::stod with row/column context on failure (column is the 1-based
-/// CSV column, so channel c is column c + 2).
+/// CSV column, so channel c is column c + 2). An infinite sample ("inf",
+/// "-Infinity", ...) is refused: it would poison every fit and error
+/// statistic downstream. "nan" still reads as NaN, the gap encoding.
 double parse_value(const std::string& cell, std::size_t line_number,
                    std::size_t column) {
+  const auto where = [&] {
+    return "' at line " + std::to_string(line_number) + ", column " +
+           std::to_string(column);
+  };
+  double v = 0.0;
   try {
     std::size_t consumed = 0;
-    const double v = std::stod(cell, &consumed);
+    v = std::stod(cell, &consumed);
     if (consumed != cell.size()) {
       throw std::invalid_argument("trailing characters");
     }
-    return v;
   } catch (const std::exception&) {
-    throw std::runtime_error("read_csv: bad sample value '" + cell +
-                             "' at line " + std::to_string(line_number) +
-                             ", column " + std::to_string(column));
+    throw std::runtime_error("read_csv: bad sample value '" + cell + where());
   }
+  if (std::isinf(v)) {
+    throw std::runtime_error("read_csv: non-finite sample '" + cell + where());
+  }
+  return v;
 }
 
 ChannelId parse_channel_header(const std::string& header_cell,
@@ -218,12 +226,6 @@ MultiTrace read_csv(std::istream& is) {
     }
   }
   return trace;
-}
-
-MultiTrace read_csv_file(const std::string& path) {
-  std::ifstream f(path);
-  if (!f) throw std::runtime_error("read_csv_file: cannot open " + path);
-  return read_csv(f);
 }
 
 }  // namespace auditherm::timeseries

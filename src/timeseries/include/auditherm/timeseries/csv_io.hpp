@@ -25,13 +25,10 @@ void write_csv_file(const std::string& path, const MultiTrace& trace);
 /// Parse a trace from CSV. `#` comment lines are skipped; a
 /// "# step_minutes=N" comment fixes the grid step, otherwise it is
 /// inferred from the first two rows (a single-row file without the
-/// comment gets step 1). CRLF line endings are accepted. Throws
-/// std::runtime_error on malformed input (bad header, ragged rows,
-/// non-uniform or contradicting time steps, unparsable numbers — each
-/// reported with its line/column).
+/// comment gets step 1). CRLF line endings are accepted. Empty cells and
+/// "nan" are gaps. Throws std::runtime_error on malformed input (bad
+/// header, ragged rows, non-uniform or contradicting time steps,
+/// unparsable or infinite samples — each reported with its line/column).
 [[nodiscard]] MultiTrace read_csv(std::istream& is);
-
-/// Read a trace from a file; throws std::runtime_error on I/O failure.
-[[nodiscard]] MultiTrace read_csv_file(const std::string& path);
 
 }  // namespace auditherm::timeseries

@@ -68,9 +68,6 @@ class MultiTrace {
   [[nodiscard]] const linalg::Matrix& values() const noexcept { return values_; }
   [[nodiscard]] linalg::Matrix& values() noexcept { return values_; }
 
-  /// Copy of one channel as a (possibly NaN-bearing) vector.
-  [[nodiscard]] linalg::Vector channel_series(ChannelId id) const;
-
   /// New trace restricted to the given channels (order preserved as given).
   /// Throws std::invalid_argument when a channel is absent.
   ///

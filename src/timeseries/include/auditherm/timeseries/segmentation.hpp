@@ -28,15 +28,4 @@ struct Segment {
 [[nodiscard]] std::vector<Segment> find_segments(const std::vector<bool>& mask,
                                                  std::size_t min_length = 1);
 
-/// Total number of rows covered by segments.
-[[nodiscard]] std::size_t total_length(const std::vector<Segment>& segments);
-
-/// Intersect a run list with a second mask: rows must be in a segment AND
-/// pass the mask; returns the re-segmented runs. Throws std::out_of_range
-/// when a segment extends past mask.size() — that is a caller bug, not a
-/// truncation request.
-[[nodiscard]] std::vector<Segment> intersect_segments(
-    const std::vector<Segment>& segments, const std::vector<bool>& mask,
-    std::size_t min_length = 1);
-
 }  // namespace auditherm::timeseries

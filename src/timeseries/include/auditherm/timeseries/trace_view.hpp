@@ -16,8 +16,9 @@
 ///
 /// Ownership: a view never owns its samples. It is valid only while the
 /// MultiTrace it was built from is alive and unmodified in shape; anything
-/// that must outlive the source (a cache entry, a stored artifact) calls
-/// materialize(). See DESIGN.md §"View ownership and lifetime".
+/// that must outlive the source (a cache entry, a stored artifact) keeps
+/// that MultiTrace alive with it. See DESIGN.md §"View ownership and
+/// lifetime".
 ///
 /// Derived channels (with_channel) are the one exception to "never owns":
 /// an input-plan resolution materializes a column once (e.g. estimated
@@ -32,7 +33,7 @@
 #include <optional>
 #include <vector>
 
-#include "auditherm/linalg/matrix_view.hpp"
+#include "auditherm/linalg/matrix.hpp"
 #include "auditherm/timeseries/time_grid.hpp"
 
 namespace auditherm::timeseries {
@@ -81,7 +82,7 @@ class TraceView {
     if (col & kDerivedColumn) {
       return (*derived_[col & ~kDerivedColumn])[source_row(k)];
     }
-    return base_(source_row(k), col);
+    return data_[source_row(k) * stride_ + col];
   }
 
   /// True when the sample is present (not NaN).
@@ -119,28 +120,15 @@ class TraceView {
   [[nodiscard]] TraceView with_channel(
       ChannelId id, std::shared_ptr<const linalg::Vector> column) const;
 
-  /// True when any channel of this view is a derived (attached) column
-  /// rather than a column of the source matrix.
-  [[nodiscard]] bool has_derived_channels() const noexcept;
-
-  /// Fraction of present (non-NaN) samples over all view channels and
-  /// rows; 0.0 for degenerate views (0 rows and/or 0 channels).
-  [[nodiscard]] double coverage() const noexcept;
-
-  /// Deep-copy the viewed content into an owning MultiTrace — the escape
-  /// hatch for anything that must outlive the source trace (cache
-  /// entries, stored artifacts). Counts the copied samples in the
-  /// `timeseries.bytes_copied` counter like every materializing
-  /// MultiTrace API does.
-  [[nodiscard]] MultiTrace materialize() const;
-
  private:
   /// High bit of a cols_ entry marking a derived column; the low bits then
   /// index derived_ instead of the source matrix.
   static constexpr std::size_t kDerivedColumn =
       std::size_t{1} << (std::numeric_limits<std::size_t>::digits - 1);
 
-  linalg::MatrixView base_;          ///< the source trace's value matrix
+  const double* data_ = nullptr;     ///< the source trace's row-major values
+  std::size_t source_rows_ = 0;      ///< row count of the source trace
+  std::size_t stride_ = 0;           ///< source row pitch (its channel count)
   TimeGrid grid_;                    ///< the view's (reindexed) grid
   std::vector<ChannelId> channels_;  ///< view channel ids, in view order
   std::vector<std::size_t> cols_;    ///< view column -> source column, or

@@ -58,11 +58,6 @@ void MultiTrace::clear(std::size_t k, std::size_t c) noexcept {
   values_(k, c) = kGap;
 }
 
-linalg::Vector MultiTrace::channel_series(ChannelId id) const {
-  note_bytes_copied(size());
-  return values_.col_vector(require_channel(id));
-}
-
 MultiTrace MultiTrace::select_channels(
     const std::vector<ChannelId>& ids) const {
   note_bytes_copied(size() * ids.size());

@@ -1,7 +1,6 @@
 #include "auditherm/timeseries/segmentation.hpp"
 
 #include <stdexcept>
-#include <string>
 
 namespace auditherm::timeseries {
 
@@ -22,32 +21,6 @@ std::vector<Segment> find_segments(const std::vector<bool>& mask,
     if (k - first >= min_length) out.push_back({first, k});
   }
   return out;
-}
-
-std::size_t total_length(const std::vector<Segment>& segments) {
-  std::size_t n = 0;
-  for (const auto& s : segments) n += s.length();
-  return n;
-}
-
-std::vector<Segment> intersect_segments(const std::vector<Segment>& segments,
-                                        const std::vector<bool>& mask,
-                                        std::size_t min_length) {
-  std::vector<bool> combined(mask.size(), false);
-  for (const auto& s : segments) {
-    // A segment past the mask is a caller bug (mask built for a different
-    // trace); clamping would silently evaluate on truncated windows.
-    if (s.last > mask.size()) {
-      throw std::out_of_range(
-          "intersect_segments: segment [" + std::to_string(s.first) + ", " +
-          std::to_string(s.last) + ") exceeds mask size " +
-          std::to_string(mask.size()));
-    }
-    for (std::size_t k = s.first; k < s.last; ++k) {
-      combined[k] = mask[k];
-    }
-  }
-  return find_segments(combined, min_length);
 }
 
 }  // namespace auditherm::timeseries

@@ -5,23 +5,14 @@
 #include <stdexcept>
 #include <unordered_set>
 
-#include "auditherm/obs/trace_span.hpp"
 #include "auditherm/timeseries/multi_trace.hpp"
 
 namespace auditherm::timeseries {
 
-namespace {
-
-void note_bytes_copied(std::size_t samples) {
-  static const obs::MetricId kBytesCopied =
-      obs::counter_id("timeseries.bytes_copied");
-  obs::add_counter(kBytesCopied, samples * sizeof(double));
-}
-
-}  // namespace
-
 TraceView::TraceView(const MultiTrace& trace)
-    : base_(trace.values()),
+    : data_(trace.values().data().data()),
+      source_rows_(trace.values().rows()),
+      stride_(trace.values().cols()),
       grid_(trace.grid()),
       channels_(trace.channels()),
       cols_(trace.channel_count()) {
@@ -104,46 +95,16 @@ TraceView TraceView::with_channel(
   if (!column) {
     throw std::invalid_argument("TraceView::with_channel: null column");
   }
-  if (column->size() != base_.rows()) {
+  if (column->size() != source_rows_) {
     throw std::invalid_argument(
         "TraceView::with_channel: column has " +
         std::to_string(column->size()) + " rows, source trace has " +
-        std::to_string(base_.rows()));
+        std::to_string(source_rows_));
   }
   TraceView out = *this;
   out.channels_.push_back(id);
   out.cols_.push_back(kDerivedColumn | out.derived_.size());
   out.derived_.push_back(std::move(column));
-  return out;
-}
-
-bool TraceView::has_derived_channels() const noexcept {
-  for (std::size_t col : cols_) {
-    if (col & kDerivedColumn) return true;
-  }
-  return false;
-}
-
-double TraceView::coverage() const noexcept {
-  const std::size_t total = size() * channel_count();
-  if (total == 0) return 0.0;
-  std::size_t present = 0;
-  for (std::size_t k = 0; k < size(); ++k) {
-    for (std::size_t c = 0; c < channel_count(); ++c) {
-      present += valid(k, c) ? 1 : 0;
-    }
-  }
-  return static_cast<double>(present) / static_cast<double>(total);
-}
-
-MultiTrace TraceView::materialize() const {
-  MultiTrace out(grid_, channels_);
-  for (std::size_t k = 0; k < size(); ++k) {
-    for (std::size_t c = 0; c < channel_count(); ++c) {
-      out.set(k, c, value(k, c));
-    }
-  }
-  note_bytes_copied(size() * channel_count());
   return out;
 }
 

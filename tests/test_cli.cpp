@@ -1,12 +1,16 @@
 // Tests for the shared CLI option parser: the declarative OptionSet,
 // the duplicate/unknown/missing-flag error paths, and decoding of the
 // common observability flags (--threads, --cache, --metrics-out,
-// --trace); plus the built `auditherm` binary's exit status on a bad flag.
+// --trace); plus the built `auditherm` binary's exit status on a bad flag
+// and on a trace whose analysis overflows.
 
 #include <gtest/gtest.h>
 #include <sys/wait.h>
+#include <unistd.h>
 
 #include <cstdio>
+#include <fstream>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -201,11 +205,13 @@ TEST(CliCommonOptions, RejectsBadCacheAndNegativeThreads) {
       cli::UsageError);
 }
 
-/// Run the built `auditherm` binary with `args`, capturing stdout and
-/// stderr into `output`; returns the exit status (-1 if it did not exit).
-int run_auditherm(const std::string& args, std::string& output) {
-  const std::string command =
-      std::string("'") + AUDITHERM_CLI_PATH + "' " + args + " 2>&1";
+/// Run the built `auditherm` binary with `args`, capturing stdout (and,
+/// unless `stderr_redirect` sends it elsewhere, stderr) into `output`;
+/// returns the exit status (-1 if it did not exit).
+int run_auditherm(const std::string& args, std::string& output,
+                  const std::string& stderr_redirect = "2>&1") {
+  const std::string command = std::string("'") + AUDITHERM_CLI_PATH + "' " +
+                              args + " " + stderr_redirect;
   std::FILE* pipe = ::popen(command.c_str(), "r");
   if (pipe == nullptr) return -1;
   char buf[4096];
@@ -225,6 +231,74 @@ TEST(CliBinary, AnalyzeRejectsTheRemovedEigenFlag) {
   EXPECT_NE(output.find("unknown flag --eigen"), std::string::npos) << output;
   EXPECT_NE(output.find("usage: auditherm analyze"), std::string::npos)
       << output;
+}
+
+std::string read_file(const std::string& path) {
+  std::ifstream in(path);
+  std::ostringstream text;
+  text << in.rdbuf();
+  return text.str();
+}
+
+TEST(CliBinary, AnalyzeFailsInsteadOfPrintingANonFiniteResult) {
+  // A finite but huge VAV-flow sample parses, then overflows the fit of a
+  // validation day: analyze must exit nonzero naming the value, and print
+  // no report with inf or nan in it. Per-process paths: ctest runs tests
+  // as parallel processes.
+  const std::string stem = ::testing::TempDir() + "/auditherm_cli_" +
+                           std::to_string(::getpid());
+  const std::string trace = stem + "_trace.csv";
+  const std::string errors = stem + "_stderr.txt";
+  std::string output;
+  ASSERT_EQ(run_auditherm("simulate --out '" + trace +
+                              "' --days 21 --failure-days 4",
+                          output),
+            0)
+      << output;
+
+  // Data row 700 of ch101 becomes 1e308.
+  std::istringstream in(read_file(trace));
+  std::vector<std::string> lines;
+  for (std::string line; std::getline(in, line);) lines.push_back(line);
+  std::size_t header = 0;
+  while (header < lines.size() && lines[header].rfind("time_minutes", 0) != 0)
+    ++header;
+  ASSERT_LT(header + 701, lines.size());
+  const auto split = [](const std::string& line) {
+    std::vector<std::string> cells;
+    std::istringstream row(line);
+    for (std::string cell; std::getline(row, cell, ',');) cells.push_back(cell);
+    if (!line.empty() && line.back() == ',') cells.emplace_back();
+    return cells;
+  };
+  const auto names = split(lines[header]);
+  std::size_t column = 0;
+  while (column < names.size() && names[column] != "ch101") ++column;
+  ASSERT_LT(column, names.size());
+  auto cells = split(lines[header + 701]);
+  cells[column] = "1e308";
+  std::string row;
+  for (std::size_t c = 0; c < cells.size(); ++c) {
+    row += (c == 0 ? "" : ",") + cells[c];
+  }
+  lines[header + 701] = row;
+  {
+    std::ofstream out(trace);
+    for (const auto& line : lines) out << line << '\n';
+  }
+
+  std::string report;
+  EXPECT_NE(run_auditherm("analyze --data '" + trace + "'", report,
+                          "2>'" + errors + "'"),
+            0);
+  const std::string error_text = read_file(errors);
+  EXPECT_NE(error_text.find("error: analyze: non-finite pooled RMS"),
+            std::string::npos)
+      << error_text;
+  EXPECT_EQ(report.find("nan"), std::string::npos) << report;
+  EXPECT_EQ(report.find("inf"), std::string::npos) << report;
+  std::remove(trace.c_str());
+  std::remove(errors.c_str());
 }
 
 }  // namespace

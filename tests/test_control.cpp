@@ -290,7 +290,9 @@ TEST(FleetControl, InputPlanSwapsOnlyTheOccupancySlot) {
   const auto truth = control::fleet_input_plan(
       dataset, control::OccupancySource::kGroundTruth);
   EXPECT_TRUE(truth.pure_ground_truth());
-  EXPECT_EQ(truth.channel_ids(), ids);
+  std::vector<auditherm::timeseries::ChannelId> truth_ids;
+  for (const auto& slot : truth.slots) truth_ids.push_back(slot.channel);
+  EXPECT_EQ(truth_ids, ids);
 
   const auto estimated = control::fleet_input_plan(
       dataset, control::OccupancySource::kCo2Estimated);

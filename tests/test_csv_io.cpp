@@ -8,6 +8,7 @@
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
+#include <fstream>
 #include <limits>
 #include <random>
 #include <sstream>
@@ -209,7 +210,37 @@ TEST(CsvIo, TrailingJunkInNumberThrows) {
 TEST(CsvIo, OutOfRangeValueThrowsRuntimeError) {
   // 1e999 overflows double: std::out_of_range from stod, rewrapped.
   std::stringstream ss("time_minutes,ch1\n0,1e999\n");
-  EXPECT_THROW((void)ts::read_csv(ss), std::runtime_error);
+  try {
+    (void)ts::read_csv(ss);
+    FAIL() << "expected std::runtime_error";
+  } catch (const std::runtime_error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("bad sample value '1e999'"), std::string::npos)
+        << what;
+  }
+}
+
+TEST(CsvIo, InfiniteSamplesAreRefusedWithPosition) {
+  for (const std::string cell : {"inf", "-inf", "Infinity"}) {
+    std::stringstream ss("time_minutes,ch1,ch2\n0,1.0,2.0\n5,1.5," + cell +
+                         "\n");
+    try {
+      (void)ts::read_csv(ss);
+      FAIL() << "expected std::runtime_error for '" << cell << "'";
+    } catch (const std::runtime_error& e) {
+      EXPECT_EQ(std::string(e.what()), "read_csv: non-finite sample '" +
+                                           cell + "' at line 3, column 3");
+    }
+  }
+}
+
+TEST(CsvIo, NanCellReadsAsGap) {
+  std::stringstream ss("time_minutes,ch1,ch2\n0,nan,2.0\n5,1.5,NaN\n");
+  const auto trace = ts::read_csv(ss);
+  EXPECT_FALSE(trace.valid(0, 0));
+  EXPECT_TRUE(trace.valid(0, 1));
+  EXPECT_TRUE(trace.valid(1, 0));
+  EXPECT_FALSE(trace.valid(1, 1));
 }
 
 TEST(CsvIo, RejectsEmptyInput) {
@@ -250,15 +281,14 @@ TEST(CsvIo, FileRoundTrip) {
   const std::string path = ::testing::TempDir() + "/auditherm_trace_" +
                            std::to_string(::getpid()) + ".csv";
   ts::write_csv_file(path, original);
-  const auto loaded = ts::read_csv_file(path);
+  std::ifstream file(path);
+  const auto loaded = ts::read_csv(file);
   EXPECT_EQ(loaded.grid(), original.grid());
   EXPECT_NEAR(loaded.coverage(), original.coverage(), 1e-12);
   std::remove(path.c_str());
 }
 
 TEST(CsvIo, MissingFileThrows) {
-  EXPECT_THROW((void)ts::read_csv_file("/nonexistent/path.csv"),
-               std::runtime_error);
   EXPECT_THROW(ts::write_csv_file("/nonexistent/dir/out.csv", make_trace()),
                std::runtime_error);
 }

@@ -17,99 +17,26 @@
 #include <string>
 #include <vector>
 
-#include "auditherm/clustering/spectral.hpp"
 #include "auditherm/core/parallel.hpp"
 #include "auditherm/linalg/decompositions.hpp"
 #include "auditherm/linalg/matrix.hpp"
 #include "auditherm/linalg/vector_ops.hpp"
+#include "support/matrix_families.hpp"
+#include "support/oracles.hpp"
 
 namespace core = auditherm::core;
 namespace linalg = auditherm::linalg;
-namespace clustering = auditherm::clustering;
+namespace support = auditherm::test_support;
 using linalg::Matrix;
 using linalg::Vector;
+using support::family_matrix;
+using support::family_name;
+using support::random_matrix;
+using support::random_spd;
+using support::rank_deficient_laplacian;
+using support::spectrum_scale;
 
 namespace {
-
-Matrix random_matrix(std::size_t rows, std::size_t cols, std::uint64_t seed) {
-  std::mt19937_64 rng(seed);
-  std::normal_distribution<double> dist(0.0, 1.0);
-  Matrix m(rows, cols);
-  for (std::size_t i = 0; i < rows; ++i)
-    for (std::size_t j = 0; j < cols; ++j) m(i, j) = dist(rng);
-  return m;
-}
-
-Matrix random_spd(std::size_t n, std::uint64_t seed) {
-  const auto a = random_matrix(n + 2, n, seed);
-  auto spd = linalg::gram(a, a);
-  for (std::size_t i = 0; i < n; ++i) spd(i, i) += 0.25;
-  return spd;
-}
-
-/// Strongly diagonal-dominant symmetric matrix: eigenvalues nearly the
-/// diagonal, off-diagonal coupling ~1e-3.
-Matrix near_diagonal(std::size_t n, std::uint64_t seed) {
-  std::mt19937_64 rng(seed);
-  std::uniform_real_distribution<double> diag(1.0, 10.0);
-  std::normal_distribution<double> off(0.0, 1e-3);
-  Matrix a(n, n);
-  for (std::size_t i = 0; i < n; ++i) {
-    a(i, i) = diag(rng);
-    for (std::size_t j = i + 1; j < n; ++j) {
-      const double v = off(rng);
-      a(i, j) = v;
-      a(j, i) = v;
-    }
-  }
-  return a;
-}
-
-/// Q D Q^T with a clustered spectrum: few distinct eigenvalues, each
-/// repeated, exercising the degenerate-subspace handling.
-Matrix clustered_spectrum(std::size_t n, std::uint64_t seed) {
-  const linalg::QrDecomposition qr(random_matrix(n, n, seed));
-  const auto q = qr.thin_q();
-  Vector d(n);
-  for (std::size_t i = 0; i < n; ++i)
-    d[i] = 1.0 + static_cast<double>(i / 3);  // triples of equal eigenvalues
-  Matrix qd = q;
-  for (std::size_t i = 0; i < n; ++i)
-    for (std::size_t j = 0; j < n; ++j) qd(i, j) *= d[j];
-  auto a = linalg::outer_product(qd, q);  // Q D Q^T
-  // Symmetrize exactly: outer_product is only symmetric to rounding.
-  for (std::size_t i = 0; i < n; ++i)
-    for (std::size_t j = i + 1; j < n; ++j) {
-      const double s = 0.5 * (a(i, j) + a(j, i));
-      a(i, j) = s;
-      a(j, i) = s;
-    }
-  return a;
-}
-
-/// Unnormalized Laplacian of a random graph with 2-3 disconnected blocks:
-/// rank-deficient with a repeated zero eigenvalue per extra component.
-Matrix rank_deficient_laplacian(std::size_t n, std::uint64_t seed) {
-  std::mt19937_64 rng(seed);
-  std::uniform_real_distribution<double> unit(0.0, 1.0);
-  const std::size_t blocks = 2 + seed % 2;
-  Matrix w(n, n);
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t j = i + 1; j < n; ++j) {
-      if (i % blocks != j % blocks) continue;  // cross-block: no edge
-      const double v = 0.1 + unit(rng);
-      w(i, j) = v;
-      w(j, i) = v;
-    }
-  }
-  return clustering::laplacian(w);
-}
-
-double spectrum_scale(const Vector& eigenvalues) {
-  double scale = 1.0;
-  for (const double v : eigenvalues) scale = std::max(scale, std::abs(v));
-  return scale;
-}
 
 /// Shared eigenpair validation: `got` must carry `m` leading pairs agreeing
 /// with the Jacobi reference `ref` on the symmetric matrix `a`.
@@ -145,7 +72,8 @@ void expect_matches_reference(const Matrix& a, const linalg::SymmetricEigen& ref
 
     // Residual: ||A v - lambda v|| small relative to the spectrum.
     const Vector av = a * v;
-    const Vector lv = linalg::scale(got.eigenvalues[j], v);
+    Vector lv = v;
+    for (double& x : lv) x *= got.eigenvalues[j];
     EXPECT_NEAR(linalg::norm2(linalg::subtract(av, lv)), 0.0, 1e-7 * scale)
         << context << " residual " << j;
 
@@ -180,24 +108,6 @@ void expect_matches_reference(const Matrix& a, const linalg::SymmetricEigen& ref
   }
 }
 
-Matrix family_matrix(std::size_t family, std::size_t n, std::uint64_t seed) {
-  switch (family) {
-    case 0: return random_spd(n, seed);
-    case 1: return near_diagonal(n, seed);
-    case 2: return clustered_spectrum(n, seed);
-    default: return rank_deficient_laplacian(n, seed);
-  }
-}
-
-const char* family_name(std::size_t family) {
-  switch (family) {
-    case 0: return "spd";
-    case 1: return "near_diagonal";
-    case 2: return "clustered";
-    default: return "laplacian";
-  }
-}
-
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -210,7 +120,7 @@ TEST(EigenSolvers, TridiagonalMatchesJacobiAcrossSeedsAndFamilies) {
     const std::size_t family = seed % 4;
     const std::size_t n = sizes[seed % 5];
     const auto a = family_matrix(family, n, 1000 + seed);
-    const auto ref = linalg::eigen_symmetric(a);
+    const auto ref = support::eigen_symmetric(a);
     const auto got = linalg::eigen_symmetric_tridiagonal(a);
     const std::string context = std::string(family_name(family)) + " n=" +
                                 std::to_string(n) + " seed=" +
@@ -226,7 +136,7 @@ TEST(EigenSolvers, PartialMatchesJacobiLeadingPairs) {
     const std::size_t n = sizes[seed % 5];
     const std::size_t m = 2 + seed % 5;  // 2..6 smallest pairs
     const auto a = family_matrix(family, n, 2000 + seed);
-    const auto ref = linalg::eigen_symmetric(a);
+    const auto ref = support::eigen_symmetric(a);
     const auto got = linalg::eigen_symmetric_smallest(a, m);
     ASSERT_EQ(got.eigenvalues.size(), std::min(m, n));
     const std::string context = std::string("partial ") + family_name(family) +
@@ -281,15 +191,17 @@ TEST(EigenSolvers, TridiagonalKernelMatchesQlOnSeededTridiagonals) {
     const auto got = linalg::detail::tridiagonal_smallest(d, e, m);
     ASSERT_EQ(got.eigenvalues.size(), m) << context;
     ASSERT_EQ(got.vectors.size(), m) << context;
-    const double scale = std::max(1.0, t.max_abs());
+    double scale = 1.0;
+    for (const double x : t.data()) scale = std::max(scale, std::abs(x));
     for (std::size_t j = 0; j < m; ++j) {
       EXPECT_NEAR(got.eigenvalues[j], ref.eigenvalues[j], 1e-10 * scale)
           << context << " eigenvalue " << j;
       const Vector& s = got.vectors[j];
       ASSERT_EQ(s.size(), n) << context;
       EXPECT_NEAR(linalg::norm2(s), 1.0, 1e-10) << context << " vector " << j;
-      const Vector residual =
-          linalg::subtract(t * s, linalg::scale(got.eigenvalues[j], s));
+      Vector ls = s;
+      for (double& x : ls) x *= got.eigenvalues[j];
+      const Vector residual = linalg::subtract(t * s, ls);
       EXPECT_LE(linalg::norm2(residual), 1e-9 * scale)
           << context << " residual " << j;
       for (std::size_t l = 0; l < j; ++l) {
@@ -399,15 +311,6 @@ Matrix naive_gram(const Matrix& a, const Matrix& b) {
   return c;
 }
 
-Matrix naive_outer(const Matrix& a, const Matrix& b) {
-  Matrix c(a.rows(), b.rows());
-  for (std::size_t i = 0; i < a.rows(); ++i)
-    for (std::size_t j = 0; j < b.rows(); ++j)
-      for (std::size_t k = 0; k < a.cols(); ++k)
-        c(i, j) += a(i, k) * b(j, k);
-  return c;
-}
-
 Vector naive_matvec(const Matrix& a, const Vector& x) {
   Vector y(a.rows(), 0.0);
   for (std::size_t i = 0; i < a.rows(); ++i) {
@@ -435,8 +338,7 @@ TEST(BlockedKernels, RaggedShapesMatchNaiveBitwise) {
     const auto expected = naive_multiply(a, b);
     const auto gram_a = random_matrix(s.k, s.m, seed++);
     const auto gram_expected = naive_gram(gram_a, b);
-    const auto outer_b = random_matrix(s.n, s.k, seed++);
-    const auto outer_expected = naive_outer(a, outer_b);
+    seed++;  // keeps the later seeds of the shape sweep unchanged
     const auto x = random_matrix(s.k, 1, seed++).col_vector(0);
     const auto matvec_expected = naive_matvec(a, x);
     for (std::size_t threads : {1u, 3u, 8u}) {
@@ -446,9 +348,6 @@ TEST(BlockedKernels, RaggedShapesMatchNaiveBitwise) {
           << " threads=" << threads;
       EXPECT_EQ(linalg::gram(gram_a, b), gram_expected)
           << "gram " << s.m << "x" << s.k << "x" << s.n
-          << " threads=" << threads;
-      EXPECT_EQ(linalg::outer_product(a, outer_b), outer_expected)
-          << "outer " << s.m << "x" << s.k << "x" << s.n
           << " threads=" << threads;
       EXPECT_EQ(a * x, matvec_expected)
           << "matvec " << s.m << "x" << s.k << " threads=" << threads;

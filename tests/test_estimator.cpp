@@ -8,9 +8,12 @@
 #include <random>
 #include <stdexcept>
 
+#include "support/oracles.hpp"
+
 namespace sysid = auditherm::sysid;
 namespace ts = auditherm::timeseries;
 namespace linalg = auditherm::linalg;
+namespace support = auditherm::test_support;
 using linalg::Matrix;
 using linalg::Vector;
 
@@ -52,8 +55,8 @@ TEST(Estimator, RecoversKnownFirstOrderSystem) {
   sysid::ModelEstimator est({1, 2}, {101}, sysid::ModelOrder::kFirst,
                             exact_options());
   const auto model = est.fit(trace);
-  EXPECT_TRUE(linalg::approx_equal(model.a(), kA, 1e-8));
-  EXPECT_TRUE(linalg::approx_equal(model.b(), kB, 1e-8));
+  EXPECT_TRUE(support::approx_equal(model.a(), kA, 1e-8));
+  EXPECT_TRUE(support::approx_equal(model.b(), kB, 1e-8));
 }
 
 TEST(Estimator, RecoversKnownSecondOrderSystem) {
@@ -92,7 +95,7 @@ TEST(Estimator, GapsDoNotFabricateTransitions) {
   sysid::ModelEstimator est({1, 2}, {101}, sysid::ModelOrder::kFirst,
                             exact_options());
   const auto model = est.fit(trace);
-  EXPECT_TRUE(linalg::approx_equal(model.a(), kA, 1e-8));
+  EXPECT_TRUE(support::approx_equal(model.a(), kA, 1e-8));
 }
 
 TEST(Estimator, RowFilterRestrictsTransitions) {
@@ -120,7 +123,7 @@ TEST(Estimator, RowFilterRestrictsTransitions) {
   sysid::ModelEstimator est({1, 2}, {101}, sysid::ModelOrder::kFirst,
                             exact_options());
   const auto model = est.fit(trace, first_half);
-  EXPECT_TRUE(linalg::approx_equal(model.a(), kA, 1e-8));
+  EXPECT_TRUE(support::approx_equal(model.a(), kA, 1e-8));
 }
 
 TEST(Estimator, SummarizeCountsTransitionsAndSegments) {
@@ -163,8 +166,8 @@ TEST(Estimator, RidgeDefaultStillAccurate) {
   const auto trace = known_first_order_trace(500, kA, kB, 8);
   sysid::ModelEstimator est({1, 2}, {101}, sysid::ModelOrder::kFirst);
   const auto model = est.fit(trace);
-  EXPECT_TRUE(linalg::approx_equal(model.a(), kA, 1e-3));
-  EXPECT_TRUE(linalg::approx_equal(model.b(), kB, 1e-3));
+  EXPECT_TRUE(support::approx_equal(model.a(), kA, 1e-3));
+  EXPECT_TRUE(support::approx_equal(model.b(), kB, 1e-3));
 }
 
 TEST(Estimator, ConstructionValidation) {

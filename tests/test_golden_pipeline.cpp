@@ -22,6 +22,7 @@
 #include "auditherm/sim/dataset.hpp"
 #include "auditherm/sysid/estimator.hpp"
 #include "auditherm/sysid/evaluation.hpp"
+#include "support/oracles.hpp"
 
 namespace clustering = auditherm::clustering;
 namespace core = auditherm::core;
@@ -30,6 +31,7 @@ namespace sim = auditherm::sim;
 namespace hvac = auditherm::hvac;
 namespace sysid = auditherm::sysid;
 namespace timeseries = auditherm::timeseries;
+namespace support = auditherm::test_support;
 
 namespace {
 
@@ -124,7 +126,7 @@ TEST(GoldenPipeline, SpectrumMatchesTheJacobiOracleOnTheGoldenGraph) {
   ASSERT_EQ(n, 25u);
   ASSERT_EQ(spectrum.eigenvalues.size(), pairs);
 
-  auto oracle = linalg::eigen_symmetric(
+  auto oracle = support::eigen_symmetric(
       clustering::normalized_laplacian(graph.weights));
   for (std::size_t j = 0; j < pairs; ++j) {
     EXPECT_NEAR(spectrum.eigenvalues[j], oracle.eigenvalues[j], 1e-10)

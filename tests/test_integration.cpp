@@ -6,6 +6,7 @@
 #include <unistd.h>
 
 #include <cstdio>
+#include <fstream>
 
 #include "auditherm/auditherm.hpp"
 
@@ -132,7 +133,8 @@ TEST(Integration, CsvRoundTripOfGeneratedDataset) {
   const std::string path = ::testing::TempDir() + "/auditherm_dataset_" +
                            std::to_string(::getpid()) + ".csv";
   timeseries::write_csv_file(path, ds.trace);
-  const auto loaded = timeseries::read_csv_file(path);
+  std::ifstream file(path);
+  const auto loaded = timeseries::read_csv(file);
   EXPECT_EQ(loaded.grid(), ds.trace.grid());
   EXPECT_EQ(loaded.channels(), ds.trace.channels());
   EXPECT_NEAR(loaded.coverage(), ds.trace.coverage(), 1e-12);

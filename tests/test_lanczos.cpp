@@ -29,112 +29,26 @@
 #include "auditherm/linalg/vector_ops.hpp"
 #include "auditherm/obs/trace_span.hpp"
 #include "auditherm/timeseries/multi_trace.hpp"
+#include "support/matrix_families.hpp"
+#include "support/oracles.hpp"
 
 namespace core = auditherm::core;
 namespace linalg = auditherm::linalg;
 namespace clustering = auditherm::clustering;
 namespace obs = auditherm::obs;
 namespace ts = auditherm::timeseries;
+namespace support = auditherm::test_support;
 using linalg::CsrMatrix;
 using linalg::Matrix;
 using linalg::Vector;
+using support::family_matrix;
+using support::family_name;
+using support::from_dense;
+using support::random_spd;
+using support::rank_deficient_laplacian;
+using support::spectrum_scale;
 
 namespace {
-
-Matrix random_matrix(std::size_t rows, std::size_t cols, std::uint64_t seed) {
-  std::mt19937_64 rng(seed);
-  std::normal_distribution<double> dist(0.0, 1.0);
-  Matrix m(rows, cols);
-  for (std::size_t i = 0; i < rows; ++i)
-    for (std::size_t j = 0; j < cols; ++j) m(i, j) = dist(rng);
-  return m;
-}
-
-Matrix random_spd(std::size_t n, std::uint64_t seed) {
-  const auto a = random_matrix(n + 2, n, seed);
-  auto spd = linalg::gram(a, a);
-  for (std::size_t i = 0; i < n; ++i) spd(i, i) += 0.25;
-  return spd;
-}
-
-Matrix near_diagonal(std::size_t n, std::uint64_t seed) {
-  std::mt19937_64 rng(seed);
-  std::uniform_real_distribution<double> diag(1.0, 10.0);
-  std::normal_distribution<double> off(0.0, 1e-3);
-  Matrix a(n, n);
-  for (std::size_t i = 0; i < n; ++i) {
-    a(i, i) = diag(rng);
-    for (std::size_t j = i + 1; j < n; ++j) {
-      const double v = off(rng);
-      a(i, j) = v;
-      a(j, i) = v;
-    }
-  }
-  return a;
-}
-
-/// Q D Q^T with triples of equal eigenvalues: degenerate-subspace stress.
-Matrix clustered_spectrum(std::size_t n, std::uint64_t seed) {
-  const linalg::QrDecomposition qr(random_matrix(n, n, seed));
-  const auto q = qr.thin_q();
-  Vector d(n);
-  for (std::size_t i = 0; i < n; ++i)
-    d[i] = 1.0 + static_cast<double>(i / 3);
-  Matrix qd = q;
-  for (std::size_t i = 0; i < n; ++i)
-    for (std::size_t j = 0; j < n; ++j) qd(i, j) *= d[j];
-  auto a = linalg::outer_product(qd, q);
-  for (std::size_t i = 0; i < n; ++i)
-    for (std::size_t j = i + 1; j < n; ++j) {
-      const double s = 0.5 * (a(i, j) + a(j, i));
-      a(i, j) = s;
-      a(j, i) = s;
-    }
-  return a;
-}
-
-/// Unnormalized Laplacian of a graph with 2-3 disconnected blocks: the
-/// zero eigenvalue repeats once per component, which only the
-/// deflated-restart path of the Lanczos solver can reproduce.
-Matrix rank_deficient_laplacian(std::size_t n, std::uint64_t seed) {
-  std::mt19937_64 rng(seed);
-  std::uniform_real_distribution<double> unit(0.0, 1.0);
-  const std::size_t blocks = 2 + seed % 2;
-  Matrix w(n, n);
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t j = i + 1; j < n; ++j) {
-      if (i % blocks != j % blocks) continue;
-      const double v = 0.1 + unit(rng);
-      w(i, j) = v;
-      w(j, i) = v;
-    }
-  }
-  return clustering::laplacian(w);
-}
-
-Matrix family_matrix(std::size_t family, std::size_t n, std::uint64_t seed) {
-  switch (family) {
-    case 0: return random_spd(n, seed);
-    case 1: return near_diagonal(n, seed);
-    case 2: return clustered_spectrum(n, seed);
-    default: return rank_deficient_laplacian(n, seed);
-  }
-}
-
-const char* family_name(std::size_t family) {
-  switch (family) {
-    case 0: return "spd";
-    case 1: return "near_diagonal";
-    case 2: return "clustered";
-    default: return "laplacian";
-  }
-}
-
-double spectrum_scale(const Vector& eigenvalues) {
-  double scale = 1.0;
-  for (const double v : eigenvalues) scale = std::max(scale, std::abs(v));
-  return scale;
-}
 
 /// Lanczos output vs the dense partial reference: eigenvalues to 1e-8,
 /// columns orthonormal and sign-pinned, residuals small, and isolated
@@ -166,7 +80,8 @@ void expect_matches_dense(const Matrix& a, const linalg::SymmetricEigen& ref,
     const Vector v = got.eigenvectors.col_vector(j);
 
     const Vector av = a * v;
-    const Vector lv = linalg::scale(got.eigenvalues[j], v);
+    Vector lv = v;
+    for (double& x : lv) x *= got.eigenvalues[j];
     EXPECT_NEAR(linalg::norm2(linalg::subtract(av, lv)), 0.0, 1e-8 * scale)
         << context << " residual " << j;
 
@@ -226,7 +141,8 @@ std::vector<std::size_t> canonical_labels(const std::vector<std::size_t>& in) {
 /// so small graphs can exercise both: the Jacobi oracle's full spectrum,
 /// and Lanczos over the `pairs` smallest pairs.
 clustering::SpectralAnalysis jacobi_analysis(const Matrix& weights) {
-  auto eig = linalg::eigen_symmetric(clustering::normalized_laplacian(weights));
+  auto eig =
+      support::eigen_symmetric(clustering::normalized_laplacian(weights));
   return {std::move(eig.eigenvalues), std::move(eig.eigenvectors)};
 }
 
@@ -314,7 +230,7 @@ TEST(Lanczos, MatchesDensePartialAcrossSeedsAndFamilies) {
     const auto a = family_matrix(family, n, 3000 + seed);
     const auto ref = linalg::eigen_symmetric_smallest(a, m);
     const auto got =
-        linalg::eigen_symmetric_smallest_sparse(CsrMatrix::from_dense(a), m);
+        linalg::eigen_symmetric_smallest_sparse(from_dense(a), m);
     const std::string context = std::string("lanczos ") + family_name(family) +
                                 " n=" + std::to_string(n) +
                                 " m=" + std::to_string(m) +
@@ -328,7 +244,7 @@ TEST(Lanczos, FullSpectrumRequestMatchesDense) {
   const auto a = random_spd(10, 91);
   const auto ref = linalg::eigen_symmetric_smallest(a, 10);
   const auto got =
-      linalg::eigen_symmetric_smallest_sparse(CsrMatrix::from_dense(a), 10);
+      linalg::eigen_symmetric_smallest_sparse(from_dense(a), 10);
   expect_matches_dense(a, ref, got, 10, "full spectrum n=10");
 }
 
@@ -347,7 +263,7 @@ TEST(Lanczos, DisconnectedLaplacianRecoversAllZeroModes) {
   }
   const auto l = clustering::laplacian(w);
   const auto got =
-      linalg::eigen_symmetric_smallest_sparse(CsrMatrix::from_dense(l), 6);
+      linalg::eigen_symmetric_smallest_sparse(from_dense(l), 6);
   for (std::size_t j = 0; j < 4; ++j) {
     EXPECT_NEAR(got.eigenvalues[j], 0.0, 1e-9) << "zero mode " << j;
   }
@@ -355,9 +271,9 @@ TEST(Lanczos, DisconnectedLaplacianRecoversAllZeroModes) {
 }
 
 TEST(Lanczos, Validation) {
-  const auto a = CsrMatrix::from_dense(random_spd(6, 11));
+  const auto a = from_dense(random_spd(6, 11));
   EXPECT_THROW((void)linalg::eigen_symmetric_smallest_sparse(
-                   CsrMatrix::from_dense(Matrix(2, 3)), 1),
+                   from_dense(Matrix(2, 3)), 1),
                std::invalid_argument);
   EXPECT_THROW((void)linalg::eigen_symmetric_smallest_sparse(a, 0),
                std::invalid_argument);
@@ -370,7 +286,7 @@ TEST(Lanczos, Validation) {
 TEST(Lanczos, TrivialSizes) {
   Matrix one{{4.0}};
   const auto got =
-      linalg::eigen_symmetric_smallest_sparse(CsrMatrix::from_dense(one), 1);
+      linalg::eigen_symmetric_smallest_sparse(from_dense(one), 1);
   ASSERT_EQ(got.eigenvalues.size(), 1u);
   EXPECT_DOUBLE_EQ(got.eigenvalues[0], 4.0);
   EXPECT_DOUBLE_EQ(got.eigenvectors(0, 0), 1.0);
@@ -379,7 +295,7 @@ TEST(Lanczos, TrivialSizes) {
   // tridiagonal is zero, and its Ritz vector must still be the start
   // vector, not an overflowed inverse iteration.
   const auto zero = linalg::eigen_symmetric_smallest_sparse(
-      CsrMatrix::from_dense(Matrix(8, 8)), 3);
+      from_dense(Matrix(8, 8)), 3);
   for (std::size_t j = 0; j < 3; ++j) {
     EXPECT_EQ(zero.eigenvalues[j], 0.0) << "pair " << j;
     const Vector vj = zero.eigenvectors.col_vector(j);
@@ -395,7 +311,7 @@ TEST(Lanczos, TrivialSizes) {
 TEST(Lanczos, LockedBasisValidation) {
   // Three components (residue classes mod 3): a 3-vector null basis.
   const auto l = rank_deficient_laplacian(12, 1);
-  const auto a = CsrMatrix::from_dense(l);
+  const auto a = from_dense(l);
   const auto basis = residue_class_basis(12, 3);
   auto throws = [&](const std::vector<Vector>& locked, std::size_t m) {
     EXPECT_THROW((void)linalg::eigen_symmetric_smallest_sparse(a, m, locked),
@@ -403,7 +319,9 @@ TEST(Lanczos, LockedBasisValidation) {
   };
   throws({Vector(11, 0.0)}, 4);                      // wrong length
   throws({basis[0], basis[0]}, 4);                   // not orthogonal
-  throws({linalg::scale(1.0 + 1e-6, basis[0])}, 4);  // not unit length
+  Vector stretched = basis[0];
+  for (double& x : stretched) x *= 1.0 + 1e-6;
+  throws({stretched}, 4);                            // not unit length
   throws(basis, 2);                                  // more than m
   Vector e0(12, 0.0);
   e0[0] = 1.0;
@@ -473,7 +391,7 @@ TEST(Lanczos, NonFiniteEntriesFailOnTheFirstIteration) {
 
 TEST(Lanczos, BitwiseStableAcrossThreads) {
   const auto l = rank_deficient_laplacian(128, 9);
-  const auto csr = CsrMatrix::from_dense(l);
+  const auto csr = from_dense(l);
   linalg::SymmetricEigen serial;
   {
     core::ThreadCountScope scope(1);
@@ -519,11 +437,11 @@ TEST(Lanczos, KnnGraphSeparatesHallsWithDiagnostics) {
 
   // Halls are far better correlated internally than across: the k-NN
   // graph keeps only within-hall edges, one component per hall.
-  EXPECT_EQ(graph.component_count, 3u);
+  EXPECT_EQ(support::component_count(graph.weights), 3u);
   // Symmetrized union of per-vertex top-4: between 9*4/2 and 9*4 edges
   // per hall.
-  EXPECT_GE(graph.edge_count, 3u * 18u);
-  EXPECT_LE(graph.edge_count, 3u * 36u);
+  EXPECT_GE(support::edge_count(graph.weights), 3u * 18u);
+  EXPECT_LE(support::edge_count(graph.weights), 3u * 36u);
   for (std::size_t i = 0; i < 27; ++i) {
     for (std::size_t j = 0; j < 27; ++j) {
       if (i / 9 != j / 9) {
@@ -605,7 +523,8 @@ TEST(Lanczos, AnalyzeSpectrumLocksTheNullBasisOnKnnGraphs) {
                         {3, 200, true}};
   for (const Case& c : cases) {
     auto graph = knn_campus_graph(c.halls, c.per_hall, 500 + c.halls);
-    ASSERT_EQ(graph.component_count, c.halls) << "halls=" << c.halls;
+    ASSERT_EQ(support::component_count(graph.weights), c.halls)
+        << "halls=" << c.halls;
     const std::size_t n = graph.channels.size();
     std::size_t components = c.halls;
     if (c.isolate) {
@@ -691,7 +610,7 @@ TEST(Lanczos, AnalyzeSpectrumLocksTheNullBasisOnKnnGraphs) {
 TEST(Lanczos, ExportsLockedPairsAndResidualHealth) {
   if (!obs::kCompiledIn) GTEST_SKIP() << "observability compiled out";
   const auto graph = knn_campus_graph(4, 128, 404);
-  ASSERT_EQ(graph.component_count, 4u);
+  ASSERT_EQ(support::component_count(graph.weights), 4u);
   const std::size_t m = 9;
   obs::Recorder recorder;
   {
@@ -713,7 +632,7 @@ TEST(Lanczos, AnalyzeSpectrumLocksNothingForNegativeWeights) {
   // Component indicators are null vectors only of a non-negative graph;
   // a negative weight takes the plain deflated passes.
   const auto graph = knn_campus_graph(4, 128, 405);
-  ASSERT_EQ(graph.component_count, 4u);
+  ASSERT_EQ(support::component_count(graph.weights), 4u);
   std::size_t i = 1;
   while (graph.weights(0, i) == 0.0) ++i;
   auto w = graph.weights;

@@ -61,15 +61,6 @@ TEST(MultiTrace, Coverage) {
   EXPECT_NEAR(trace.coverage(), 8.0 / 12.0, 1e-12);
 }
 
-TEST(MultiTrace, ChannelSeries) {
-  const auto trace = make_trace();
-  const auto s = trace.channel_series(20);
-  ASSERT_EQ(s.size(), 4u);
-  EXPECT_DOUBLE_EQ(s[0], 2.0);
-  EXPECT_TRUE(std::isnan(s[1]));
-  EXPECT_DOUBLE_EQ(s[3], 5.0);
-}
-
 TEST(MultiTrace, SelectChannelsReordersAndCopies) {
   const auto trace = make_trace();
   const auto sub = trace.select_channels({30, 10});

@@ -470,7 +470,7 @@ TEST(ObsExport, JsonCarriesSchemaCountersAndSpans) {
     obs::TraceSpan span("export.test_span");
     recorder.metrics().add_counter("export.test_counter", 7);
     recorder.metrics().set_gauge("export.test_gauge", 2.5);
-    recorder.metrics().observe_histogram("export.test_hist", 3.0);
+    recorder.metrics().observe(obs::histogram_id("export.test_hist"), 3.0);
   }
   const auto json = obs::to_json(recorder);
   expect_balanced_json(json);

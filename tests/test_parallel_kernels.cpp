@@ -12,7 +12,6 @@
 
 #include "auditherm/clustering/similarity.hpp"
 #include "auditherm/core/parallel.hpp"
-#include "auditherm/linalg/decompositions.hpp"
 #include "auditherm/linalg/matrix.hpp"
 #include "auditherm/timeseries/multi_trace.hpp"
 #include "auditherm/timeseries/trace_stats.hpp"
@@ -107,17 +106,6 @@ TEST(ParallelKernels, GramMatchesReferenceExactly) {
   }
 }
 
-TEST(ParallelKernels, OuterProductBitwiseStableAcrossThreads) {
-  const auto a = random_matrix(150, 90, 5);
-  const auto b = random_matrix(120, 90, 6);
-  const auto serial = at_threads(1, [&] { return linalg::outer_product(a, b); });
-  for (std::size_t threads : {2u, 8u}) {
-    EXPECT_EQ(at_threads(threads, [&] { return linalg::outer_product(a, b); }),
-              serial)
-        << "threads=" << threads;
-  }
-}
-
 TEST(ParallelKernels, RmsDistanceMatrixMatchesPairReference) {
   const auto trace = random_trace(800, 12, 0.15, 7);
   const auto serial = at_threads(1, [&] {
@@ -184,20 +172,6 @@ TEST(ParallelKernels, CovarianceAndMeansBitwiseStableAcrossThreads) {
     EXPECT_EQ(at_threads(threads,
                          [&] { return timeseries::channel_means(trace); }),
               mean1);
-  }
-}
-
-TEST(ParallelKernels, EigenSymmetricBitwiseStableAcrossThreads) {
-  // Symmetric PSD-ish matrix big enough to engage the reduction chunking.
-  const auto g = random_matrix(600, 40, 10);
-  const auto s = linalg::gram(g, g);
-  const auto serial = at_threads(1, [&] { return linalg::eigen_symmetric(s); });
-  for (std::size_t threads : {2u, 8u}) {
-    const auto eig = at_threads(threads, [&] {
-      return linalg::eigen_symmetric(s);
-    });
-    EXPECT_EQ(eig.eigenvalues, serial.eigenvalues) << "threads=" << threads;
-    EXPECT_EQ(eig.eigenvectors, serial.eigenvectors) << "threads=" << threads;
   }
 }
 

@@ -11,11 +11,13 @@
 #include "auditherm/linalg/vector_ops.hpp"
 #include "auditherm/sysid/estimator.hpp"
 #include "auditherm/sysid/evaluation.hpp"
+#include "support/oracles.hpp"
 
 namespace sysid = auditherm::sysid;
 namespace clustering = auditherm::clustering;
 namespace ts = auditherm::timeseries;
 namespace linalg = auditherm::linalg;
+namespace support = auditherm::test_support;
 using linalg::Matrix;
 using linalg::Vector;
 
@@ -95,8 +97,8 @@ TEST_P(EstimatorRecovery, RecoversRandomStableSystems) {
   sysid::ModelEstimator estimator(states, inputs, sysid::ModelOrder::kFirst,
                                   opts);
   const auto model = estimator.fit(trace);
-  EXPECT_TRUE(linalg::approx_equal(model.a(), a, 1e-6));
-  EXPECT_TRUE(linalg::approx_equal(model.b(), b, 1e-6));
+  EXPECT_TRUE(support::approx_equal(model.a(), a, 1e-6));
+  EXPECT_TRUE(support::approx_equal(model.b(), b, 1e-6));
 }
 
 INSTANTIATE_TEST_SUITE_P(

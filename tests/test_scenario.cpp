@@ -265,8 +265,8 @@ TEST(RunFleet, WritesTracesAndManifestToOutDir) {
   for (const auto& outcome : outcomes) {
     // Datasets are dropped once written (keep_datasets defaults false).
     EXPECT_FALSE(outcome.dataset.has_value());
-    const auto trace = timeseries::read_csv_file(
-        (dir / outcome.trace_file).string());
+    std::ifstream file(dir / outcome.trace_file);
+    const auto trace = timeseries::read_csv(file);
     EXPECT_EQ(trace.size(), outcome.samples);
     EXPECT_EQ(trace.channel_count(), outcome.channels);
   }

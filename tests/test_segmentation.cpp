@@ -36,41 +36,3 @@ TEST(Segmentation, MinLengthZeroThrows) {
   EXPECT_THROW((void)ts::find_segments({true}, 0), std::invalid_argument);
 }
 
-TEST(Segmentation, TotalLength) {
-  EXPECT_EQ(ts::total_length({{0, 2}, {5, 9}}), 6u);
-  EXPECT_EQ(ts::total_length({}), 0u);
-}
-
-TEST(Segmentation, IntersectSplitsRuns) {
-  // One long run, the mask punches a hole in the middle.
-  const std::vector<Segment> segs{{0, 8}};
-  std::vector<bool> mask(8, true);
-  mask[3] = false;
-  const auto out = ts::intersect_segments(segs, mask);
-  ASSERT_EQ(out.size(), 2u);
-  EXPECT_EQ(out[0], (Segment{0, 3}));
-  EXPECT_EQ(out[1], (Segment{4, 8}));
-}
-
-TEST(Segmentation, IntersectRespectsSegmentBounds) {
-  const std::vector<Segment> segs{{2, 5}};
-  const std::vector<bool> mask(8, true);
-  const auto out = ts::intersect_segments(segs, mask);
-  ASSERT_EQ(out.size(), 1u);
-  EXPECT_EQ(out[0], (Segment{2, 5}));
-}
-
-TEST(Segmentation, IntersectOutOfRangeSegmentThrows) {
-  // A segment past the mask means the mask was built for a different
-  // trace — that used to be silently clamped (truncated windows), now it
-  // throws.
-  const std::vector<bool> mask(8, true);
-  EXPECT_THROW((void)ts::intersect_segments({{6, 9}}, mask),
-               std::out_of_range);
-  EXPECT_THROW((void)ts::intersect_segments({{8, 12}}, mask),
-               std::out_of_range);
-  EXPECT_THROW((void)ts::intersect_segments({{0, 3}}, std::vector<bool>{}),
-               std::out_of_range);
-  // A segment ending exactly at the mask boundary is in range.
-  EXPECT_NO_THROW((void)ts::intersect_segments({{5, 8}}, mask));
-}

@@ -56,15 +56,6 @@ TEST(SensorModel, TracksLargeChanges) {
   EXPECT_NEAR(ch.observe(18.5, rng), 18.5, 1e-12);
 }
 
-TEST(SensorModel, ResetForgetsHold) {
-  sim::SensorChannel ch(noiseless());
-  std::mt19937_64 rng(1);
-  (void)ch.observe(20.0, rng);
-  ch.reset();
-  EXPECT_TRUE(std::isnan(ch.last_report()));
-  EXPECT_NEAR(ch.observe(20.05, rng), 20.1, 1e-12);  // reports after reset
-}
-
 TEST(SensorModel, NoiseIsSeedDeterministic) {
   sim::SensorNoiseConfig config;  // default noise
   sim::SensorChannel a(config), b(config);

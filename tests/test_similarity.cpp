@@ -7,7 +7,10 @@
 #include <cmath>
 #include <stdexcept>
 
+#include "support/oracles.hpp"
+
 namespace clustering = auditherm::clustering;
+namespace support = auditherm::test_support;
 namespace ts = auditherm::timeseries;
 using ts::MultiTrace;
 using ts::TimeGrid;
@@ -115,8 +118,8 @@ TEST(Similarity, KnnSparsificationKeepsStrongestEdges) {
     }
   }
   // With k = 1 on 4 vertices, at most 4 undirected edges survive.
-  EXPECT_LE(graph.edge_count, 4u);
-  EXPECT_GE(graph.edge_count, 2u);
+  EXPECT_LE(support::edge_count(graph.weights), 4u);
+  EXPECT_GE(support::edge_count(graph.weights), 2u);
 }
 
 TEST(Similarity, KnnFullDegreeKeepsEverything) {
@@ -136,15 +139,10 @@ TEST(Similarity, KnnFullDegreeKeepsEverything) {
 
 TEST(Similarity, ConnectivityDiagnostics) {
   const auto trace = make_trace();
-  // Default epsilon graph on the 4-channel trace: diagnostics are filled.
+  // Default epsilon graph on the 4-channel trace.
   const auto graph = clustering::build_similarity_graph(trace, {1, 2, 3, 4});
-  std::size_t positive = 0;
-  for (std::size_t i = 0; i < 4; ++i)
-    for (std::size_t j = i + 1; j < 4; ++j)
-      if (graph.weights(i, j) > 0.0) ++positive;
-  EXPECT_EQ(graph.edge_count, positive);
-  EXPECT_GE(graph.component_count, 1u);
-  EXPECT_LE(graph.component_count, 4u);
+  EXPECT_GE(support::component_count(graph.weights), 1u);
+  EXPECT_LE(support::component_count(graph.weights), 4u);
 
   // A graph that k-NN provably splits: channels {1,2} co-move, {3} is on
   // its own (4 anti-correlates with 1, clipping its weights to ~0).
@@ -155,8 +153,8 @@ TEST(Similarity, ConnectivityDiagnostics) {
       clustering::build_similarity_graph(trace, {1, 2, 4}, knn_options);
   // 1-2 strongly linked; 4's weights are all clipped to zero, so it ends
   // up isolated — k-NN never invents edges for weightless vertices.
-  EXPECT_EQ(split.edge_count, 1u);
-  EXPECT_EQ(split.component_count, 2u);
+  EXPECT_EQ(support::edge_count(split.weights), 1u);
+  EXPECT_EQ(support::component_count(split.weights), 2u);
 }
 
 TEST(Similarity, Validation) {

@@ -1,5 +1,7 @@
 // Property tests for the CSR sparse-matrix layer: dense->CSR->dense
-// round-trips must be bitwise, SpMV must match the dense matvec to 1e-12
+// round-trips through the test-support converters (the fixture builders
+// the Lanczos tests rely on) must be bitwise, SpMV must match the dense
+// matvec to 1e-12
 // over ragged / empty-row / duplicate-pattern shapes, raw-array
 // construction must reject every invariant violation, and the row-parallel
 // SpMV must be bitwise identical at 1, 2, 4, and 8 threads.
@@ -15,9 +17,11 @@
 #include "auditherm/core/parallel.hpp"
 #include "auditherm/linalg/matrix.hpp"
 #include "auditherm/linalg/sparse.hpp"
+#include "support/oracles.hpp"
 
 namespace core = auditherm::core;
 namespace linalg = auditherm::linalg;
+namespace support = auditherm::test_support;
 using linalg::CsrMatrix;
 using linalg::Matrix;
 using linalg::Vector;
@@ -68,11 +72,11 @@ TEST(CsrMatrix, RoundTripIsBitwise) {
   std::uint64_t seed = 100;
   for (const auto& s : shapes) {
     const auto dense = random_sparse(s.rows, s.cols, s.density, seed++);
-    const auto csr = CsrMatrix::from_dense(dense);
+    const auto csr = support::from_dense(dense);
     EXPECT_EQ(csr.rows(), s.rows);
     EXPECT_EQ(csr.cols(), s.cols);
     // Bitwise: operator== compares the raw double storage.
-    EXPECT_EQ(csr.to_dense(), dense)
+    EXPECT_EQ(support::to_dense(csr), dense)
         << s.rows << "x" << s.cols << " density " << s.density;
     // nnz matches a direct count of the dense nonzeros.
     std::size_t nonzeros = 0;
@@ -85,8 +89,8 @@ TEST(CsrMatrix, RoundTripIsBitwise) {
 
 TEST(CsrMatrix, EmptyRowsRoundTrip) {
   const auto dense = random_sparse(12, 9, 0.5, 7, {0, 3, 4, 11});
-  const auto csr = CsrMatrix::from_dense(dense);
-  EXPECT_EQ(csr.to_dense(), dense);
+  const auto csr = support::from_dense(dense);
+  EXPECT_EQ(support::to_dense(csr), dense);
   // The empty rows occupy zero-length spans.
   EXPECT_EQ(csr.row_ptr()[1] - csr.row_ptr()[0], 0u);
   EXPECT_EQ(csr.row_ptr()[4] - csr.row_ptr()[3], 0u);
@@ -98,12 +102,12 @@ TEST(CsrMatrix, DropToleranceFilters) {
   a(0, 0) = 0.5;
   a(0, 2) = 1e-14;
   a(1, 1) = -2.0;
-  const auto kept = CsrMatrix::from_dense(a);
+  const auto kept = support::from_dense(a);
   EXPECT_EQ(kept.nnz(), 3u);
-  const auto filtered = CsrMatrix::from_dense(a, 1e-12);
+  const auto filtered = support::from_dense(a, 1e-12);
   EXPECT_EQ(filtered.nnz(), 2u);
-  EXPECT_EQ(filtered.to_dense()(0, 2), 0.0);
-  EXPECT_EQ(filtered.to_dense()(0, 0), 0.5);
+  EXPECT_EQ(support::to_dense(filtered)(0, 2), 0.0);
+  EXPECT_EQ(support::to_dense(filtered)(0, 0), 0.5);
 }
 
 TEST(CsrMatrix, DefaultIsEmpty) {
@@ -111,7 +115,7 @@ TEST(CsrMatrix, DefaultIsEmpty) {
   EXPECT_TRUE(empty.empty());
   EXPECT_EQ(empty.rows(), 0u);
   EXPECT_EQ(empty.nnz(), 0u);
-  EXPECT_EQ(empty.to_dense(), Matrix());
+  EXPECT_EQ(support::to_dense(empty), Matrix());
 }
 
 // ---------------------------------------------------------------------------
@@ -122,8 +126,8 @@ TEST(CsrMatrix, RawConstructionValidates) {
   // Valid: 2x3, entries (0,1)=2 and (1,0)=-1, (1,2)=4.
   const CsrMatrix ok(2, 3, {0, 1, 3}, {1, 0, 2}, {2.0, -1.0, 4.0});
   EXPECT_EQ(ok.nnz(), 3u);
-  EXPECT_EQ(ok.to_dense()(0, 1), 2.0);
-  EXPECT_EQ(ok.to_dense()(1, 2), 4.0);
+  EXPECT_EQ(support::to_dense(ok)(0, 1), 2.0);
+  EXPECT_EQ(support::to_dense(ok)(1, 2), 4.0);
 
   // row_ptr wrong length.
   EXPECT_THROW(CsrMatrix(2, 3, {0, 1}, {1}, {2.0}), std::invalid_argument);
@@ -148,12 +152,12 @@ TEST(CsrMatrix, DuplicateColumnsActAdditively) {
   // Row 0 stores column 1 twice: triplet-style assembly.
   const CsrMatrix dup(2, 2, {0, 2, 3}, {1, 1, 0}, {1.5, 2.5, -1.0});
   EXPECT_EQ(dup.nnz(), 3u);
-  const auto dense = dup.to_dense();
+  const auto dense = support::to_dense(dup);
   EXPECT_EQ(dense(0, 1), 4.0);
   EXPECT_EQ(dense(1, 0), -1.0);
 
   // SpMV sees the duplicates in storage order too.
-  const Vector y = dup * Vector{10.0, 100.0};
+  const Vector y = dup.multiply(Vector{10.0, 100.0});
   EXPECT_EQ(y[0], 1.5 * 100.0 + 2.5 * 100.0);
   EXPECT_EQ(y[1], -10.0);
 }
@@ -171,10 +175,10 @@ TEST(CsrMatrix, SpmvMatchesDenseMatvec) {
   std::uint64_t seed = 300;
   for (const auto& s : shapes) {
     const auto dense = random_sparse(s.rows, s.cols, s.density, seed++);
-    const auto csr = CsrMatrix::from_dense(dense);
+    const auto csr = support::from_dense(dense);
     const auto x = random_vector(s.cols, seed++);
     const Vector expected = dense * x;
-    const Vector got = csr * x;
+    const Vector got = csr.multiply(x);
     ASSERT_EQ(got.size(), expected.size());
     double scale = 1.0;
     for (const double v : expected) scale = std::max(scale, std::abs(v));
@@ -187,14 +191,14 @@ TEST(CsrMatrix, SpmvMatchesDenseMatvec) {
 
 TEST(CsrMatrix, SpmvEmptyRowsGiveExactZero) {
   const auto dense = random_sparse(10, 8, 0.6, 17, {2, 7});
-  const auto csr = CsrMatrix::from_dense(dense);
-  const Vector y = csr * random_vector(8, 18);
+  const auto csr = support::from_dense(dense);
+  const Vector y = csr.multiply(random_vector(8, 18));
   EXPECT_EQ(y[2], 0.0);
   EXPECT_EQ(y[7], 0.0);
 }
 
 TEST(CsrMatrix, SpmvValidatesLength) {
-  const auto csr = CsrMatrix::from_dense(random_sparse(4, 5, 0.5, 9));
+  const auto csr = support::from_dense(random_sparse(4, 5, 0.5, 9));
   EXPECT_THROW((void)csr.multiply(Vector(4, 1.0)), std::invalid_argument);
   EXPECT_NO_THROW((void)csr.multiply(Vector(5, 1.0)));
 }
@@ -206,16 +210,16 @@ TEST(CsrMatrix, SpmvValidatesLength) {
 TEST(CsrMatrix, SpmvBitwiseStableAcrossThreads) {
   // Large enough that the row-parallel kernel actually splits work.
   const auto dense = random_sparse(600, 600, 0.02, 42);
-  const auto csr = CsrMatrix::from_dense(dense);
+  const auto csr = support::from_dense(dense);
   const auto x = random_vector(600, 43);
   Vector serial;
   {
     core::ThreadCountScope scope(1);
-    serial = csr * x;
+    serial = csr.multiply(x);
   }
   for (std::size_t threads : {2u, 4u, 8u}) {
     core::ThreadCountScope scope(threads);
-    const Vector y = csr * x;
+    const Vector y = csr.multiply(x);
     EXPECT_EQ(y, serial) << "threads=" << threads;
   }
 }
@@ -228,11 +232,11 @@ TEST(CsrMatrix, FromDenseBitwiseStableAcrossThreads) {
   CsrMatrix serial;
   {
     core::ThreadCountScope scope(1);
-    serial = CsrMatrix::from_dense(dense);
+    serial = support::from_dense(dense);
   }
   for (std::size_t threads : {2u, 4u, 8u}) {
     core::ThreadCountScope scope(threads);
-    const auto csr = CsrMatrix::from_dense(dense);
+    const auto csr = support::from_dense(dense);
     EXPECT_EQ(csr.row_ptr(), serial.row_ptr()) << "threads=" << threads;
     EXPECT_EQ(csr.col_idx(), serial.col_idx()) << "threads=" << threads;
     EXPECT_EQ(csr.values(), serial.values()) << "threads=" << threads;

@@ -3,6 +3,7 @@
 #include "auditherm/clustering/spectral.hpp"
 
 #include "auditherm/linalg/decompositions.hpp"
+#include "support/oracles.hpp"
 
 #include <gtest/gtest.h>
 
@@ -13,6 +14,7 @@
 
 namespace clustering = auditherm::clustering;
 namespace linalg = auditherm::linalg;
+namespace support = auditherm::test_support;
 using linalg::Matrix;
 
 namespace {
@@ -42,7 +44,7 @@ clustering::SimilarityGraph block_graph(std::size_t blocks, std::size_t size,
 /// oracle, built outside analyze_spectrum() so the production spectrum can
 /// be compared against it.
 clustering::SpectralAnalysis jacobi_analysis(const Matrix& weights) {
-  auto eig = linalg::eigen_symmetric(clustering::normalized_laplacian(weights));
+  auto eig = support::eigen_symmetric(clustering::normalized_laplacian(weights));
   return {std::move(eig.eigenvalues), std::move(eig.eigenvectors)};
 }
 
@@ -69,7 +71,7 @@ TEST(Laplacian, RowSumsZeroAndPsd) {
     for (std::size_t j = 0; j < l.cols(); ++j) row_sum += l(i, j);
     EXPECT_NEAR(row_sum, 0.0, 1e-12);
   }
-  const auto eig = linalg::eigen_symmetric(l);
+  const auto eig = support::eigen_symmetric(l);
   for (double lambda : eig.eigenvalues) EXPECT_GE(lambda, -1e-10);
   EXPECT_NEAR(eig.eigenvalues[0], 0.0, 1e-10);  // the constant mode
 }

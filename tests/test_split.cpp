@@ -34,18 +34,18 @@ MultiTrace make_trace() {
 }  // namespace
 
 TEST(Split, DayModeCoverage) {
+  // A day is usable when enough of its occupied rows are valid: days 0, 1,
+  // 3 and 5 cover all of them, day 4 between 30% and 70%, day 2 none.
   const auto trace = make_trace();
-  hvac::Schedule schedule;
-  EXPECT_DOUBLE_EQ(core::day_mode_coverage(trace, {1}, schedule,
-                                           hvac::Mode::kOccupied, 0),
-                   1.0);
-  EXPECT_DOUBLE_EQ(core::day_mode_coverage(trace, {1}, schedule,
-                                           hvac::Mode::kOccupied, 2),
-                   0.0);
-  const double partial = core::day_mode_coverage(trace, {1}, schedule,
-                                                 hvac::Mode::kOccupied, 4);
-  EXPECT_GT(partial, 0.3);
-  EXPECT_LT(partial, 0.7);
+  const auto usable = [&](double min_coverage) {
+    return core::split_dataset(trace, {1}, hvac::Schedule{},
+                               hvac::Mode::kOccupied, min_coverage)
+        .usable_days;
+  };
+  EXPECT_EQ(usable(1.0), (std::vector<std::size_t>{0, 1, 3, 5}));
+  EXPECT_EQ(usable(0.7), (std::vector<std::size_t>{0, 1, 3, 5}));
+  EXPECT_EQ(usable(0.3), (std::vector<std::size_t>{0, 1, 3, 4, 5}));
+  EXPECT_EQ(usable(1e-9), (std::vector<std::size_t>{0, 1, 3, 4, 5}));
 }
 
 TEST(Split, UsableDaysExcludeFailures) {

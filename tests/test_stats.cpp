@@ -1,4 +1,6 @@
-// Tests for the scalar statistics kernels.
+// Tests for the scalar statistics kernels, and for the Pearson
+// correlation oracle that test_trace_stats checks correlation_matrix
+// against.
 
 #include "auditherm/linalg/stats.hpp"
 
@@ -8,27 +10,15 @@
 #include <random>
 #include <stdexcept>
 
+#include "support/oracles.hpp"
+
 namespace linalg = auditherm::linalg;
+namespace support = auditherm::test_support;
 using linalg::Vector;
 
-TEST(Stats, MeanAndVariance) {
-  const Vector x{1.0, 2.0, 3.0, 4.0};
-  EXPECT_DOUBLE_EQ(linalg::mean(x), 2.5);
-  EXPECT_NEAR(linalg::variance(x), 5.0 / 3.0, 1e-12);
-  EXPECT_NEAR(linalg::stddev(x), std::sqrt(5.0 / 3.0), 1e-12);
-}
-
 TEST(Stats, EmptyInputsThrow) {
-  EXPECT_THROW((void)linalg::mean({}), std::invalid_argument);
-  EXPECT_THROW((void)linalg::rms({}), std::invalid_argument);
-  EXPECT_THROW((void)linalg::variance({1.0}), std::invalid_argument);
   EXPECT_THROW((void)linalg::percentile({}, 50.0), std::invalid_argument);
   EXPECT_THROW((void)linalg::empirical_cdf({}), std::invalid_argument);
-}
-
-TEST(Stats, Rms) {
-  EXPECT_DOUBLE_EQ(linalg::rms({3.0, 4.0, 0.0, 0.0}), 2.5);
-  EXPECT_DOUBLE_EQ(linalg::rms({-2.0}), 2.0);
 }
 
 TEST(Stats, PercentileInterpolates) {
@@ -53,14 +43,14 @@ TEST(Stats, PercentileRangeChecked) {
 TEST(Stats, CorrelationPerfectAndInverse) {
   const Vector x{1.0, 2.0, 3.0, 4.0};
   const Vector y{2.0, 4.0, 6.0, 8.0};
-  EXPECT_NEAR(linalg::pearson_correlation(x, y), 1.0, 1e-12);
+  EXPECT_NEAR(support::pearson_correlation(x, y), 1.0, 1e-12);
   const Vector z{8.0, 6.0, 4.0, 2.0};
-  EXPECT_NEAR(linalg::pearson_correlation(x, z), -1.0, 1e-12);
+  EXPECT_NEAR(support::pearson_correlation(x, z), -1.0, 1e-12);
 }
 
 TEST(Stats, CorrelationOfConstantIsZero) {
   EXPECT_DOUBLE_EQ(
-      linalg::pearson_correlation({1.0, 1.0, 1.0}, {1.0, 2.0, 3.0}), 0.0);
+      support::pearson_correlation({1.0, 1.0, 1.0}, {1.0, 2.0, 3.0}), 0.0);
 }
 
 TEST(Stats, CorrelationInvariantToAffineTransform) {
@@ -71,21 +61,17 @@ TEST(Stats, CorrelationInvariantToAffineTransform) {
     x[i] = d(rng);
     y[i] = 0.7 * x[i] + 0.3 * d(rng);
   }
-  const double base = linalg::pearson_correlation(x, y);
+  const double base = support::pearson_correlation(x, y);
   Vector x2 = x;
   for (double& v : x2) v = 5.0 * v + 100.0;
-  EXPECT_NEAR(linalg::pearson_correlation(x2, y), base, 1e-12);
+  EXPECT_NEAR(support::pearson_correlation(x2, y), base, 1e-12);
 }
 
 TEST(Stats, CorrelationErrors) {
-  EXPECT_THROW((void)linalg::pearson_correlation({1.0, 2.0}, {1.0}),
+  EXPECT_THROW((void)support::pearson_correlation({1.0, 2.0}, {1.0}),
                std::invalid_argument);
-  EXPECT_THROW((void)linalg::covariance({1.0}, {1.0}), std::invalid_argument);
-}
-
-TEST(Stats, CovarianceKnownValue) {
-  EXPECT_NEAR(linalg::covariance({1.0, 2.0, 3.0}, {2.0, 4.0, 6.0}), 2.0,
-              1e-12);
+  EXPECT_THROW((void)support::pearson_correlation({1.0}, {1.0}),
+               std::invalid_argument);
 }
 
 TEST(Stats, EmpiricalCdfIsMonotoneAndComplete) {

@@ -1,5 +1,5 @@
-// Tests for multi-step prediction evaluation: window enumeration, start
-// scanning, and the error statistics behind Table I / Figs. 3-5.
+// Tests for multi-step prediction evaluation: start scanning and the error
+// statistics behind Table I / Figs. 3-5.
 
 #include "auditherm/sysid/evaluation.hpp"
 
@@ -7,11 +7,11 @@
 
 #include <cmath>
 
+#include "auditherm/linalg/stats.hpp"
 #include "auditherm/sysid/estimator.hpp"
 
 namespace sysid = auditherm::sysid;
 namespace ts = auditherm::timeseries;
-namespace hvac = auditherm::hvac;
 namespace linalg = auditherm::linalg;
 using linalg::Matrix;
 using linalg::Vector;
@@ -48,27 +48,6 @@ sysid::EvaluationOptions quick_options() {
 }
 
 }  // namespace
-
-TEST(ModeWindows, SplitsByModeAndValidity) {
-  // Two days on a 30-min grid; channel 101 is valid except one occupied
-  // sample on day 0.
-  ts::MultiTrace trace(ts::TimeGrid(0, 30, 96), {101});
-  for (std::size_t k = 0; k < 96; ++k) trace.set(k, 0, 1.0);
-  trace.clear(30, 0);  // 15:00 day 0, inside the occupied window
-  hvac::Schedule schedule;
-  const auto occupied = sysid::mode_windows(trace, schedule,
-                                            hvac::Mode::kOccupied, {101});
-  // Day 0 splits in two; day 1 is whole: 3 windows.
-  ASSERT_EQ(occupied.size(), 3u);
-  // Occupied window is 6:00-21:00 = 30 samples/day.
-  EXPECT_EQ(occupied[0].length() + occupied[1].length(), 29u);
-  EXPECT_EQ(occupied[2].length(), 30u);
-
-  const auto unoccupied = sysid::mode_windows(trace, schedule,
-                                              hvac::Mode::kUnoccupied, {101});
-  // Night runs: day0 00:00-06:00, day0 21:00-day1 06:00, day1 21:00-end.
-  ASSERT_EQ(unoccupied.size(), 3u);
-}
 
 TEST(PredictWindow, PerfectModelZeroError) {
   const auto setup = make_perfect();
@@ -156,9 +135,8 @@ TEST(EvaluatePrediction, BiasedModelHasExpectedError) {
   EXPECT_GT(eval.pooled_rms, 0.05);
   EXPECT_GT(eval.channel_abs_errors[0].size(), 10u);
   // 90th percentile of |err| must be >= the median.
-  const auto p90 = eval.channel_abs_percentile(90.0);
-  const auto p50 = eval.channel_abs_percentile(50.0);
-  EXPECT_GE(p90[0], p50[0]);
+  const auto& errors = eval.channel_abs_errors[0];
+  EXPECT_GE(linalg::percentile(errors, 90.0), linalg::percentile(errors, 50.0));
 }
 
 TEST(EvaluatePrediction, SkipsMissingComparisons) {

@@ -9,9 +9,11 @@
 
 #include "auditherm/linalg/decompositions.hpp"
 #include "auditherm/linalg/stats.hpp"
+#include "support/oracles.hpp"
 
 namespace ts = auditherm::timeseries;
 namespace linalg = auditherm::linalg;
+namespace support = auditherm::test_support;
 using ts::MultiTrace;
 using ts::TimeGrid;
 
@@ -53,7 +55,7 @@ TEST(TraceStats, CorrelationAgreesWithScalarKernel) {
     trace.set(k, 1, b[k]);
   }
   const auto corr = ts::correlation_matrix(trace);
-  EXPECT_NEAR(corr(0, 1), linalg::pearson_correlation(a, b), 1e-10);
+  EXPECT_NEAR(corr(0, 1), support::pearson_correlation(a, b), 1e-10);
 }
 
 TEST(TraceStats, CovarianceMatrixIsPsdOnCompleteData) {
@@ -63,7 +65,7 @@ TEST(TraceStats, CovarianceMatrixIsPsdOnCompleteData) {
   for (std::size_t k = 0; k < 60; ++k)
     for (std::size_t c = 0; c < 4; ++c) trace.set(k, c, d(rng));
   const auto cov = ts::covariance_matrix(trace);
-  const auto eig = linalg::eigen_symmetric(cov);
+  const auto eig = support::eigen_symmetric(cov);
   for (double lambda : eig.eigenvalues) EXPECT_GE(lambda, -1e-10);
 }
 

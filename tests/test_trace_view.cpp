@@ -2,8 +2,8 @@
 // view operations, bitwise view-vs-copy equivalence across every consumer
 // that was migrated to views (trace_stats, clustering, sysid, selection,
 // fingerprinting), zero-copy accounting via the timeseries.bytes_copied
-// counter, coverage() degeneracy pins, and — under ASan — detection of a
-// view outliving its trace.
+// counter, coverage() degeneracy pins for the traces views are cut from,
+// and — under ASan — detection of a view outliving its trace.
 
 #include "auditherm/timeseries/trace_view.hpp"
 
@@ -233,36 +233,30 @@ TEST(TraceView, OperationsComposeLikeMaterializedChain) {
                         .filter_rows(keep)
                         .select_channels({6, 8});
   expect_view_equals_trace(view, copy, "composed chain");
-  expect_view_equals_trace(ts::TraceView(view.materialize()), copy,
-                           "materialized chain");
 }
 
 // ---------------------------------------------------------------------------
-// coverage() degeneracy (regression pins: degenerate traces are defined
-// as 0.0, never a 0/0)
+// MultiTrace::coverage() degeneracy (regression pins: degenerate traces
+// are defined as 0.0, never a 0/0)
 // ---------------------------------------------------------------------------
 
 TEST(TraceView, CoverageOfDegenerateViewsIsZero) {
   const ts::MultiTrace zero_rows(ts::TimeGrid(0, 30, 0), {1, 2});
   EXPECT_EQ(zero_rows.coverage(), 0.0);
-  EXPECT_EQ(ts::TraceView(zero_rows).coverage(), 0.0);
 
   const ts::MultiTrace zero_channels(ts::TimeGrid(0, 30, 10), {});
   EXPECT_EQ(zero_channels.coverage(), 0.0);
-  EXPECT_EQ(ts::TraceView(zero_channels).coverage(), 0.0);
 
-  EXPECT_EQ(ts::TraceView().coverage(), 0.0);
+  EXPECT_EQ(ts::MultiTrace().coverage(), 0.0);
 
   std::mt19937_64 rng(6);
   const auto trace = random_trace(rng, 8, {1, 2}, 0.0);
   EXPECT_EQ(trace.coverage(), 1.0);
-  // Empty row mask and empty channel subset both degenerate to 0.0.
-  EXPECT_EQ(
-      ts::TraceView(trace).filter_rows(std::vector<bool>(8, false)).coverage(),
-      0.0);
+  // Empty row mask, empty channel subset and empty slice all degenerate
+  // to 0.0.
   EXPECT_EQ(trace.filter_rows(std::vector<bool>(8, false)).coverage(), 0.0);
-  EXPECT_EQ(ts::TraceView(trace).select_channels({}).coverage(), 0.0);
-  EXPECT_EQ(ts::TraceView(trace).slice_rows(3, 3).coverage(), 0.0);
+  EXPECT_EQ(trace.select_channels({}).coverage(), 0.0);
+  EXPECT_EQ(trace.slice_rows(3, 3).coverage(), 0.0);
 }
 
 // ---------------------------------------------------------------------------
@@ -325,7 +319,6 @@ TEST(TraceViewProperty, RandomViewChainsMatchMaterializedEverywhere) {
 
     const std::string tag = "iteration " + std::to_string(iteration);
     expect_view_equals_trace(view, copy, tag);
-    expect_bitwise(view.coverage(), copy.coverage(), tag + " coverage");
     EXPECT_EQ(core::trace_fingerprint(view), core::trace_fingerprint(copy))
         << tag;
     EXPECT_EQ(ts::rows_with_all_valid(view), ts::rows_with_all_valid(copy))
@@ -425,19 +418,21 @@ TEST(TraceViewConsumers, SysidFitAndEvaluationBitwiseEqual) {
   hvac::Schedule schedule;
   std::vector<ts::ChannelId> required = states;
   required.insert(required.end(), hall.inputs.begin(), hall.inputs.end());
-  const auto windows_v = sysid::mode_windows(view, schedule,
-                                             hvac::Mode::kOccupied, required);
-  const auto windows_c = sysid::mode_windows(copy, schedule,
-                                             hvac::Mode::kOccupied, required);
-  ASSERT_EQ(windows_v.size(), windows_c.size());
-  ASSERT_FALSE(windows_v.empty());
-  EXPECT_EQ(windows_v, windows_c);
+  const auto valid_v = ts::rows_with_all_valid(view, required);
+  EXPECT_EQ(valid_v, ts::rows_with_all_valid(copy, required));
+  // Evaluation windows: occupied rows with every channel valid.
+  auto mask = schedule.mode_mask(view.grid(), hvac::Mode::kOccupied);
+  for (std::size_t k = 0; k < mask.size(); ++k) {
+    mask[k] = mask[k] && valid_v[k];
+  }
+  const auto windows = ts::find_segments(mask, 2);
+  ASSERT_FALSE(windows.empty());
 
   const sysid::EvaluationOptions eval_opts;
   const auto eval_v =
-      sysid::evaluate_prediction(model_v, view, windows_v, eval_opts);
+      sysid::evaluate_prediction(model_v, view, windows, eval_opts);
   const auto eval_c =
-      sysid::evaluate_prediction(model_c, copy, windows_c, eval_opts);
+      sysid::evaluate_prediction(model_c, copy, windows, eval_opts);
   EXPECT_EQ(eval_v.window_count, eval_c.window_count);
   expect_bitwise(eval_v.pooled_rms, eval_c.pooled_rms, "pooled_rms");
   expect_bitwise(eval_v.channel_rms, eval_c.channel_rms, "channel_rms");
@@ -472,7 +467,6 @@ TEST(TraceViewBytes, ViewPathCopiesNothing) {
     (void)ts::rows_with_all_valid(view);
     (void)ts::row_mean(view);
     (void)core::trace_fingerprint(view);
-    (void)view.coverage();
     (void)keep;
   }
   EXPECT_EQ(bytes_copied(recorder), 0u)
@@ -495,21 +489,11 @@ TEST(TraceViewBytes, MaterializingApisAreCounted) {
   obs::Recorder recorder2;
   {
     obs::RecorderScope scope(&recorder2);
-    const auto view = ts::TraceView(hall.trace).select_channels({1, 2, 3});
-    (void)view.materialize();
-  }
-  EXPECT_EQ(bytes_copied(recorder2),
-            hall.trace.size() * 3 * sizeof(double));
-
-  obs::Recorder recorder3;
-  {
-    obs::RecorderScope scope(&recorder3);
     (void)hall.trace.slice_rows(0, 10);
     (void)hall.trace.filter_rows(
         std::vector<bool>(hall.trace.size(), true));
-    (void)hall.trace.channel_series(1);
   }
-  EXPECT_GT(bytes_copied(recorder3), 0u);
+  EXPECT_GT(bytes_copied(recorder2), 0u);
 }
 
 // ---------------------------------------------------------------------------
@@ -526,8 +510,6 @@ TEST(TraceViewFingerprint, ViewKeysIdenticallyToMaterialized) {
       ts::TraceView(trace).select_channels({2, 4}).filter_rows(keep);
   const auto copy = trace.select_channels({2, 4}).filter_rows(keep);
   EXPECT_EQ(core::trace_fingerprint(view), core::trace_fingerprint(copy));
-  EXPECT_EQ(core::trace_fingerprint(view),
-            core::trace_fingerprint(view.materialize()));
   // And the fingerprint still distinguishes different content.
   EXPECT_NE(core::trace_fingerprint(view), core::trace_fingerprint(trace));
 }

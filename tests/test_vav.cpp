@@ -43,33 +43,6 @@ TEST(Vav, StepReturnsOutput) {
   EXPECT_DOUBLE_EQ(out.supply_temp_c, box.config().supply_temp_c);
 }
 
-TEST(Vav, ThermalPowerSign) {
-  hvac::VavBox box{hvac::VavConfig{}};  // supply 13 degC
-  EXPECT_LT(box.thermal_power_w(21.0), 0.0);  // cooling a warm room
-  EXPECT_GT(box.thermal_power_w(5.0), 0.0);   // warming a cold room
-  EXPECT_DOUBLE_EQ(box.thermal_power_w(box.config().supply_temp_c), 0.0);
-}
-
-TEST(Vav, ThermalPowerMagnitude) {
-  hvac::VavConfig config;
-  config.min_flow_m3_s = 1.0;
-  config.max_flow_m3_s = 2.0;
-  config.supply_temp_c = 13.0;
-  hvac::VavBox box{config};
-  // 1 m^3/s * 1206 J/(m^3 K) * (13 - 21) K = -9648 W.
-  EXPECT_NEAR(box.thermal_power_w(21.0), -9648.0, 1.0);
-}
-
-TEST(Vav, ResetRestoresMinimum) {
-  hvac::VavBox box{hvac::VavConfig{}};
-  box.command_flow(0.5);
-  for (int i = 0; i < 100; ++i) box.step(60.0);
-  box.reset();
-  EXPECT_DOUBLE_EQ(box.flow(), box.config().min_flow_m3_s);
-  box.step(600.0);
-  EXPECT_DOUBLE_EQ(box.flow(), box.config().min_flow_m3_s);
-}
-
 TEST(Vav, ConfigValidation) {
   hvac::VavConfig bad;
   bad.min_flow_m3_s = 1.0;
