@@ -226,7 +226,7 @@ struct SweepCase {
 /// Configuration for the streaming-identification entry point.
 struct StreamingRunConfig {
   sysid::ModelOrder order = sysid::ModelOrder::kSecond;
-  /// Window / re-anchoring / drift-detector knobs. The default
+  /// Window and drift-detector knobs. The default
   /// EstimationOptions inside match the batch pipeline's.
   sysid::StreamingOptions streaming;
   /// Observability sink for this call, RunOptions::metrics semantics.

@@ -91,28 +91,6 @@ Matrix QrDecomposition::solve(const Matrix& b) const {
   return x;
 }
 
-Matrix QrDecomposition::r() const {
-  Matrix r(n_, n_);
-  for (std::size_t i = 0; i < n_; ++i) {
-    r(i, i) = rdiag_[i];
-    for (std::size_t j = i + 1; j < n_; ++j) r(i, j) = qr_(i, j);
-  }
-  return r;
-}
-
-Matrix QrDecomposition::qt_times(const Matrix& b) const {
-  if (b.rows() != m_) {
-    throw std::invalid_argument("QrDecomposition::qt_times: rows mismatch");
-  }
-  Matrix qtb(m_, b.cols());
-  for (std::size_t j = 0; j < b.cols(); ++j) {
-    Vector col = b.col_vector(j);
-    apply_reflectors(col);
-    qtb.set_col(j, col);
-  }
-  return qtb;
-}
-
 // ---------------------------------------------------------------------------
 // UpdatableQr
 // ---------------------------------------------------------------------------
@@ -182,38 +160,11 @@ UpdatableQr::UpdatableQr(std::size_t cols, std::size_t rhs_cols)
       k_(rhs_cols),
       r_(cols, cols),
       u_(cols, rhs_cols),
-      rss_(rhs_cols, 0.0),
       z_(cols, 0.0),
       y_(rhs_cols, 0.0) {
   if (n_ == 0 || k_ == 0) {
     throw std::invalid_argument("UpdatableQr: zero-sized system");
   }
-}
-
-UpdatableQr::UpdatableQr(const Matrix& a, const Matrix& b)
-    : UpdatableQr(a.cols(), b.cols()) {
-  if (a.rows() != b.rows()) {
-    throw std::invalid_argument("UpdatableQr: row count mismatch");
-  }
-  const QrDecomposition qr(a);
-  const Matrix rfull = qr.r();
-  const Matrix qtb = qr.qt_times(b);
-  for (std::size_t i = 0; i < n_; ++i) {
-    // Canonicalize to R_ii >= 0 (Q absorbs the sign; R^T R is unchanged),
-    // the convention the Givens append path maintains.
-    const double sign = rfull(i, i) < 0.0 ? -1.0 : 1.0;
-    for (std::size_t j = i; j < n_; ++j) r_(i, j) = sign * rfull(i, j);
-    for (std::size_t j = 0; j < k_; ++j) u_(i, j) = sign * qtb(i, j);
-  }
-  for (std::size_t j = 0; j < k_; ++j) {
-    double ss = 0.0;
-    for (std::size_t i = n_; i < a.rows(); ++i) ss += qtb(i, j) * qtb(i, j);
-    rss_[j] = ss;
-  }
-  for (std::size_t i = 0; i < a.rows(); ++i) {
-    for (std::size_t j = 0; j < n_; ++j) gram_trace_ += a(i, j) * a(i, j);
-  }
-  rows_ = a.rows();
 }
 
 void UpdatableQr::append(const double* a_row, const double* b_row) {
@@ -226,55 +177,23 @@ void UpdatableQr::append(const double* a_row, const double* b_row) {
   }
   for (std::size_t j = 0; j < k_; ++j) y_[j] = b_row[j];
   givens_fold_row(r_, u_, z_, y_);
-  for (std::size_t j = 0; j < k_; ++j) rss_[j] += y_[j] * y_[j];
   ++rows_;
 }
 
-bool UpdatableQr::downdate(const double* a_row, const double* b_row) {
-  static const obs::MetricId kDowndateCalls =
-      obs::counter_id("linalg.qr_downdate_calls");
-  obs::add_counter(kDowndateCalls);
-  if (rows_ == 0) return false;
-  // Work on copies and commit on success: a guard rejection mid-sweep must
-  // leave the factorization untouched. The copy is O(n (n + k)) — the same
-  // order as the rotations themselves.
-  r_scratch_ = r_;
-  u_scratch_ = u_;
-  for (std::size_t j = 0; j < n_; ++j) z_[j] = a_row[j];
-  for (std::size_t j = 0; j < k_; ++j) y_[j] = b_row[j];
+void UpdatableQr::merge(const UpdatableQr& other) {
+  if (other.n_ != n_ || other.k_ != k_) {
+    throw std::invalid_argument("UpdatableQr::merge: shape mismatch");
+  }
+  // [R_other | U_other] carries the same normal equations as the rows it
+  // folded in (R^T R = A^T A, R^T U = A^T B), so folding its n rows here
+  // factorizes the stacked row sets.
   for (std::size_t i = 0; i < n_; ++i) {
-    const double zi = z_[i];
-    if (zi == 0.0) continue;
-    const double rii = r_scratch_(i, i);
-    const double d = (rii - zi) * (rii + zi);
-    // Refuse when the downdated diagonal loses nearly all of its
-    // magnitude (also catches rii == 0 and NaN rows).
-    if (!(d > kDowndateGuard * rii * rii)) return false;
-    const double rho = std::sqrt(d);
-    const double ch = rii / rho;
-    const double sh = zi / rho;
-    r_scratch_(i, i) = rho;
-    for (std::size_t j = i + 1; j < n_; ++j) {
-      const double t = r_scratch_(i, j);
-      r_scratch_(i, j) = ch * t - sh * z_[j];
-      z_[j] = ch * z_[j] - sh * t;
-    }
-    for (std::size_t j = 0; j < k_; ++j) {
-      const double t = u_scratch_(i, j);
-      u_scratch_(i, j) = ch * t - sh * y_[j];
-      y_[j] = ch * y_[j] - sh * t;
-    }
+    for (std::size_t j = 0; j < n_; ++j) z_[j] = other.r_(i, j);
+    for (std::size_t j = 0; j < k_; ++j) y_[j] = other.u_(i, j);
+    givens_fold_row(r_, u_, z_, y_);
   }
-  r_ = r_scratch_;
-  u_ = u_scratch_;
-  for (std::size_t j = 0; j < k_; ++j) {
-    rss_[j] = std::max(0.0, rss_[j] - y_[j] * y_[j]);
-  }
-  double row_ss = 0.0;
-  for (std::size_t j = 0; j < n_; ++j) row_ss += a_row[j] * a_row[j];
-  gram_trace_ = std::max(0.0, gram_trace_ - row_ss);
-  --rows_;
-  return true;
+  gram_trace_ += other.gram_trace_;
+  rows_ += other.rows_;
 }
 
 Matrix UpdatableQr::solve() const {
@@ -289,22 +208,21 @@ Matrix UpdatableQr::solve_ridge(double lambda) const {
     throw std::invalid_argument("UpdatableQr::solve_ridge: lambda <= 0");
   }
   // Fold the n rows of sqrt(lambda) I into a copy of [R | U]; ridge row i
-  // is sqrt(lambda) e_i with a zero right-hand side. The copy lives in the
-  // downdate scratch so the per-refit solve allocates nothing but the
-  // result.
-  r_scratch_ = r_;
-  u_scratch_ = u_;
+  // is sqrt(lambda) e_i with a zero right-hand side.
+  Matrix r = r_;
+  Matrix u = u_;
+  Vector z(n_), y(k_);
   const double s = std::sqrt(lambda);
   for (std::size_t i = 0; i < n_; ++i) {
-    std::fill(z_.begin(), z_.end(), 0.0);
-    std::fill(y_.begin(), y_.end(), 0.0);
-    z_[i] = s;
-    givens_fold_row(r_scratch_, u_scratch_, z_, y_);
+    std::fill(z.begin(), z.end(), 0.0);
+    std::fill(y.begin(), y.end(), 0.0);
+    z[i] = s;
+    givens_fold_row(r, u, z, y);
   }
-  if (upper_rank_deficient(r_scratch_, 1e-12)) {
+  if (upper_rank_deficient(r, 1e-12)) {
     throw std::domain_error("UpdatableQr::solve_ridge: rank-deficient system");
   }
-  return upper_back_substitute(r_scratch_, u_scratch_);
+  return upper_back_substitute(r, u);
 }
 
 bool UpdatableQr::rank_deficient(double tol) const noexcept {

@@ -1,8 +1,9 @@
 #pragma once
 
 /// \file decompositions.hpp
-/// Matrix factorizations: Householder QR (batch and row-updatable),
-/// Cholesky, and dense symmetric eigensolvers.
+/// Matrix factorizations: Householder QR, a Givens-updated QR that grows
+/// one row (or one merged factorization) at a time, Cholesky, and dense
+/// symmetric eigensolvers.
 ///
 /// These are the direct solvers behind the paper's convex least-squares
 /// identification problem (eq. 4) and the spectral-clustering Laplacian
@@ -18,8 +19,8 @@ namespace auditherm::linalg {
 
 /// Householder QR factorization A = Q R of an m x n matrix with m >= n.
 ///
-/// Stores the Householder reflectors compactly; Q is never formed unless
-/// requested. The main consumer is least-squares solving.
+/// Stores the Householder reflectors compactly; Q is never formed. The
+/// consumer is least-squares solving.
 class QrDecomposition {
  public:
   /// Factorize `a` (m x n, m >= n). Throws std::invalid_argument otherwise.
@@ -32,18 +33,8 @@ class QrDecomposition {
   /// Column-wise least-squares solve for multiple right-hand sides.
   [[nodiscard]] Matrix solve(const Matrix& b) const;
 
-  /// The n x n upper-triangular factor R.
-  [[nodiscard]] Matrix r() const;
-
   /// True when some |R_ii| is below `tol * max_j |R_jj|`.
   [[nodiscard]] bool rank_deficient(double tol = 1e-12) const noexcept;
-
-  /// Q^T B (m x k) through the stored reflectors, without forming Q.
-  /// Rows 0..n-1 are the rotated right-hand side a least-squares solve
-  /// back-substitutes against; rows n..m-1 hold the residual component
-  /// (their column norms are the least-squares residual norms). This is
-  /// the seeding hook for UpdatableQr.
-  [[nodiscard]] Matrix qt_times(const Matrix& b) const;
 
  private:
   void apply_reflectors(Vector& b) const;  // b := Q^T b (length m)
@@ -54,35 +45,21 @@ class QrDecomposition {
   Vector rdiag_;  // diagonal of R
 };
 
-/// Relative guard below which UpdatableQr::downdate refuses to proceed: the
-/// downdated diagonal must satisfy R'_ii^2 > guard * R_ii^2, bounding the
-/// hyperbolic rotation's cosh at 1/sqrt(guard) = 1e4 and therefore its
-/// roundoff amplification at ~1e4 * eps per event — comfortably inside the
-/// streaming estimator's 1e-8 batch-agreement contract between re-anchors.
-inline constexpr double kDowndateGuard = 1e-8;
-
-/// Incrementally maintained QR factorization of a row-streamed
-/// least-squares system min ||A X - B||_F.
+/// Incrementally built QR factorization of a row-streamed least-squares
+/// system min ||A X - B||_F.
 ///
 /// Holds only the n x n upper-triangular factor R and the rotated
 /// right-hand side U = Q^T B (n x k) — Q itself is never stored, because a
 /// least-squares solve needs nothing else. append() folds one new
-/// observation row into [R | U] with Givens rotations and downdate()
-/// removes a previously appended row with hyperbolic rotations, both in
-/// O(n (n + k)); a sliding window therefore costs O(p^2) per step instead
-/// of the O(N p^2) a fresh Householder factorization per refit would
-/// (sysid::StreamingEstimator is the main consumer).
+/// observation row into [R | U] with Givens rotations in O(n (n + k)), and
+/// merge() folds a second factorization's n rows of [R | U] the same way,
+/// which yields the factorization of both row sets stacked. Both are
+/// orthogonal rotations, hence backward stable. Rows are never removed: a
+/// sliding window keeps suffix factorizations instead
+/// (sysid::StreamingEstimator's two stacks).
 ///
-/// Downdating is the numerically delicate half: removing a row can cancel
-/// almost all of a diagonal entry, and the hyperbolic rotation would then
-/// amplify roundoff without bound. downdate() detects this (kDowndateGuard)
-/// and returns false WITHOUT modifying the factorization; the caller
-/// re-anchors by refactorizing the surviving window rows from scratch — a
-/// deterministic fallback, so every run and thread count sees the same
-/// bits.
-///
-/// Everything here is serial and allocation-free on the hot path; results
-/// depend only on the sequence of append/downdate calls.
+/// Everything here is serial; results depend only on the sequence of
+/// append/merge calls.
 class UpdatableQr {
  public:
   /// Empty factorization of a `cols`-parameter system with `rhs_cols`
@@ -90,26 +67,18 @@ class UpdatableQr {
   /// count is zero.
   UpdatableQr(std::size_t cols, std::size_t rhs_cols);
 
-  /// Seed from a batch system: R and Q^T B come from one Householder
-  /// QrDecomposition of `a` (m x n, m >= n; this is the re-anchoring
-  /// path). Diagonal signs are canonicalized to R_ii >= 0, the convention
-  /// append() preserves. Throws like QrDecomposition on bad shapes.
-  UpdatableQr(const Matrix& a, const Matrix& b);
-
   [[nodiscard]] std::size_t cols() const noexcept { return n_; }
   [[nodiscard]] std::size_t rhs_cols() const noexcept { return k_; }
-  /// Rows currently folded in (appends minus downdates).
+  /// Rows folded in so far (appended or merged).
   [[nodiscard]] std::size_t rows() const noexcept { return rows_; }
 
   /// Fold one observation row into the factorization: `a_row` has cols()
   /// entries, `b_row` rhs_cols(). O(n (n + k)).
   void append(const double* a_row, const double* b_row);
 
-  /// Remove a previously appended row. Returns false — leaving the
-  /// factorization untouched — when the downdate would be numerically
-  /// unsafe (see kDowndateGuard) or no rows remain; the caller must then
-  /// refactorize from the surviving rows.
-  [[nodiscard]] bool downdate(const double* a_row, const double* b_row);
+  /// Fold in every row `other` holds, so this factorizes the rows of both.
+  /// Throws std::invalid_argument on a shape mismatch. O(n^2 (n + k)).
+  void merge(const UpdatableQr& other);
 
   /// Least-squares solution X = R^{-1} U (n x k). Requires rows() >=
   /// cols(); throws std::domain_error when R is numerically
@@ -126,11 +95,6 @@ class UpdatableQr {
   /// The current R factor (n x n upper triangular, R_ii >= 0).
   [[nodiscard]] const Matrix& r() const noexcept { return r_; }
 
-  /// Residual sum of squares per right-hand-side column, maintained
-  /// incrementally (appends add, downdates subtract, clamped at zero).
-  /// Feeds the streaming estimator's information-criterion reporting.
-  [[nodiscard]] const Vector& residual_sumsq() const noexcept { return rss_; }
-
   /// Frobenius norm squared of the folded rows, sum_i ||a_i||^2 =
   /// trace(A^T A); what relative-ridge scaling needs, maintained
   /// incrementally.
@@ -143,17 +107,10 @@ class UpdatableQr {
   std::size_t n_ = 0;
   std::size_t k_ = 0;
   std::size_t rows_ = 0;
-  Matrix r_;          // n x n, upper triangular, diagonal >= 0
-  Matrix u_;          // n x k
-  Vector rss_;        // per-rhs residual sum of squares
+  Matrix r_;  // n x n, upper triangular, diagonal >= 0
+  Matrix u_;  // n x k
   double gram_trace_ = 0.0;
-  // Scratch for append/downdate rows, the downdate's copy-then-commit
-  // (downdate must not modify state on failure), and solve_ridge's folded
-  // copy. Mutable so the const solve path can reuse the buffers instead of
-  // allocating per call; consequently a single UpdatableQr is not safe for
-  // concurrent use (matching Matrix/Vector semantics elsewhere).
-  mutable Vector z_, y_;
-  mutable Matrix r_scratch_, u_scratch_;
+  Vector z_, y_;  // the row being folded in
 };
 
 /// Cholesky factorization A = L L^T of a symmetric positive-definite matrix.

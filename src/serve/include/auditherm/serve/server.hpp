@@ -5,7 +5,9 @@
 ///
 /// Endpoints:
 ///   POST /analyze   body: JSON AnalyzeRequest -> 200 text/plain report
-///                   (byte-identical to `auditherm analyze` stdout)
+///                   (byte-identical to `auditherm analyze` stdout); 404
+///                   when `data` cannot be opened, 400 for a bad request
+///                   or bad input data, 500 for anything else
 ///   POST /simulate  body: one scenario object or a fleet envelope (see
 ///                   scenario_codec.hpp) -> 200 application/json, the
 ///                   fleet manifest; with "out_dir" the traces land on

@@ -108,7 +108,9 @@ class AnalysisService {
 
   /// Run one analysis and return the report text (the one-shot CLI's
   /// exact stdout). Throws cli-level std::invalid_argument for bad option
-  /// values and std::runtime_error for data problems.
+  /// values, timeseries::InputError for bad input data (an unreadable or
+  /// malformed trace, a non-finite result) and std::runtime_error for
+  /// other data problems.
   [[nodiscard]] std::string analyze(const AnalyzeRequest& request);
 
   [[nodiscard]] const core::StageCache& cache() const noexcept {

@@ -15,6 +15,7 @@
 #include "auditherm/core/cli.hpp"
 #include "auditherm/obs/export.hpp"
 #include "auditherm/serve/scenario_codec.hpp"
+#include "auditherm/timeseries/csv_io.hpp"
 
 namespace auditherm::serve {
 
@@ -309,6 +310,9 @@ std::string Server::respond(const HttpRequest& request) {
                            std::string("error: ") + e.what() + "\n");
     } catch (const core::cli::UsageError& e) {
       return http_response(400, "text/plain",
+                           std::string("error: ") + e.what() + "\n");
+    } catch (const timeseries::InputError& e) {
+      return http_response(e.missing() ? 404 : 400, "text/plain",
                            std::string("error: ") + e.what() + "\n");
     } catch (const std::exception& e) {
       return http_response(500, "text/plain",

@@ -52,10 +52,11 @@ class Report {
 
 /// Every floating-point value the analyze report prints passes through
 /// here, so a non-finite result (an overflowing sample poisons the fit)
-/// fails the op with a named error instead of printing "nan" or "inf".
+/// fails the op with a named input error instead of printing "nan" or
+/// "inf".
 double finite(double v, const char* name) {
   if (!std::isfinite(v)) {
-    throw std::runtime_error(std::string("analyze: non-finite ") + name);
+    throw timeseries::InputError(std::string("analyze: non-finite ") + name);
   }
   return v;
 }
@@ -254,7 +255,8 @@ std::shared_ptr<const timeseries::MultiTrace> AnalysisService::load_trace(
     const std::string& path) {
   std::ifstream in(path, std::ios::binary);
   if (!in) {
-    throw std::runtime_error("analyze: could not read '" + path + "'");
+    throw timeseries::InputError("analyze: could not read '" + path + "'",
+                                 /*missing=*/true);
   }
   std::ostringstream buffer;
   buffer << in.rdbuf();
@@ -404,12 +406,9 @@ std::string AnalysisService::analyze(const AnalyzeRequest& request) {
     } else {
       report.append("\nstreaming identification (growing window):\n");
     }
-    report.append(
-        "  rows %zu, window transitions %zu, qr updates %zu, "
-        "downdates %zu, re-anchors %zu\n",
-        streamed.stats.rows_pushed, streamed.window_transitions,
-        streamed.stats.transitions, streamed.stats.downdates,
-        streamed.stats.reanchors);
+    report.append("  rows %zu, window transitions %zu, qr updates %zu\n",
+                  streamed.stats.rows_pushed, streamed.window_transitions,
+                  streamed.stats.transitions);
     if (streamed.has_model) {
       report.append("  final-window spectral radius: %.4f, AIC %.1f\n",
                     finite(streamed.model.spectral_radius_bound(),

@@ -113,7 +113,6 @@ PredictionEvaluation evaluate_prediction(
 
   PredictionEvaluation ev;
   ev.channels = model.state_channels();
-  ev.channel_abs_errors.resize(p);
 
   // Per-window statistics, computed independently (open-loop simulation of
   // each window is the dominant cost) and then folded in window order so
@@ -123,7 +122,6 @@ PredictionEvaluation evaluate_prediction(
     bool used = false;
     linalg::Vector sq;
     std::vector<std::size_t> n;
-    std::vector<linalg::Vector> abs_errors;  ///< per channel, row order
     double total_sq = 0.0;
     std::size_t total_n = 0;
   };
@@ -135,7 +133,6 @@ PredictionEvaluation evaluate_prediction(
     ws.used = true;
     ws.sq.assign(p, 0.0);
     ws.n.assign(p, 0);
-    ws.abs_errors.resize(p);
     for (std::size_t k = 0; k < wp->predicted.rows(); ++k) {
       const std::size_t row = wp->first_row + k;
       for (std::size_t c = 0; c < p; ++c) {
@@ -144,7 +141,6 @@ PredictionEvaluation evaluate_prediction(
             wp->predicted(k, c) - trace.value(row, state_cols[c]);
         ws.sq[c] += err * err;
         ++ws.n[c];
-        ws.abs_errors[c].push_back(std::abs(err));
         ws.total_sq += err * err;
         ++ws.total_n;
       }
@@ -157,7 +153,7 @@ PredictionEvaluation evaluate_prediction(
   double total_sq = 0.0;
   std::size_t total_n = 0;
 
-  for (auto& ws : per_window) {
+  for (const auto& ws : per_window) {
     if (!ws.used) continue;
     linalg::Vector rms_row(p, kNaN);
     for (std::size_t c = 0; c < p; ++c) {
@@ -166,9 +162,6 @@ PredictionEvaluation evaluate_prediction(
         pooled_sq[c] += ws.sq[c];
         pooled_n[c] += ws.n[c];
       }
-      ev.channel_abs_errors[c].insert(ev.channel_abs_errors[c].end(),
-                                      ws.abs_errors[c].begin(),
-                                      ws.abs_errors[c].end());
     }
     total_sq += ws.total_sq;
     total_n += ws.total_n;

@@ -35,9 +35,6 @@ struct PredictionEvaluation {
   /// Per-channel RMS pooled over all windows.
   linalg::Vector channel_rms;
 
-  /// Per-channel pooled absolute errors (for CDFs / percentiles).
-  std::vector<linalg::Vector> channel_abs_errors;
-
   /// RMS over every pooled error sample.
   double pooled_rms = 0.0;
 

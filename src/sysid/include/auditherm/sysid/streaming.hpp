@@ -4,15 +4,19 @@
 /// Online identification of thermal models from live sample streams.
 ///
 /// The batch estimator (estimator.hpp) refactorizes the full regression on
-/// every call — O(N p^2) per refit. StreamingEstimator instead folds each
-/// arriving row into an incrementally maintained QR factorization
-/// (linalg::UpdatableQr): a sliding window over T(k) costs one Givens
-/// append plus at most one hyperbolic downdate per sample, O(p^2) per step,
-/// while producing the same per-window parameters as a fresh batch fit to
-/// <= 1e-8. On top of the residual stream sits a two-sided CUSUM
-/// change-point detector that flags plant drift (season change, HVAC
-/// fault) — the piece that turns the paper's replay pipeline into
-/// something deployable against a live auditorium.
+/// every call — O(N p^2) per refit. StreamingEstimator instead keeps the
+/// window as two stacks of Givens-updated QR factorizations
+/// (linalg::UpdatableQr), the Two-Stacks sliding-window aggregation: a
+/// back factor appends every arriving transition; a front stack holds
+/// suffix factors of the older rows, rebuilt newest first from the
+/// buffered rows whenever a row must leave and the front is empty; an
+/// eviction pops one suffix. That is amortized O(p^2) per sample with only
+/// orthogonal rotations, and each window model — the front top merged
+/// with the back — matches a fresh batch fit to <= 1e-8. On top of the
+/// residual stream sits a two-sided CUSUM change-point detector that flags
+/// plant drift (season change, HVAC fault) — the piece that turns the
+/// paper's replay pipeline into something deployable against a live
+/// auditorium.
 ///
 /// Determinism contract: every result depends only on the pushed sample
 /// sequence and the options — never on the thread count or on which
@@ -86,21 +90,13 @@ struct StreamingOptions {
   /// (never forget). Must be at least history+2 rows when non-zero, else
   /// no transition could ever fit inside the window.
   std::size_t window_rows = 0;
-  /// Appended transitions between deterministic re-anchors (a fresh
-  /// Householder refactorization of the buffered window), bounding the
-  /// roundoff drift of the incrementally updated R. 0 disables periodic
-  /// re-anchoring (downdate failures still force one).
-  std::size_t reanchor_interval = 512;
   DriftDetectorOptions drift;
 };
 
 /// Counters describing what the estimator has done so far; cheap to copy.
 struct StreamingStats {
-  std::size_t rows_pushed = 0;       ///< samples seen (valid or not)
-  std::size_t transitions = 0;       ///< rows folded in (appends)
-  std::size_t downdates = 0;         ///< rows aged out via hyperbolic downdate
-  std::size_t reanchors = 0;         ///< full refactorizations (periodic + forced)
-  std::size_t downdate_refactors = 0;  ///< re-anchors forced by a guard trip
+  std::size_t rows_pushed = 0;  ///< samples seen (valid or not)
+  std::size_t transitions = 0;  ///< transitions that entered the window
 };
 
 /// Online sliding-/growing-window identification with drift detection.
@@ -147,9 +143,12 @@ class StreamingEstimator {
   [[nodiscard]] const ThermalModel& model() const;
 
   /// Akaike information criterion of the current window fit, pooled over
-  /// the state channels: m p ln(RSS / (m p)) + 2 (#parameters). Compare
-  /// across orders for online structure selection (the ARMAX/NMI
-  /// information-criterion idea, arXiv 2006.06088). Throws like model().
+  /// the state channels: m p ln(RSS / (m p)) + 2 (#parameters), where RSS
+  /// sums the squared one-step residuals of model() over the window's m
+  /// transitions (diagnose_fit's residual definition), so it depends on
+  /// the window alone. Compare across orders for online structure
+  /// selection (the ARMAX/NMI information-criterion idea, arXiv
+  /// 2006.06088). Throws like model().
   [[nodiscard]] double aic() const;
 
   /// Change points detected so far, in firing order.
@@ -173,10 +172,13 @@ class StreamingEstimator {
 
   void evict_aged(std::size_t newest_row);
   void fold_transition(TransitionRow row);
-  /// Deterministic re-anchor: refactorize the buffered window from
-  /// scratch (Householder when enough rows, sequential Givens otherwise).
-  void reanchor();
+  /// Two-Stacks flip: refold every buffered row, newest first, into the
+  /// front stack's suffix factors and empty the back factor.
+  void rebuild_front();
   void observe_residual(const TransitionRow& row);
+  /// Squared one-step residual of `row` under `theta`, summed over states.
+  [[nodiscard]] double squared_residual(const linalg::Matrix& theta,
+                                        const TransitionRow& row) const;
   [[nodiscard]] linalg::Matrix solve_theta() const;
   [[nodiscard]] std::size_t min_transitions_needed() const noexcept;
 
@@ -187,10 +189,16 @@ class StreamingEstimator {
   std::size_t history_ = 1;   ///< rows of history a transition needs
   std::size_t n_params_ = 0;  ///< regressor columns per output
 
-  linalg::UpdatableQr qr_;
+  /// The window's rows, oldest first. The oldest `front_rows_` of them are
+  /// factored by the front stack, the rest by `back_`.
   std::deque<TransitionRow> window_;
+  linalg::UpdatableQr back_;
+  /// front_[i] factors the front rows from the (i+1)-th newest to the
+  /// newest; the top is front_[front_rows_ - 1]. Entries past front_rows_
+  /// keep their storage for the next rebuild.
+  std::vector<linalg::UpdatableQr> front_;
+  std::size_t front_rows_ = 0;
   StreamingStats stats_;
-  std::size_t since_anchor_ = 0;
 
   // Row history ring: values of the most recent `history_` rows.
   std::deque<std::vector<double>> recent_states_;

@@ -39,8 +39,8 @@ StreamingEstimator::StreamingEstimator(
       n_params_((order == ModelOrder::kSecond ? 2 * state_ids_.size()
                                               : state_ids_.size()) +
                 input_ids_.size()),
-      qr_(n_params_ == 0 ? 1 : n_params_,
-          state_ids_.empty() ? 1 : state_ids_.size()) {
+      back_(n_params_ == 0 ? 1 : n_params_,
+            state_ids_.empty() ? 1 : state_ids_.size()) {
   if (state_ids_.empty()) {
     throw std::invalid_argument("StreamingEstimator: no state channels");
   }
@@ -70,14 +70,18 @@ bool StreamingEstimator::has_model() const noexcept {
 }
 
 linalg::Matrix StreamingEstimator::solve_theta() const {
+  // The window's factor: the front top (the older rows) merged with the
+  // back (every row appended since the last rebuild).
+  linalg::UpdatableQr qr = front_rows_ == 0 ? back_ : front_[front_rows_ - 1];
+  if (front_rows_ != 0) qr.merge(back_);
   const double ridge = options_.estimation.ridge;
-  if (ridge == 0.0) return qr_.solve();
+  if (ridge == 0.0) return qr.solve();
   double lambda = ridge;
   if (options_.estimation.relative_ridge) {
-    lambda *= qr_.gram_trace() / static_cast<double>(n_params_);
+    lambda *= qr.gram_trace() / static_cast<double>(n_params_);
   }
-  if (!(lambda > 0.0)) return qr_.solve();
-  return qr_.solve_ridge(lambda);
+  if (!(lambda > 0.0)) return qr.solve();
+  return qr.solve_ridge(lambda);
 }
 
 const ThermalModel& StreamingEstimator::model() const {
@@ -118,13 +122,28 @@ double StreamingEstimator::aic() const {
   if (!has_model()) {
     throw std::runtime_error("StreamingEstimator::aic: no model yet");
   }
+  const linalg::Matrix theta = solve_theta();
+  double rss = 0.0;
+  for (const TransitionRow& row : window_) {
+    rss += squared_residual(theta, row);
+  }
   const std::size_t p = state_ids_.size();
   const double samples = static_cast<double>(window_.size() * p);
-  double rss = 0.0;
-  for (double s : qr_.residual_sumsq()) rss += s;
   rss = std::max(rss, 1e-300);
   return samples * std::log(rss / samples) +
          2.0 * static_cast<double>(n_params_ * p);
+}
+
+double StreamingEstimator::squared_residual(const linalg::Matrix& theta,
+                                            const TransitionRow& row) const {
+  double ss = 0.0;
+  for (std::size_t i = 0; i < state_ids_.size(); ++i) {
+    double pred = 0.0;
+    for (std::size_t j = 0; j < n_params_; ++j) pred += theta(j, i) * row.z[j];
+    const double e = row.y[i] - pred;
+    ss += e * e;
+  }
+  return ss;
 }
 
 double StreamingEstimator::cusum_statistic() const noexcept {
@@ -137,17 +156,8 @@ void StreamingEstimator::observe_residual(const TransitionRow& row) {
   // The first warmup_refits references have seen too little excitation to
   // score against (their residual spikes would inflate the calibration).
   if (drift_refits_ <= d.warmup_refits) return;
-  const std::size_t p = state_ids_.size();
-  double ss = 0.0;
-  for (std::size_t i = 0; i < p; ++i) {
-    double pred = 0.0;
-    for (std::size_t j = 0; j < n_params_; ++j) {
-      pred += (*drift_theta_)(j, i) * row.z[j];
-    }
-    const double e = row.y[i] - pred;
-    ss += e * e;
-  }
-  const double s = std::sqrt(ss / static_cast<double>(p));
+  const double s = std::sqrt(squared_residual(*drift_theta_, row) /
+                             static_cast<double>(state_ids_.size()));
 
   if (!armed_) {
     // Welford pass over the (re-)calibration stretch.
@@ -203,10 +213,9 @@ void StreamingEstimator::fold_transition(TransitionRow row) {
   static const obs::MetricId kTransitions =
       obs::counter_id("sysid.stream.transitions");
   obs::add_counter(kTransitions);
-  qr_.append(row.z.data(), row.y.data());
+  back_.append(row.z.data(), row.y.data());
   window_.push_back(std::move(row));
   ++stats_.transitions;
-  ++since_anchor_;
   ++since_drift_refit_;
   cached_model_.reset();
 }
@@ -218,44 +227,24 @@ void StreamingEstimator::evict_aged(std::size_t newest_row) {
   // while tau-history >= newest-w+1, i.e. tau + w >= newest + history + 1.
   while (!window_.empty() &&
          window_.front().target + w < newest_row + history_ + 1) {
-    TransitionRow aged = std::move(window_.front());
+    if (front_rows_ == 0) rebuild_front();
+    --front_rows_;  // pop the suffix that still holds the oldest row
     window_.pop_front();
     cached_model_.reset();
-    if (qr_.downdate(aged.z.data(), aged.y.data())) {
-      ++stats_.downdates;
-    } else {
-      // Guard trip: the hyperbolic rotation would amplify roundoff, so
-      // fall back to the deterministic from-scratch refactorization.
-      ++stats_.downdate_refactors;
-      reanchor();
-    }
   }
 }
 
-void StreamingEstimator::reanchor() {
-  obs::TraceSpan span("sysid.stream.reanchor");
-  static const obs::MetricId kReanchors =
-      obs::counter_id("sysid.stream.reanchors");
-  obs::add_counter(kReanchors);
-  const std::size_t p = state_ids_.size();
+void StreamingEstimator::rebuild_front() {
   const std::size_t m = window_.size();
-  if (m >= n_params_) {
-    linalg::Matrix z(m, n_params_);
-    linalg::Matrix y(m, p);
-    for (std::size_t r = 0; r < m; ++r) {
-      for (std::size_t j = 0; j < n_params_; ++j) z(r, j) = window_[r].z[j];
-      for (std::size_t j = 0; j < p; ++j) y(r, j) = window_[r].y[j];
-    }
-    qr_ = linalg::UpdatableQr(z, y);
-  } else {
-    qr_ = linalg::UpdatableQr(n_params_, p);
-    for (const TransitionRow& row : window_) {
-      qr_.append(row.z.data(), row.y.data());
-    }
+  const linalg::UpdatableQr empty(n_params_, state_ids_.size());
+  if (front_.size() < m) front_.resize(m, empty);
+  for (std::size_t i = 0; i < m; ++i) {
+    front_[i] = i == 0 ? empty : front_[i - 1];
+    const TransitionRow& row = window_[m - 1 - i];
+    front_[i].append(row.z.data(), row.y.data());
   }
-  ++stats_.reanchors;
-  since_anchor_ = 0;
-  cached_model_.reset();
+  front_rows_ = m;
+  back_ = empty;
 }
 
 void StreamingEstimator::push(const linalg::Vector& states,
@@ -309,10 +298,6 @@ void StreamingEstimator::push(const linalg::Vector& states,
   }
 
   evict_aged(t);
-  if (options_.reanchor_interval != 0 &&
-      since_anchor_ >= options_.reanchor_interval) {
-    reanchor();
-  }
 
   recent_states_.emplace_back(states.begin(), states.end());
   recent_inputs_.emplace_back(inputs.begin(), inputs.end());

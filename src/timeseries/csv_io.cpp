@@ -34,7 +34,7 @@ std::vector<std::string> split_csv_line(const std::string& line) {
 }
 
 /// std::stoll with the raw std::invalid_argument / std::out_of_range
-/// replaced by a std::runtime_error naming the file position.
+/// replaced by an InputError naming the file position.
 Minutes parse_time(const std::string& cell, std::size_t line_number) {
   try {
     std::size_t consumed = 0;
@@ -44,9 +44,8 @@ Minutes parse_time(const std::string& cell, std::size_t line_number) {
     }
     return static_cast<Minutes>(v);
   } catch (const std::exception&) {
-    throw std::runtime_error("read_csv: bad time value '" + cell +
-                             "' at line " + std::to_string(line_number) +
-                             ", column 1");
+    throw InputError("read_csv: bad time value '" + cell + "' at line " +
+                     std::to_string(line_number) + ", column 1");
   }
 }
 
@@ -68,10 +67,10 @@ double parse_value(const std::string& cell, std::size_t line_number,
       throw std::invalid_argument("trailing characters");
     }
   } catch (const std::exception&) {
-    throw std::runtime_error("read_csv: bad sample value '" + cell + where());
+    throw InputError("read_csv: bad sample value '" + cell + where());
   }
   if (std::isinf(v)) {
-    throw std::runtime_error("read_csv: non-finite sample '" + cell + where());
+    throw InputError("read_csv: non-finite sample '" + cell + where());
   }
   return v;
 }
@@ -79,8 +78,8 @@ double parse_value(const std::string& cell, std::size_t line_number,
 ChannelId parse_channel_header(const std::string& header_cell,
                                std::size_t column) {
   if (header_cell.size() < 3 || header_cell.compare(0, 2, "ch") != 0) {
-    throw std::runtime_error("read_csv: bad channel header '" + header_cell +
-                             "' at column " + std::to_string(column));
+    throw InputError("read_csv: bad channel header '" + header_cell +
+                     "' at column " + std::to_string(column));
   }
   try {
     std::size_t consumed = 0;
@@ -90,8 +89,8 @@ ChannelId parse_channel_header(const std::string& header_cell,
     }
     return id;
   } catch (const std::exception&) {
-    throw std::runtime_error("read_csv: bad channel header '" + header_cell +
-                             "' at column " + std::to_string(column));
+    throw InputError("read_csv: bad channel header '" + header_cell +
+                     "' at column " + std::to_string(column));
   }
 }
 
@@ -154,9 +153,8 @@ MultiTrace read_csv(std::istream& is) {
     const std::string value = comment.substr(pos + sizeof(kStepComment) - 1);
     declared_step = parse_time(value, line_number);
     if (declared_step <= 0) {
-      throw std::runtime_error("read_csv: step_minutes must be positive, got " +
-                               value + " at line " +
-                               std::to_string(line_number));
+      throw InputError("read_csv: step_minutes must be positive, got " +
+                       value + " at line " + std::to_string(line_number));
     }
   };
 
@@ -174,7 +172,7 @@ MultiTrace read_csv(std::istream& is) {
     auto cells = split_csv_line(line);
     if (!have_header) {
       if (cells.empty() || cells[0] != "time_minutes") {
-        throw std::runtime_error("read_csv: bad header, expected time_minutes");
+        throw InputError("read_csv: bad header, expected time_minutes");
       }
       for (std::size_t c = 1; c < cells.size(); ++c) {
         channels.push_back(parse_channel_header(cells[c], c + 1));
@@ -184,15 +182,15 @@ MultiTrace read_csv(std::istream& is) {
       continue;
     }
     if (cells.size() != header_cells) {
-      throw std::runtime_error("read_csv: ragged row at line " +
-                               std::to_string(line_number));
+      throw InputError("read_csv: ragged row at line " +
+                       std::to_string(line_number));
     }
     times.push_back(parse_time(cells[0], line_number));
     rows.push_back(std::move(cells));
     row_lines.push_back(line_number);
   }
   if (!have_header) {
-    throw std::runtime_error("read_csv: empty input");
+    throw InputError("read_csv: empty input");
   }
 
   const Minutes start = times.empty() ? 0 : times.front();
@@ -200,18 +198,18 @@ MultiTrace read_csv(std::istream& is) {
   if (times.size() >= 2) {
     const Minutes inferred = times[1] - times[0];
     if (inferred <= 0) {
-      throw std::runtime_error("read_csv: non-increasing time");
+      throw InputError("read_csv: non-increasing time");
     }
     if (declared_step > 0 && inferred != declared_step) {
-      throw std::runtime_error(
+      throw InputError(
           "read_csv: step_minutes=" + std::to_string(declared_step) +
           " disagrees with the data step " + std::to_string(inferred));
     }
     step = inferred;
     for (std::size_t k = 1; k < times.size(); ++k) {
       if (times[k] - times[k - 1] != step) {
-        throw std::runtime_error("read_csv: non-uniform time step at line " +
-                                 std::to_string(row_lines[k]));
+        throw InputError("read_csv: non-uniform time step at line " +
+                         std::to_string(row_lines[k]));
       }
     }
   }

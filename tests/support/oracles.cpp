@@ -105,6 +105,15 @@ bool approx_equal(const Matrix& a, const Matrix& b, double tol) {
   return true;
 }
 
+linalg::UpdatableQr appended_qr(const Matrix& a, const Matrix& b,
+                                std::size_t first, std::size_t last) {
+  linalg::UpdatableQr qr(a.cols(), b.cols());
+  for (std::size_t i = first; i < std::min(last, a.rows()); ++i) {
+    qr.append(a.row_vector(i).data(), b.row_vector(i).data());
+  }
+  return qr;
+}
+
 CsrMatrix from_dense(const Matrix& a, double drop_tol) {
   std::vector<std::size_t> row_ptr(a.rows() + 1, 0);
   std::vector<std::size_t> col_idx;

@@ -6,6 +6,7 @@
 /// into a production binary.
 
 #include <cstddef>
+#include <cstdint>
 
 #include "auditherm/linalg/decompositions.hpp"
 #include "auditherm/linalg/matrix.hpp"
@@ -28,6 +29,13 @@ namespace auditherm::test_support {
 /// True when the shapes match and every |a_ij - b_ij| <= tol.
 [[nodiscard]] bool approx_equal(const linalg::Matrix& a,
                                 const linalg::Matrix& b, double tol);
+
+/// The UpdatableQr of rows [first, last) of [a | b] (every row by
+/// default), one Givens append per row.
+[[nodiscard]] linalg::UpdatableQr appended_qr(const linalg::Matrix& a,
+                                              const linalg::Matrix& b,
+                                              std::size_t first = 0,
+                                              std::size_t last = SIZE_MAX);
 
 /// Compress a dense matrix to CSR, dropping exact zeros and every entry
 /// with |a_ij| <= drop_tol. With drop_tol == 0, to_dense() of the result

@@ -42,25 +42,6 @@ Matrix random_spd(std::size_t n, std::uint64_t seed) {
 // QR
 // ---------------------------------------------------------------------------
 
-TEST(Qr, ReconstructsMatrix) {
-  const auto a = random_matrix(8, 5, 42);
-  linalg::QrDecomposition qr(a);
-  // Q^T A = [R; 0] through the stored reflectors.
-  Matrix expected(8, 5);
-  expected.set_block(0, 0, qr.r());
-  EXPECT_TRUE(support::approx_equal(qr.qt_times(a), expected, 1e-10));
-}
-
-TEST(Qr, ThinQHasOrthonormalColumns) {
-  // Q is never formed; Q^T preserving every inner product (B^T Q Q^T B =
-  // B^T B for an identity-sized B) is the same property.
-  const auto a = random_matrix(10, 4, 7);
-  linalg::QrDecomposition qr(a);
-  const auto qt = qr.qt_times(Matrix::identity(10));
-  EXPECT_TRUE(support::approx_equal(linalg::gram(qt, qt),
-                                    Matrix::identity(10), 1e-10));
-}
-
 TEST(Qr, SolvesSquareSystemExactly) {
   Matrix a{{2.0, 1.0}, {1.0, 3.0}};
   const Vector x_true{1.0, -2.0};
@@ -114,34 +95,6 @@ TEST(Qr, MultipleRhsMatchesSingle) {
   }
 }
 
-TEST(Qr, QtTimesMatchesThinQ) {
-  const auto a = random_matrix(9, 4, 91);
-  const auto b = random_matrix(9, 3, 92);
-  linalg::QrDecomposition qr(a);
-  const auto qtb = qr.qt_times(b);
-  ASSERT_EQ(qtb.rows(), 9u);
-  ASSERT_EQ(qtb.cols(), 3u);
-  // The first n rows must match thin-Q^T b (the reflectors produce R with
-  // rdiag signs, so compare through R x = qtb against the known LS solve).
-  const auto x = qr.solve(b);
-  const auto r = qr.r();
-  for (std::size_t j = 0; j < 3; ++j) {
-    for (std::size_t i = 0; i < 4; ++i) {
-      double s = 0.0;
-      for (std::size_t k = i; k < 4; ++k) s += r(i, k) * x(k, j);
-      EXPECT_NEAR(s, qtb(i, j), 1e-10);
-    }
-  }
-  // The tail rows carry the residual: their column sumsq equals ||Ax-b||^2.
-  for (std::size_t j = 0; j < 3; ++j) {
-    double tail = 0.0;
-    for (std::size_t i = 4; i < 9; ++i) tail += qtb(i, j) * qtb(i, j);
-    const double res = linalg::norm2(
-        linalg::subtract(a * x.col_vector(j), b.col_vector(j)));
-    EXPECT_NEAR(tail, res * res, 1e-9);
-  }
-}
-
 // ---------------------------------------------------------------------------
 // UpdatableQr
 // ---------------------------------------------------------------------------
@@ -161,18 +114,21 @@ double max_param_diff(const Matrix& a, const Matrix& b) {
   return diff / scale;
 }
 
+/// Rows [first, last) of `m`.
+Matrix row_range(const Matrix& m, std::size_t first, std::size_t last) {
+  Matrix out(last - first, m.cols());
+  for (std::size_t i = first; i < last; ++i) {
+    out.set_row(i - first, m.row_vector(i));
+  }
+  return out;
+}
+
 }  // namespace
 
 TEST(UpdatableQr, AppendsMatchBatchQr) {
   const auto a = random_matrix(20, 6, 1);
   const auto b = random_matrix(20, 2, 2);
-  linalg::UpdatableQr inc(6, 2);
-  for (std::size_t i = 0; i < a.rows(); ++i) {
-    Vector za(6), yb(2);
-    for (std::size_t j = 0; j < 6; ++j) za[j] = a(i, j);
-    for (std::size_t j = 0; j < 2; ++j) yb[j] = b(i, j);
-    inc.append(za.data(), yb.data());
-  }
+  const auto inc = support::appended_qr(a, b);
   EXPECT_EQ(inc.rows(), 20u);
   const auto batch = linalg::QrDecomposition(a).solve(b);
   EXPECT_LT(max_param_diff(inc.solve(), batch), 1e-10);
@@ -181,64 +137,10 @@ TEST(UpdatableQr, AppendsMatchBatchQr) {
   EXPECT_TRUE(support::approx_equal(rtr, linalg::gram(a, a), 1e-8));
 }
 
-TEST(UpdatableQr, SeedConstructorMatchesSequentialAppends) {
-  const auto a = random_matrix(15, 5, 3);
-  const auto b = random_matrix(15, 1, 4);
-  linalg::UpdatableQr seeded(a, b);
-  linalg::UpdatableQr appended(5, 1);
-  for (std::size_t i = 0; i < a.rows(); ++i) {
-    Vector za(5), yb(1);
-    for (std::size_t j = 0; j < 5; ++j) za[j] = a(i, j);
-    yb[0] = b(i, 0);
-    appended.append(za.data(), yb.data());
-  }
-  EXPECT_LT(max_param_diff(seeded.solve(), appended.solve()), 1e-10);
-  EXPECT_TRUE(support::approx_equal(seeded.r(), appended.r(), 1e-9));
-  EXPECT_NEAR(seeded.gram_trace(), appended.gram_trace(), 1e-8);
-  EXPECT_NEAR(seeded.residual_sumsq()[0], appended.residual_sumsq()[0], 1e-8);
-}
-
-TEST(UpdatableQr, DowndateRemovesRowExactly) {
-  const auto a = random_matrix(18, 4, 5);
-  const auto b = random_matrix(18, 2, 6);
-  linalg::UpdatableQr inc(a, b);
-  // Remove the first 6 rows; the survivors are rows 6..17.
-  for (std::size_t i = 0; i < 6; ++i) {
-    Vector za(4), yb(2);
-    for (std::size_t j = 0; j < 4; ++j) za[j] = a(i, j);
-    for (std::size_t j = 0; j < 2; ++j) yb[j] = b(i, j);
-    ASSERT_TRUE(inc.downdate(za.data(), yb.data()));
-  }
-  EXPECT_EQ(inc.rows(), 12u);
-  Matrix rest_a(12, 4), rest_b(12, 2);
-  for (std::size_t i = 0; i < 12; ++i) {
-    for (std::size_t j = 0; j < 4; ++j) rest_a(i, j) = a(i + 6, j);
-    for (std::size_t j = 0; j < 2; ++j) rest_b(i, j) = b(i + 6, j);
-  }
-  const auto batch = linalg::QrDecomposition(rest_a).solve(rest_b);
-  EXPECT_LT(max_param_diff(inc.solve(), batch), 1e-9);
-}
-
-TEST(UpdatableQr, GuardRejectionLeavesFactorizationUntouched) {
-  const auto a = random_matrix(8, 3, 7);
-  const auto b = random_matrix(8, 1, 8);
-  linalg::UpdatableQr inc(a, b);
-  const auto before_x = inc.solve();
-  const auto before_r = inc.r();
-  // A row far larger than anything folded in: the hyperbolic rotation
-  // would need |R_00| < |z_0| and must refuse.
-  const Vector huge{1e6, 0.0, 0.0};
-  const Vector huge_y{0.0};
-  EXPECT_FALSE(inc.downdate(huge.data(), huge_y.data()));
-  EXPECT_EQ(inc.rows(), 8u);
-  EXPECT_TRUE(support::approx_equal(inc.r(), before_r, 0.0));
-  EXPECT_TRUE(support::approx_equal(inc.solve(), before_x, 0.0));
-}
-
 TEST(UpdatableQr, SolveRidgeMatchesAugmentedBatch) {
   const auto a = random_matrix(12, 4, 9);
   const auto b = random_matrix(12, 2, 10);
-  linalg::UpdatableQr inc(a, b);
+  const auto inc = support::appended_qr(a, b);
   const double lambda = 1e-3;
   // Reference: QR of [A; sqrt(lambda) I] with stacked zero rhs.
   Matrix aug(16, 4);
@@ -259,58 +161,53 @@ TEST(UpdatableQr, ArgumentChecks) {
   EXPECT_THROW((void)inc.solve_ridge(0.0), std::invalid_argument);
   // Empty factorization is rank deficient.
   EXPECT_THROW((void)inc.solve(), std::domain_error);
-  // Downdating an empty factorization reports failure, not UB.
-  const Vector row{1.0, 0.0, 0.0};
-  const Vector rhs{0.0};
-  EXPECT_FALSE(inc.downdate(row.data(), rhs.data()));
+  EXPECT_THROW(inc.merge(linalg::UpdatableQr(3, 2)), std::invalid_argument);
+  EXPECT_THROW(inc.merge(linalg::UpdatableQr(2, 1)), std::invalid_argument);
 }
 
-/// The satellite property sweep: 40+ seeds comparing incremental
-/// update/downdate against a from-scratch Householder factorization across
+TEST(UpdatableQr, MergeFactorizesTheStackedRows) {
+  const auto a = random_matrix(20, 5, 31);
+  const auto b = random_matrix(20, 2, 32);
+  auto older = support::appended_qr(a, b, 0, 7);
+  older.merge(support::appended_qr(a, b, 7, 20));
+  EXPECT_EQ(older.rows(), 20u);
+  double gram_trace = 0.0;
+  for (const double v : a.data()) gram_trace += v * v;
+  EXPECT_NEAR(older.gram_trace(), gram_trace, 1e-10 * gram_trace);
+  EXPECT_LT(max_param_diff(older.solve(), linalg::QrDecomposition(a).solve(b)),
+            1e-10);
+  // Merging an empty factorization changes nothing.
+  const auto before = older.solve();
+  older.merge(linalg::UpdatableQr(5, 2));
+  EXPECT_EQ(older.rows(), 20u);
+  EXPECT_TRUE(support::approx_equal(older.solve(), before, 0.0));
+}
+
+/// Property sweep: 42 seeds comparing a window factored as two appended
+/// halves and one merge (the streaming estimator's front top merged with
+/// its back) against a from-scratch Householder factorization across
 /// tall, square, and near-rank-deficient windows.
 TEST(UpdatableQr, PropertySweepAcrossShapesAndSeeds) {
   for (std::uint64_t seed = 1; seed <= 42; ++seed) {
-    // --- Tall window: 24 appends, 8 downdates -> 16 x 5 survivors.
+    // --- Tall window: rows 8..23 of 24 -> 16 x 5, halves of 8 rows.
     {
       const auto a = random_matrix(24, 5, 1000 + seed);
       const auto b = random_matrix(24, 2, 2000 + seed);
-      linalg::UpdatableQr inc(5, 2);
-      Vector za(5), yb(2);
-      for (std::size_t i = 0; i < 24; ++i) {
-        for (std::size_t j = 0; j < 5; ++j) za[j] = a(i, j);
-        for (std::size_t j = 0; j < 2; ++j) yb[j] = b(i, j);
-        inc.append(za.data(), yb.data());
-      }
-      for (std::size_t i = 0; i < 8; ++i) {
-        for (std::size_t j = 0; j < 5; ++j) za[j] = a(i, j);
-        for (std::size_t j = 0; j < 2; ++j) yb[j] = b(i, j);
-        ASSERT_TRUE(inc.downdate(za.data(), yb.data())) << "seed " << seed;
-      }
-      Matrix rest_a(16, 5), rest_b(16, 2);
-      for (std::size_t i = 0; i < 16; ++i) {
-        for (std::size_t j = 0; j < 5; ++j) rest_a(i, j) = a(i + 8, j);
-        for (std::size_t j = 0; j < 2; ++j) rest_b(i, j) = b(i + 8, j);
-      }
-      const auto batch = linalg::QrDecomposition(rest_a).solve(rest_b);
+      auto inc = support::appended_qr(a, b, 8, 16);
+      inc.merge(support::appended_qr(a, b, 16, 24));
+      const auto batch = linalg::QrDecomposition(row_range(a, 8, 24))
+                             .solve(row_range(b, 8, 24));
       EXPECT_LT(max_param_diff(inc.solve(), batch), 1e-8) << "seed " << seed;
     }
-    // --- Square window: downdates shrink 10 x 5 to exactly 5 x 5.
+    // --- Square window: rows 5..9 of 10 -> exactly 5 x 5, and neither
+    // half (2 and 3 rows) has full rank on its own.
     {
       const auto a = random_matrix(10, 5, 3000 + seed);
       const auto b = random_matrix(10, 1, 4000 + seed);
-      linalg::UpdatableQr inc(a, b);
-      Vector za(5), yb(1);
-      for (std::size_t i = 0; i < 5; ++i) {
-        for (std::size_t j = 0; j < 5; ++j) za[j] = a(i, j);
-        yb[0] = b(i, 0);
-        ASSERT_TRUE(inc.downdate(za.data(), yb.data())) << "seed " << seed;
-      }
-      Matrix rest_a(5, 5), rest_b(5, 1);
-      for (std::size_t i = 0; i < 5; ++i) {
-        for (std::size_t j = 0; j < 5; ++j) rest_a(i, j) = a(i + 5, j);
-        rest_b(i, 0) = b(i + 5, 0);
-      }
-      const auto batch = linalg::QrDecomposition(rest_a).solve(rest_b);
+      auto inc = support::appended_qr(a, b, 5, 7);
+      inc.merge(support::appended_qr(a, b, 7, 10));
+      const auto batch = linalg::QrDecomposition(row_range(a, 5, 10))
+                             .solve(row_range(b, 5, 10));
       EXPECT_LT(max_param_diff(inc.solve(), batch), 1e-7) << "seed " << seed;
     }
     // --- Near-rank-deficient window: two almost-collinear columns; the
@@ -322,25 +219,13 @@ TEST(UpdatableQr, PropertySweepAcrossShapesAndSeeds) {
         a(i, 1) = a(i, 0) + 1e-9 * a(i, 1);
       }
       const auto b = random_matrix(20, 1, 6000 + seed);
-      linalg::UpdatableQr inc(4, 1);
-      Vector za(4), yb(1);
-      for (std::size_t i = 0; i < 20; ++i) {
-        for (std::size_t j = 0; j < 4; ++j) za[j] = a(i, j);
-        yb[0] = b(i, 0);
-        inc.append(za.data(), yb.data());
-      }
-      for (std::size_t i = 0; i < 4; ++i) {
-        for (std::size_t j = 0; j < 4; ++j) za[j] = a(i, j);
-        yb[0] = b(i, 0);
-        ASSERT_TRUE(inc.downdate(za.data(), yb.data())) << "seed " << seed;
-      }
+      auto inc = support::appended_qr(a, b, 4, 12);
+      inc.merge(support::appended_qr(a, b, 12, 20));
       const double lambda = 1e-6;
       Matrix aug(20, 4);
       Matrix baug(20, 1);
-      for (std::size_t i = 0; i < 16; ++i) {
-        for (std::size_t j = 0; j < 4; ++j) aug(i, j) = a(i + 4, j);
-        baug(i, 0) = b(i + 4, 0);
-      }
+      aug.set_block(0, 0, row_range(a, 4, 20));
+      baug.set_block(0, 0, row_range(b, 4, 20));
       for (std::size_t j = 0; j < 4; ++j) aug(16 + j, j) = std::sqrt(lambda);
       const auto batch = linalg::QrDecomposition(aug).solve(baug);
       EXPECT_LT(max_param_diff(inc.solve_ridge(lambda), batch), 1e-6)

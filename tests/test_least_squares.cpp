@@ -113,7 +113,7 @@ TEST(LeastSquares, RidgeQrMatchesNormalEquationsWhenWellConditioned) {
   // that UpdatableQr runs for streaming identification.
   const auto a = random_matrix(30, 5, 21);
   const auto b = random_matrix(30, 2, 22);
-  const linalg::UpdatableQr qr(a, b);
+  const auto qr = support::appended_qr(a, b);
   for (const bool relative : {false, true}) {
     linalg::LeastSquaresOptions opts;
     opts.ridge = 1e-4;
@@ -140,7 +140,7 @@ TEST(LeastSquares, RidgeQrSurvivesIllConditioning) {
   a(2, 1) = eps;
   const Matrix b = Matrix::column(Vector{1.0, 0.0, 0.0});
   const double lambda = 1e-30;  // negligible shrinkage
-  const auto x = linalg::UpdatableQr(a, b).solve_ridge(lambda);
+  const auto x = support::appended_qr(a, b).solve_ridge(lambda);
   EXPECT_NEAR(x(0, 0), 0.5, 1e-6);
   EXPECT_NEAR(x(1, 0), 0.5, 1e-6);
 

@@ -202,7 +202,6 @@ void expect_bitwise_equal(const core::PipelineResult& a,
   EXPECT_EQ(a.reduced_model.a2(), b.reduced_model.a2());
   EXPECT_EQ(a.reduced_model.b(), b.reduced_model.b());
   EXPECT_EQ(a.reduced_eval.pooled_rms, b.reduced_eval.pooled_rms);
-  EXPECT_EQ(a.reduced_eval.channel_abs_errors, b.reduced_eval.channel_abs_errors);
   EXPECT_EQ(a.cluster_mean_errors.per_cluster_abs,
             b.cluster_mean_errors.per_cluster_abs);
 }

@@ -68,7 +68,6 @@ void expect_bitwise_equal(const core::PipelineResult& a,
   EXPECT_EQ(a.reduced_model.b(), b.reduced_model.b());
   EXPECT_EQ(a.reduced_eval.window_count, b.reduced_eval.window_count);
   EXPECT_EQ(a.reduced_eval.channel_rms, b.reduced_eval.channel_rms);
-  EXPECT_EQ(a.reduced_eval.channel_abs_errors, b.reduced_eval.channel_abs_errors);
   EXPECT_EQ(a.reduced_eval.window_channel_rms, b.reduced_eval.window_channel_rms);
   EXPECT_EQ(a.reduced_eval.pooled_rms, b.reduced_eval.pooled_rms);
   EXPECT_EQ(a.cluster_mean_errors.per_cluster_abs,

@@ -206,6 +206,17 @@ serve::AnalyzeRequest small_request() {
   return request;
 }
 
+/// A per-process temporary file holding `text`, removed when it goes out of
+/// scope (same naming rule as trace_csv_path).
+struct TempFile {
+  TempFile(const std::string& name, const std::string& text)
+      : path(testing::TempDir() + name + "_" + std::to_string(::getpid())) {
+    std::ofstream(path) << text;
+  }
+  ~TempFile() { std::remove(path.c_str()); }
+  std::string path;
+};
+
 TEST(ServeService, RepeatRequestsAreByteIdenticalAndHitTheCache) {
   serve::AnalysisService service;
   const auto first = service.analyze(small_request());
@@ -265,6 +276,27 @@ TEST(ServeService, SweepRequestSharesThePreparedStages) {
   // The sweep re-used every prepared Step-1 stage: no new stage builds
   // besides the per-seed Step-2/3 work, which is uncached by design.
   EXPECT_EQ(service.cache().totals().misses, misses_before);
+}
+
+TEST(ServeService, StreamingReportPinsTheCounterLine) {
+  serve::AnalysisService service;
+  auto request = small_request();
+  for (const long stream : {96L, -1L}) {
+    request.stream = stream;
+    const auto report = service.analyze(request);
+    const auto block = report.find("\nstreaming identification (");
+    ASSERT_NE(block, std::string::npos) << stream;
+    const auto counters = report.find("  rows ", block);
+    ASSERT_NE(counters, std::string::npos) << stream;
+    const std::string line =
+        report.substr(counters, report.find('\n', counters) - counters);
+    EXPECT_EQ(line, stream > 0
+                        ? "  rows 672, window transitions 94, qr updates 564"
+                        : "  rows 672, window transitions 564, qr updates 564");
+    const auto aic = report.find(", AIC ", counters);
+    ASSERT_NE(aic, std::string::npos) << stream;
+    EXPECT_TRUE(std::isfinite(std::stod(report.substr(aic + 6)))) << stream;
+  }
 }
 
 TEST(ServeService, InvalidOptionValuesThrow) {
@@ -345,10 +377,52 @@ TEST(ServeServer, EndToEndOverLoopbackSockets) {
   EXPECT_NE(analyzed.find("HTTP/1.1 200"), std::string::npos);
   serve::AnalysisService reference;
   EXPECT_EQ(response_body(analyzed), reference.analyze(small_request()));
+  // ... and so must a report with the streaming block.
+  const auto streamed = http_exchange(
+      server.port(), "POST", "/analyze",
+      R"({"data": ")" + json::escape(trace_csv_path()) +
+          R"(", "clusters": 2, "stream": 96})");
+  EXPECT_NE(streamed.find("HTTP/1.1 200"), std::string::npos);
+  auto stream_request = small_request();
+  stream_request.stream = 96;
+  EXPECT_EQ(response_body(streamed), reference.analyze(stream_request));
 
   const auto bad =
       http_exchange(server.port(), "POST", "/analyze", "{not json");
   EXPECT_NE(bad.find("HTTP/1.1 400"), std::string::npos);
+  // Bad input data is the client's error: a data file the daemon cannot
+  // open is a 404, a file that is not a trace and a non-finite sample are
+  // 400s naming the problem.
+  const auto analyze_file = [&](const std::string& path) {
+    return http_exchange(server.port(), "POST", "/analyze",
+                         R"({"data": ")" + json::escape(path) + R"("})");
+  };
+  const auto no_file = analyze_file("/nonexistent/nope.csv");
+  EXPECT_NE(no_file.find("HTTP/1.1 404"), std::string::npos);
+  EXPECT_NE(response_body(no_file).find("could not read"), std::string::npos);
+  const TempFile prose("test_serve_prose", "hello, world\n");
+  const auto not_trace = analyze_file(prose.path);
+  EXPECT_NE(not_trace.find("HTTP/1.1 400"), std::string::npos);
+  EXPECT_NE(response_body(not_trace).find("read_csv: bad header"),
+            std::string::npos);
+  // Row 100 of the trace is line 103 (after the step comment and the
+  // header); its first channel is CSV column 2.
+  std::ifstream in(trace_csv_path());
+  std::string csv, line;
+  for (int n = 1; std::getline(in, line); ++n) {
+    if (n == 103) {
+      const auto first = line.find(',');
+      line = line.substr(0, first) + ",inf" +
+             line.substr(line.find(',', first + 1));
+    }
+    csv += line + "\n";
+  }
+  const TempFile poisoned("test_serve_inf", csv);
+  const auto non_finite = analyze_file(poisoned.path);
+  EXPECT_NE(non_finite.find("HTTP/1.1 400"), std::string::npos);
+  EXPECT_NE(response_body(non_finite)
+                .find("non-finite sample 'inf' at line 103, column 2"),
+            std::string::npos);
   // The eigensolver follows from the graph, so "eigen" is an unknown key
   // like any other, answered with a 400 that names it.
   const auto eigen = http_exchange(

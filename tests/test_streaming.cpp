@@ -1,6 +1,6 @@
 // Tests for sysid::StreamingEstimator and the core streaming entry point:
 // per-window agreement with the batch estimator, NaN-gap handling, drift
-// detection, re-anchoring, and thread-count bitwise pins.
+// detection, the window AIC, and thread-count bitwise pins.
 
 #include "auditherm/sysid/streaming.hpp"
 
@@ -14,6 +14,7 @@
 
 #include "auditherm/core/parallel.hpp"
 #include "auditherm/core/pipeline.hpp"
+#include "auditherm/sysid/diagnostics.hpp"
 #include "auditherm/sysid/estimator.hpp"
 #include "auditherm/timeseries/multi_trace.hpp"
 
@@ -147,7 +148,7 @@ TEST(Streaming, GrowingWindowMatchesFullBatchFit) {
   sysid::StreamingOptions opts;  // window_rows = 0: growing
   opts.drift.enabled = false;
   const auto est = stream_prefix(view, 400, opts, sysid::ModelOrder::kSecond);
-  EXPECT_EQ(est.stats().downdates, 0u);
+  EXPECT_EQ(est.window_transitions(), est.stats().transitions);
   const sysid::ModelEstimator batch(kStates, kInputs,
                                     sysid::ModelOrder::kSecond);
   EXPECT_LT(max_model_diff(est.model(), batch.fit(view)), 1e-8);
@@ -195,29 +196,11 @@ TEST(Streaming, RowFilterActsAsGap) {
   EXPECT_LT(max_model_diff(est.model(), batch.fit(view, filter)), 1e-8);
 }
 
-TEST(Streaming, ReanchoringPreservesBatchAgreement) {
-  const auto trace = make_trace(600, 15);
-  const timeseries::TraceView view(trace);
-  const std::size_t window = 96;
-  sysid::StreamingOptions opts;
-  opts.window_rows = window;
-  opts.reanchor_interval = 64;  // force frequent refactorizations
-  opts.drift.enabled = false;
-  const auto est = stream_prefix(view, 600, opts, sysid::ModelOrder::kSecond);
-  EXPECT_GE(est.stats().reanchors, 5u);
-  const sysid::ModelEstimator batch(kStates, kInputs,
-                                    sysid::ModelOrder::kSecond);
-  EXPECT_LT(max_model_diff(est.model(),
-                           batch.fit(view.slice_rows(600 - window, 600))),
-            1e-8);
-}
-
 TEST(Streaming, BitwiseDeterministicAtAnyThreadCount) {
   const auto trace = make_trace(800, 16, 500);
   const timeseries::TraceView view(trace);
   sysid::StreamingOptions opts;
   opts.window_rows = 192;
-  opts.reanchor_interval = 128;
 
   std::vector<std::vector<double>> params_by_threads;
   std::vector<std::vector<std::size_t>> drift_rows_by_threads;
@@ -282,14 +265,10 @@ TEST(Streaming, StatsCountersAddUp) {
   est.push_trace(timeseries::TraceView(trace));
   const auto& s = est.stats();
   EXPECT_EQ(s.rows_pushed, 400u);
-  // Every appended transition is either still in the window or left it
-  // through a downdate or a (guard-forced) refactorization.
-  EXPECT_GE(s.transitions, est.window_transitions());
-  EXPECT_GT(s.downdates, 0u);
-  EXPECT_EQ(s.downdate_refactors, 0u);
-  // With no guard-forced refactorizations every aged-out transition left
-  // through a downdate.
-  EXPECT_EQ(s.transitions - est.window_transitions(), s.downdates);
+  // The trace has no gaps: every row from the third on is the target of a
+  // second-order transition, and a 100-row window holds 98 of them.
+  EXPECT_EQ(s.transitions, 398u);
+  EXPECT_EQ(est.window_transitions(), 98u);
 }
 
 TEST(Streaming, AicPrefersTrueOrder) {
@@ -304,6 +283,45 @@ TEST(Streaming, AicPrefersTrueOrder) {
   const auto second =
       stream_prefix(view, 500, opts, sysid::ModelOrder::kSecond);
   EXPECT_LT(second.aic(), first.aic());
+}
+
+TEST(Streaming, AicIsTheCriterionOfTheBatchFitOverTheWindow) {
+  // aic() scores the window model's own one-step residuals, so it equals
+  // the same criterion evaluated on a fresh batch fit of the window rows —
+  // also when the regression is rank-deficient (a duplicated input
+  // column), where the residual a factorization tracks depends on its
+  // update history rather than on the window.
+  const auto trace = make_trace(600, 21);
+  const timeseries::TraceView view(trace);
+  const auto batch_aic = [](const sysid::ThermalModel& model,
+                            const timeseries::TraceView& rows) {
+    const auto diag = sysid::diagnose_fit(model, rows);
+    const double n = static_cast<double>(diag.transitions);
+    const double p = static_cast<double>(model.state_count());
+    double rss = 0.0;
+    for (const double s : diag.residual_std) rss += s * s * n;
+    return n * p * std::log(rss / (n * p)) +
+           2.0 * static_cast<double>(diag.parameters) * p;
+  };
+  const std::vector<timeseries::ChannelId> duplicated{101, 110, 101};
+  for (const auto& inputs : {kInputs, duplicated}) {
+    for (const std::size_t window : {0u, 120u}) {
+      sysid::StreamingOptions opts;
+      opts.window_rows = window;
+      opts.drift.enabled = false;
+      sysid::StreamingEstimator est(kStates, inputs,
+                                    sysid::ModelOrder::kSecond, opts);
+      est.push_trace(view);
+      const auto rows =
+          window == 0 ? view : view.slice_rows(view.size() - window,
+                                               view.size());
+      const sysid::ModelEstimator batch(kStates, inputs,
+                                        sysid::ModelOrder::kSecond);
+      const double expected = batch_aic(batch.fit(rows), rows);
+      EXPECT_NEAR(est.aic(), expected, 1e-9 * std::abs(expected))
+          << inputs.size() << " inputs, window " << window;
+    }
+  }
 }
 
 TEST(Streaming, ArgumentChecks) {

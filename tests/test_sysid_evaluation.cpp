@@ -7,7 +7,6 @@
 
 #include <cmath>
 
-#include "auditherm/linalg/stats.hpp"
 #include "auditherm/sysid/estimator.hpp"
 
 namespace sysid = auditherm::sysid;
@@ -133,10 +132,6 @@ TEST(EvaluatePrediction, BiasedModelHasExpectedError) {
   const auto eval = sysid::evaluate_prediction(biased, setup.trace, {{0, 60}},
                                                quick_options());
   EXPECT_GT(eval.pooled_rms, 0.05);
-  EXPECT_GT(eval.channel_abs_errors[0].size(), 10u);
-  // 90th percentile of |err| must be >= the median.
-  const auto& errors = eval.channel_abs_errors[0];
-  EXPECT_GE(linalg::percentile(errors, 90.0), linalg::percentile(errors, 50.0));
 }
 
 TEST(EvaluatePrediction, SkipsMissingComparisons) {
