@@ -6,7 +6,7 @@
 // across thread counts and cache modes. It then measures the sample bytes
 // the strategy sweep's data path moves (copy path vs zero-copy view path)
 // and writes everything to BENCH_perf_pipeline.json; the exit code is
-// nonzero when a bitwise check fails or the per-case view path copies.
+// nonzero when a bitwise check fails or either view path copies.
 //
 // The per-layer timings (similarity graph, spectrum, fit, evaluation, the
 // whole analyze op) live in perfbench's ledger (`--trace 1`); the one
@@ -83,8 +83,8 @@ const std::vector<core::SweepCase>& sweep_cases() {
 }
 
 /// The sweep through run_strategy_sweep: the Step-1 prefix (similarity
-/// graph, eigendecomposition, clustering, windows) is computed once and
-/// shared via `cache` across all cases.
+/// graph, eigendecomposition, clustering, windows) is prepared once
+/// through `cache`, and every case runs on those artifacts.
 std::vector<core::PipelineResult> run_sweep_cached(std::size_t threads,
                                                    core::StageCache* cache) {
   core::PipelineConfig base;
@@ -265,7 +265,7 @@ std::uint64_t legacy_copy_replay(const HallData& hall, std::size_t cases,
 }
 
 /// Prints the copy-vs-view table and adds it as `copy_vs_view`. False when
-/// a sweep result differs from its per-case run or the per-case view path
+/// a sweep result differs from its per-case run or either view path
 /// copied sample bytes.
 bool copy_vs_view_report(bench::JsonObject& out) {
   std::printf("\n----------------------------------------------------------\n");
@@ -274,9 +274,8 @@ bool copy_vs_view_report(bench::JsonObject& out) {
   std::printf("counter%s)\n",
               obs::kCompiledIn ? "" : " — observability compiled OUT");
   std::printf("----------------------------------------------------------\n");
-  std::printf("%8s %6s %14s %13s %12s %10s %8s\n", "sensors", "rows",
-              "copy_bytes", "view_percase", "view_sweep", "reduction",
-              "bitwise");
+  std::printf("%8s %6s %14s %13s %12s %8s\n", "sensors", "rows",
+              "copy_bytes", "view_percase", "view_sweep", "bitwise");
 
   std::vector<bench::JsonObject> rows;
   bool ok = true;
@@ -288,8 +287,8 @@ bool copy_vs_view_report(bench::JsonObject& out) {
     core::RunOptions plain;
     plain.thermostat_ids = hall.thermostat_ids;
 
-    // View-path sweep (run_strategy_sweep's sweep-local cache stores one
-    // materialized training copy — the only sample bytes left moving).
+    // View-path sweep: the uncached sweep prepares its prefix as views of
+    // the hall's trace, so it copies no samples either.
     std::vector<core::PipelineResult> sweep;
     std::uint64_t view_sweep_bytes = 0;
     {
@@ -324,19 +323,12 @@ bool copy_vs_view_report(bench::JsonObject& out) {
       }
       view_percase_bytes = sample_bytes_copied(recorder);
     }
-    ok = ok && equal && view_percase_bytes == 0;
-    // Conservative reduction: legacy traffic over the *larger* of the two
-    // view-path measurements (the sweep's single cache-owned copy).
-    const std::uint64_t view_worst =
-        std::max(view_percase_bytes, view_sweep_bytes);
-    const double reduction =
-        static_cast<double>(copy_bytes) /
-        static_cast<double>(view_worst > 0 ? view_worst : 1);
+    ok = ok && equal && view_percase_bytes == 0 && view_sweep_bytes == 0;
 
-    std::printf("%8zu %6zu %14llu %13llu %12llu %9.1fx %8s\n", sensors,
+    std::printf("%8zu %6zu %14llu %13llu %12llu %8s\n", sensors,
                 hall.trace.size(), static_cast<unsigned long long>(copy_bytes),
                 static_cast<unsigned long long>(view_percase_bytes),
-                static_cast<unsigned long long>(view_sweep_bytes), reduction,
+                static_cast<unsigned long long>(view_sweep_bytes),
                 equal ? "yes" : "NO");
     rows.push_back(bench::JsonObject()
                        .add("sensors", sensors)
@@ -344,7 +336,6 @@ bool copy_vs_view_report(bench::JsonObject& out) {
                        .add("copy_path_bytes", std::size_t{copy_bytes})
                        .add("view_percase_bytes", std::size_t{view_percase_bytes})
                        .add("view_sweep_bytes", std::size_t{view_sweep_bytes})
-                       .add("reduction_x", reduction)
                        .add("results_identical", equal));
   }
   out.add("copy_vs_view", rows);
@@ -382,7 +373,8 @@ bool speedup_report(bench::JsonObject& out) {
     const double uncached_ms = time_ms([&] { (void)run_sweep_uncached(t); });
     const double cached_ms = time_ms([&] {
       // Fresh cache per repetition: the timed region includes the one
-      // Step-1 build plus the all-hit fan-out, like a real sweep.
+      // Step-1 build plus the fan-out over its artifacts, like a real
+      // sweep.
       core::StageCache cache;
       const auto sweep = run_sweep_cached(t, &cache);
       for (std::size_t i = 0; i < sweep.size(); ++i) {

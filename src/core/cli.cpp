@@ -149,8 +149,6 @@ std::vector<OptionSpec> common_options() {
   return {
       {"threads", true, false, "N",
        "worker threads (0 = auto); results identical at any value"},
-      {"cache", true, false, "on|off",
-       "stage cache for repeated pipeline stages (default on)"},
       {"metrics-out", true, false, "FILE",
        "write run metrics and tracing spans as JSON"},
       {"trace", false, false, "",
@@ -163,15 +161,6 @@ CommonOptions parse_common(const ParsedOptions& options) {
   const long threads = options.get_long("threads", 0);
   if (threads < 0) throw UsageError("--threads must be >= 0");
   common.threads = static_cast<std::size_t>(threads);
-  if (const auto cache = options.get("cache")) {
-    if (*cache == "on") {
-      common.cache = true;
-    } else if (*cache == "off") {
-      common.cache = false;
-    } else {
-      throw UsageError("--cache expects on|off, got '" + *cache + "'");
-    }
-  }
   if (const auto out = options.get("metrics-out")) common.metrics_out = *out;
   common.trace = options.has("trace");
   return common;

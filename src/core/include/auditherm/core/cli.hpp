@@ -9,9 +9,9 @@
 ///   * an unknown flag is an error that carries the subcommand's usage,
 ///   * required flags are checked after parsing.
 ///
-/// The observability flags every subcommand accepts (--threads,
-/// --cache, --metrics-out, --trace) are provided by common_options() so
-/// tools cannot drift apart in spelling or semantics.
+/// The flags every subcommand accepts (--threads, --metrics-out,
+/// --trace) are provided by common_options() so tools cannot drift apart
+/// in spelling or semantics.
 
 #include <optional>
 #include <stdexcept>
@@ -89,7 +89,6 @@ class OptionSet {
 /// The flags shared by every auditherm subcommand:
 ///   --threads N        worker threads (0 = auto); results identical at
 ///                      any value
-///   --cache on|off     stage cache for repeated pipeline stages
 ///   --metrics-out FILE write run metrics + spans as JSON
 ///   --trace            print the span tree and counters to stderr
 [[nodiscard]] std::vector<OptionSpec> common_options();
@@ -97,7 +96,6 @@ class OptionSet {
 /// Decoded values of the common_options() flags.
 struct CommonOptions {
   std::size_t threads = 0;   ///< 0 = inherit global/default
-  bool cache = true;
   std::string metrics_out;   ///< empty = no JSON export
   bool trace = false;
   /// True when any observability output was requested (a recorder should
@@ -108,7 +106,7 @@ struct CommonOptions {
 };
 
 /// Decode the common flags; throws UsageError on a bad value (e.g.
-/// `--cache maybe`).
+/// `--threads -2`).
 [[nodiscard]] CommonOptions parse_common(const ParsedOptions& options);
 
 }  // namespace auditherm::core::cli

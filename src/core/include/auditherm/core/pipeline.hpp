@@ -115,12 +115,6 @@ struct RunOptions {
   /// skips prepare() entirely and `cache` is not consulted. Must outlive
   /// the call.
   const StageArtifacts* artifacts = nullptr;
-  /// Observability sink for this call: installed as the current recorder
-  /// for the duration (a no-op when null or already current), so every
-  /// TraceSpan, counter, and histogram the run touches lands in it.
-  /// Instrumentation only observes — results are bitwise identical with
-  /// or without a sink (pinned by test_obs).
-  obs::Recorder* metrics = nullptr;
   /// Input-source plan for the identification input block. Null (the
   /// default) reads the passed input_ids literally — the pre-plan
   /// behavior, bit for bit. When set, the plan's resolved channel ids
@@ -155,10 +149,12 @@ class ThermalModelingPipeline {
   ///
   /// `sensor_ids` are the dense-network temperature channels, `input_ids`
   /// the [h; o; l; w] block; everything optional (thermostats, stage
-  /// cache, precomputed artifacts, observability sink) rides in
-  /// `options`. Caching and instrumentation never change the result:
-  /// every combination of options is bitwise identical on the same
-  /// inputs. Safe to call concurrently when sharing one cache.
+  /// cache, precomputed artifacts, input plan) rides in `options`.
+  /// Caching never changes the result: every combination of options is
+  /// bitwise identical on the same inputs. To observe a call, install an
+  /// obs::RecorderScope around it; instrumentation only observes (pinned
+  /// by test_obs). Safe to call concurrently when sharing one cache, but
+  /// not with a cache from inside a parallel region (see StageCache).
   [[nodiscard]] PipelineResult run(
       const timeseries::MultiTrace& trace, const hvac::Schedule& schedule,
       const DataSplit& split,
@@ -207,14 +203,14 @@ struct SweepCase {
 ///
 /// The strategy/seed-independent Step-1 prefix (training view, similarity
 /// graph, eigendecomposition, clustering, windows, cluster means) is
-/// computed exactly once and shared by every case; only Step 2 + Step 3 +
-/// evaluation fan out. Set `options.cache` to share the prefix across
+/// prepared exactly once, before the fan-out, and every case runs on
+/// those artifacts; only Step 2 + Step 3 + evaluation fan out, and no case
+/// touches the stage cache. Set `options.cache` to share the prefix across
 /// successive sweeps too (e.g. per-k sweeps reuse the spectrum); leave it
-/// null for a sweep-local cache. Set `options.artifacts` to skip the
-/// prefix computation entirely. `options.metrics` is installed for the
-/// whole sweep, so per-case spans/counters aggregate into one recorder.
-/// Results stay bitwise identical to per-case run() at any thread count
-/// and under any option combination.
+/// null to prepare a zero-copy prefix that views `trace`. Set
+/// `options.artifacts` to skip the prefix computation entirely. Results
+/// stay bitwise identical to per-case run() at any thread count and under
+/// any option combination.
 [[nodiscard]] std::vector<PipelineResult> run_strategy_sweep(
     const PipelineConfig& base, const std::vector<SweepCase>& cases,
     const timeseries::MultiTrace& trace, const hvac::Schedule& schedule,
@@ -229,8 +225,6 @@ struct StreamingRunConfig {
   /// Window and drift-detector knobs. The default
   /// EstimationOptions inside match the batch pipeline's.
   sysid::StreamingOptions streaming;
-  /// Observability sink for this call, RunOptions::metrics semantics.
-  obs::Recorder* metrics = nullptr;
 };
 
 /// What one streaming pass produced.

@@ -37,25 +37,28 @@
 /// A builder that throws leaves no entry behind: waiters parked on it wake
 /// and rebuild, as does the next caller.
 ///
-/// Thread safety: get_or_build() may be called concurrently from the
-/// sweep's worker threads or from serve's request threads. One mutex
-/// guards the table; builders run with NO cache lock held (a builder may
-/// itself fan out over the thread pool, so holding a lock across build()
-/// would order it against the pool's batch mutex — a lock-order inversion
-/// TSan rejects). Hit/miss/eviction bookkeeping is likewise mirrored into
-/// the current obs recorder only *after* mutex_ is released, so the cache
-/// lock never couples with the recorder's shard locks (serve installs a
-/// long-lived recorder that every request thread records into). A key's
-/// first toucher marks it building and later publishes; concurrent
-/// touchers park on a condition variable — except inside a parallel
-/// region, where parking would stall the pool, so they build a duplicate
-/// and the first publish wins. Outside parallel regions a key is built
-/// exactly once.
+/// Thread safety: get_or_build() may be called concurrently from serve's
+/// request threads (or any threads outside a parallel region). One mutex
+/// guards the table and the hit/miss counts; builders run with NO cache
+/// lock held (a builder may itself fan out over the thread pool, so
+/// holding a lock across build() would order it against the pool's batch
+/// mutex — a lock-order inversion TSan rejects). Hit/miss/eviction events
+/// are mirrored into the current obs recorder only *after* mutex_ is
+/// released, so the cache lock never couples with the recorder's shard
+/// locks (serve installs a long-lived recorder that every request thread
+/// records into). A key's first toucher claims it and later publishes;
+/// concurrent touchers park on a condition variable until it does, so a
+/// key is built exactly once. Parking from inside a pooled batch could
+/// deadlock (a pool thread waiting on a builder that waits for the pool's
+/// batch mutex), so a call from inside a parallel region throws
+/// std::logic_error: a sweep prepares its Step-1 artifacts before its
+/// fan-out, and its cases never touch the cache.
 
 #include <condition_variable>
 #include <cstdint>
 #include <functional>
 #include <list>
+#include <map>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -65,7 +68,6 @@
 #include <vector>
 
 #include "auditherm/core/stage_key.hpp"
-#include "auditherm/obs/metrics.hpp"
 #include "auditherm/timeseries/multi_trace.hpp"
 
 namespace auditherm::core {
@@ -124,12 +126,11 @@ struct sized_artifact {
   }
 };
 
-/// Hit/miss counters for one stage (or the cache-wide totals). Backed by
-/// the cache's own obs::MetricsRegistry (`stage_cache.hit.<stage>` /
-/// `stage_cache.miss.<stage>` counters); stats() and totals() are thin
-/// adapters over it. When a run recorder is installed (obs::RecorderScope)
-/// the same counters are mirrored there, so --metrics-out JSON carries
-/// them without any caller-side plumbing.
+/// Hit/miss counters for one stage (or the cache-wide totals), kept in the
+/// cache's table under its mutex. When a run recorder is installed
+/// (obs::RecorderScope) each event is also mirrored there as a
+/// `stage_cache.hit.<stage>` / `stage_cache.miss.<stage>` counter, so
+/// --metrics-out JSON carries them without any caller-side plumbing.
 struct StageStats {
   std::size_t hits = 0;
   std::size_t misses = 0;  ///< == number of times the stage was computed
@@ -149,9 +150,9 @@ class StageCache {
   StageCache& operator=(const StageCache&) = delete;
 
   /// Return the artifact for (stage, key). On first touch `build` runs
-  /// once; concurrent first-touchers either wait for it or (inside a
-  /// parallel region) race a duplicate build whose loser is discarded, so
-  /// every caller receives the same stored artifact.
+  /// once; concurrent first-touchers wait for it, so every caller receives
+  /// the same stored artifact. Throws std::logic_error when called from
+  /// inside a parallel region (see the file comment).
   template <typename T, typename BuildFn>
   std::shared_ptr<const T> get_or_build(std::string_view stage,
                                         std::uint64_t key, BuildFn&& build) {
@@ -193,16 +194,14 @@ class StageCache {
     std::size_t bytes = 0;
     bool building = false;  ///< a builder is running for this key
     std::string stage;  ///< stage name, for eviction counters
-    /// Position in lru_ (valid iff in_lru). Only completed, non-building
-    /// entries are LRU-linked — eviction can never remove an in-flight
-    /// build.
+    /// Position in lru_, valid iff `value` is set: only completed entries
+    /// are LRU-linked, so eviction can never remove an in-flight build.
     std::list<std::uint64_t>::iterator lru;
-    bool in_lru = false;
   };
 
   /// Deferred counter mirror: (name, delta) pairs recorded while holding
-  /// mutex_ and flushed into registry_ / the current obs recorder after
-  /// it is released, so the cache lock never nests recorder locks.
+  /// mutex_ and flushed into the current obs recorder after it is
+  /// released, so the cache lock never nests recorder locks.
   using PendingEvents = std::vector<std::pair<std::string, std::uint64_t>>;
 
   /// Fold the stage name into the key so two stages with equal content
@@ -214,17 +213,15 @@ class StageCache {
       std::string_view stage, std::uint64_t tagged_key,
       const std::function<ErasedArtifact()>& build);
 
-  /// Record a hit/miss into registry_ and mirror it to the current run
-  /// recorder. Called with mutex_ NOT held.
-  void count_event(std::string_view stage, bool hit);
+  /// Mirror a hit/miss into the current run recorder. Called with mutex_
+  /// NOT held.
+  static void mirror_event(std::string_view stage, bool hit);
   /// Flush deferred eviction/gauge events. Called with mutex_ NOT held.
   void flush_events(const PendingEvents& events);
 
   // --- locked helpers (caller holds mutex_) ------------------------------
-  void touch_locked(Entry& entry);
-  void insert_lru_locked(Entry& entry, std::uint64_t key);
-  void publish_locked(Entry& entry, std::uint64_t key, std::string_view stage,
-                      ErasedArtifact&& built);
+  /// The counters of `stage`, created on first use.
+  StageStats& stats_locked(std::string_view stage);
   /// Evict LRU-tail entries until resident_bytes_ fits the budget,
   /// appending one eviction counter event per entry to `events`.
   void evict_over_budget_locked(PendingEvents& events);
@@ -238,8 +235,8 @@ class StageCache {
   std::size_t resident_bytes_ = 0;
   std::uint64_t evictions_ = 0;
   std::uint64_t evicted_bytes_ = 0;
-  /// Hit/miss/eviction counters; see StageStats for the naming scheme.
-  obs::MetricsRegistry registry_;
+  /// Hit/miss counts per stage name.
+  std::map<std::string, StageStats, std::less<>> stats_;
 };
 
 }  // namespace auditherm::core

@@ -122,8 +122,8 @@ class Pool {
            std::size_t max_threads) {
     obs::Recorder* rec = obs::kCompiledIn ? obs::current() : nullptr;
     // The batch span parents any span a worker thread opens while this
-    // batch runs (sweep cases, duplicate stage builds); top-level batches
-    // are serialized by batch_mutex, so the single ambient slot is safe.
+    // batch runs (sweep cases); top-level batches are serialized by
+    // batch_mutex, so the single ambient slot is safe.
     obs::TraceSpan span("parallel.batch");
     const std::uint64_t batch_t0 = rec != nullptr ? rec->now_ns() : 0;
     if (rec != nullptr) {

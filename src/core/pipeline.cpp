@@ -307,9 +307,6 @@ PipelineResult ThermalModelingPipeline::run(
     const DataSplit& split, const std::vector<ChannelId>& sensor_ids,
     const std::vector<ChannelId>& input_ids,
     const RunOptions& options) const {
-  // Install the caller's sink (no-op when null or already current) so
-  // every span/counter below this point lands in it.
-  const obs::RecorderScope obs_scope(options.metrics);
   obs::Recorder* rec = obs::kCompiledIn ? obs::current() : nullptr;
   obs::TraceSpan run_span("pipeline.run");
   const std::uint64_t t0 = rec != nullptr ? rec->now_ns() : 0;
@@ -410,32 +407,30 @@ std::vector<PipelineResult> run_strategy_sweep(
     const timeseries::MultiTrace& trace, const hvac::Schedule& schedule,
     const DataSplit& split, const std::vector<ChannelId>& sensor_ids,
     const std::vector<ChannelId>& input_ids, const RunOptions& options) {
-  // One recorder for the whole sweep: per-case run() calls pass no sink
-  // of their own and see this one already current.
-  const obs::RecorderScope obs_scope(options.metrics);
   obs::TraceSpan sweep_span("pipeline.sweep");
   obs::add_counter(pipeline_metrics().sweep_cases, cases.size());
 
   const ThreadCountScope thread_scope(base.threads);
-  StageCache local_cache;
-  StageCache& shared = options.cache != nullptr ? *options.cache : local_cache;
-
-  // Compute (or fetch) the shared Step-1 prefix exactly once, before the
-  // fan-out: every case resolves to the same keys because strategy and
-  // seed are not part of them. With precomputed artifacts the prefix (and
-  // the cache) is skipped outright.
+  // Prepare (or fetch, through options.cache) the shared Step-1 prefix
+  // exactly once, before the fan-out: strategy and seed are not part of
+  // it, so every case runs on the same artifacts and none of them enters
+  // the cache from inside the pool.
+  StageArtifacts prepared;
   if (options.artifacts == nullptr) {
-    const ThermalModelingPipeline prefix(base);
-    (void)prefix.prepare(trace, schedule, split, sensor_ids, input_ids,
-                         &shared, options.input_plan);
+    prepared = ThermalModelingPipeline(base).prepare(
+        trace, schedule, split, sensor_ids, input_ids, options.cache,
+        options.input_plan);
   }
+  RunOptions case_options;
+  case_options.thermostat_ids = options.thermostat_ids;
+  case_options.artifacts =
+      options.artifacts != nullptr ? options.artifacts : &prepared;
 
   std::vector<PipelineResult> results(cases.size());
   // Cases fan out across the pool; each case's own kernels then run
   // serially (nested regions are inline), which is the right granularity:
-  // whole pipeline runs dwarf any single kernel. Each case takes the
-  // cache's hit path for the Step-1 stages and computes only Step 2 +
-  // Step 3 + evaluation.
+  // whole pipeline runs dwarf any single kernel. Each case computes only
+  // Step 2 + Step 3 + evaluation.
   parallel_for(0, cases.size(), 1, [&](std::size_t i) {
     obs::TraceSpan case_span("sweep.case");
     PipelineConfig config = base;
@@ -443,11 +438,6 @@ std::vector<PipelineResult> run_strategy_sweep(
     config.selection_seed = cases[i].seed;
     config.threads = 0;  // the sweep's scope already applied base.threads
     const ThermalModelingPipeline pipeline(config);
-    RunOptions case_options;
-    case_options.thermostat_ids = options.thermostat_ids;
-    case_options.artifacts = options.artifacts;
-    case_options.input_plan = options.input_plan;
-    if (options.artifacts == nullptr) case_options.cache = &shared;
     results[i] = pipeline.run(trace, schedule, split, sensor_ids, input_ids,
                               case_options);
   });
@@ -459,7 +449,6 @@ StreamingRunResult run_streaming_identification(
     const std::vector<timeseries::ChannelId>& state_ids,
     const std::vector<timeseries::ChannelId>& input_ids,
     const StreamingRunConfig& config, const std::vector<bool>& row_filter) {
-  const obs::RecorderScope obs_scope(config.metrics);
   obs::TraceSpan span("pipeline.streaming");
   sysid::StreamingEstimator estimator(state_ids, input_ids, config.order,
                                       config.streaming);

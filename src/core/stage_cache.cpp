@@ -1,5 +1,6 @@
 #include "auditherm/core/stage_cache.hpp"
 
+#include <stdexcept>
 #include <utility>
 
 #include "auditherm/core/parallel.hpp"
@@ -47,26 +48,10 @@ std::uint64_t StageCache::tag_key(std::string_view stage,
   return h.value();
 }
 
-void StageCache::touch_locked(Entry& entry) {
-  if (entry.in_lru) lru_.splice(lru_.begin(), lru_, entry.lru);
-}
-
-void StageCache::insert_lru_locked(Entry& entry, std::uint64_t key) {
-  entry.lru = lru_.insert(lru_.begin(), key);
-  entry.in_lru = true;
-}
-
-void StageCache::publish_locked(Entry& entry, std::uint64_t key,
-                                std::string_view stage,
-                                ErasedArtifact&& built) {
-  entry.value = std::move(built.value);
-  entry.bytes = built.bytes;
-  entry.stage.assign(stage);
-  resident_bytes_ += entry.bytes;
-  // In-flight entries stay out of the LRU list so eviction can never
-  // remove a key someone is still building under; the claimer links the
-  // entry when it finishes.
-  if (!entry.building) insert_lru_locked(entry, key);
+StageStats& StageCache::stats_locked(std::string_view stage) {
+  const auto it = stats_.find(stage);
+  if (it != stats_.end()) return it->second;
+  return stats_.emplace(std::string(stage), StageStats{}).first->second;
 }
 
 void StageCache::evict_over_budget_locked(PendingEvents& events) {
@@ -88,28 +73,28 @@ void StageCache::evict_over_budget_locked(PendingEvents& events) {
 std::shared_ptr<const void> StageCache::get_or_build_erased(
     std::string_view stage, std::uint64_t tagged_key,
     const std::function<ErasedArtifact()>& build) {
-  bool claimed = false;
+  // A pool thread parked here could wait on a builder that itself waits
+  // for the pool's batch mutex. Callers prepare before they fan out.
+  if (detail::in_parallel_region()) {
+    throw std::logic_error(
+        "StageCache::get_or_build: called from inside a parallel region");
+  }
   {
     std::unique_lock<std::mutex> lock(mutex_);
     for (;;) {
       Entry& entry = entries_[tagged_key];
       if (entry.value) {
-        touch_locked(entry);
+        lru_.splice(lru_.begin(), lru_, entry.lru);
+        ++stats_locked(stage).hits;
         std::shared_ptr<const void> value = entry.value;
         lock.unlock();
-        count_event(stage, /*hit=*/true);
+        mirror_event(stage, /*hit=*/true);
         return value;
       }
       if (!entry.building) {
         entry.building = true;
-        claimed = true;
         break;
       }
-      // Someone else is building this key. Parking inside a parallel
-      // region would stall the pool the builder may itself be waiting
-      // for, so there we race a duplicate build instead (first publish
-      // wins); otherwise wait for the builder to publish.
-      if (detail::in_parallel_region()) break;
       build_done_.wait(lock);
     }
   }
@@ -121,123 +106,69 @@ std::shared_ptr<const void> StageCache::get_or_build_erased(
   try {
     built = build();
   } catch (...) {
-    if (claimed) {
-      {
-        const std::lock_guard<std::mutex> lock(mutex_);
-        // Our claimed entry is still present: eviction skips in-flight
-        // entries and only the claimer clears `building`.
-        const auto it = entries_.find(tagged_key);
-        if (it->second.value) {
-          // A duplicate builder published while we failed; keep its
-          // artifact and make it evictable.
-          it->second.building = false;
-          if (!it->second.in_lru) insert_lru_locked(it->second, tagged_key);
-        } else {
-          // Leave no entry: parked waiters wake, find the key absent and
-          // rebuild, as does the next caller.
-          entries_.erase(it);
-        }
-      }
-      build_done_.notify_all();
+    {
+      // Leave no entry: parked waiters wake, find the key absent and
+      // rebuild, as does the next caller.
+      const std::lock_guard<std::mutex> lock(mutex_);
+      entries_.erase(tagged_key);
     }
+    build_done_.notify_all();
     throw;
   }
 
-  std::shared_ptr<const void> result = built.value;
-  bool hit = false;
   PendingEvents events;
   {
-    std::unique_lock<std::mutex> lock(mutex_);
-    const auto it = entries_.find(tagged_key);
-    if (claimed) {
-      // The entry is ours and still present (eviction skips in-flight
-      // entries).
-      Entry& entry = it->second;
-      entry.building = false;
-      if (!entry.value) {
-        publish_locked(entry, tagged_key, stage, std::move(built));
-      } else {
-        // Lost a duplicate-build race; keep the published artifact so
-        // every caller aliases the same object.
-        result = entry.value;
-        hit = true;
-        if (!entry.in_lru) insert_lru_locked(entry, tagged_key);
-        touch_locked(entry);
-      }
-      evict_over_budget_locked(events);
-    } else {
-      // Duplicate build from inside a parallel region: publish only if
-      // the entry still exists and nobody beat us to it.
-      if (it == entries_.end()) {
-        // Evicted (or erased by a failed claimer) since we broke out;
-        // our caller still gets the freshly built artifact.
-        lock.unlock();
-        count_event(stage, /*hit=*/false);
-        return result;
-      }
-      Entry& entry = it->second;
-      if (entry.value) {
-        result = entry.value;
-        hit = true;
-        touch_locked(entry);
-      } else {
-        publish_locked(entry, tagged_key, stage, std::move(built));
-        evict_over_budget_locked(events);
-      }
-    }
+    const std::lock_guard<std::mutex> lock(mutex_);
+    // The claimed entry is still present: eviction skips in-flight
+    // entries.
+    Entry& entry = entries_.find(tagged_key)->second;
+    entry.building = false;
+    entry.value = built.value;
+    entry.bytes = built.bytes;
+    entry.stage.assign(stage);
+    entry.lru = lru_.insert(lru_.begin(), tagged_key);
+    resident_bytes_ += entry.bytes;
+    ++stats_locked(stage).misses;
+    evict_over_budget_locked(events);
   }
-  if (claimed) build_done_.notify_all();
-  count_event(stage, hit);
+  build_done_.notify_all();
+  mirror_event(stage, /*hit=*/false);
   flush_events(events);
-  return result;
+  return std::move(built.value);
 }
 
-void StageCache::count_event(std::string_view stage, bool hit) {
-  const std::string name =
-      event_name(hit ? kHitPrefix : kMissPrefix, stage);
-  registry_.add_counter(name);
-  // Mirror into the current run recorder (if one is installed) so
-  // --metrics-out JSON carries cache behavior without caller plumbing.
-  // Runs with mutex_ released: the recorder's shard locks must never
-  // nest inside the cache lock (serve shares one recorder across every
-  // request thread).
-  obs::add_counter(name);
+void StageCache::mirror_event(std::string_view stage, bool hit) {
+  // Runs with mutex_ released: the recorder's shard locks must never nest
+  // inside the cache lock (serve shares one recorder across every request
+  // thread).
+  if (!obs::enabled()) return;
+  obs::add_counter(event_name(hit ? kHitPrefix : kMissPrefix, stage));
 }
 
 void StageCache::flush_events(const PendingEvents& events) {
   if (events.empty()) return;
-  for (const auto& [name, delta] : events) {
-    registry_.add_counter(name, delta);
-    obs::add_counter(name, delta);
-  }
+  for (const auto& [name, delta] : events) obs::add_counter(name, delta);
   // Gauge the post-eviction resident set so /metrics exports show the
   // budget holding. Reading resident_bytes() re-locks briefly; the value
   // is advisory (monotonic correctness lives in the counters above).
-  const double resident = static_cast<double>(resident_bytes());
-  registry_.set_gauge(kResidentGauge, resident);
   if (obs::kCompiledIn) {
     static const obs::MetricId id = obs::gauge_id(kResidentGauge);
-    obs::set_gauge(id, resident);
+    obs::set_gauge(id, static_cast<double>(resident_bytes()));
   }
 }
 
 StageStats StageCache::stats(std::string_view stage) const {
-  StageStats s;
-  s.hits = static_cast<std::size_t>(
-      registry_.counter(event_name(kHitPrefix, stage)));
-  s.misses = static_cast<std::size_t>(
-      registry_.counter(event_name(kMissPrefix, stage)));
-  return s;
+  const std::lock_guard<std::mutex> lock(mutex_);
+  const auto it = stats_.find(stage);
+  return it == stats_.end() ? StageStats{} : it->second;
 }
 
 StageStats StageCache::totals() const {
+  const std::lock_guard<std::mutex> lock(mutex_);
   StageStats total;
-  for (const auto& [name, value] : registry_.snapshot().counters) {
-    if (name.starts_with(kHitPrefix)) {
-      total.hits += static_cast<std::size_t>(value);
-    } else if (name.starts_with(kMissPrefix)) {
-      total.misses += static_cast<std::size_t>(value);
-    }
+  for (const auto& [stage, s] : stats_) {
+    total.hits += s.hits;
+    total.misses += s.misses;
   }
   return total;
 }

@@ -41,8 +41,8 @@ namespace auditherm::obs {
 /// True when observability instrumentation is compiled in (the default);
 /// building with -DAUDITHERM_OBS=OFF defines AUDITHERM_NO_OBS, turning the
 /// hot-path helpers in trace_span.hpp into constant-folded no-ops. The
-/// registry itself stays real in both modes — StageCache's hit/miss
-/// accessors are backed by it.
+/// registry itself stays real in both modes; code that needs a count for
+/// its own logic (StageCache's hit/miss accessors) keeps it outside obs.
 #if defined(AUDITHERM_NO_OBS)
 inline constexpr bool kCompiledIn = false;
 #else
@@ -130,8 +130,8 @@ struct MetricsSnapshot {
 
 /// Thread-sharded metrics store. Recording through a MetricId is
 /// lock-free after a thread's first touch; name-based conveniences intern
-/// on the fly (two short critical sections) and suit cold paths like
-/// StageCache bookkeeping.
+/// on the fly (two short critical sections) and suit cold paths like the
+/// StageCache's counter mirror.
 class MetricsRegistry {
  public:
   /// Fixed shard capacities; intern_metric throws beyond them.
@@ -148,7 +148,6 @@ class MetricsRegistry {
   void observe(MetricId id, double value) noexcept;
 
   void add_counter(std::string_view name, std::uint64_t delta = 1);
-  void set_gauge(std::string_view name, double value);
 
   /// Current value of a counter by name (0 when never recorded here).
   [[nodiscard]] std::uint64_t counter(std::string_view name) const;

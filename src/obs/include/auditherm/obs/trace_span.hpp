@@ -81,11 +81,12 @@ class Recorder {
 /// True when some recorder is installed.
 [[nodiscard]] inline bool enabled() noexcept { return current() != nullptr; }
 
-/// RAII installation of a recorder as the process-wide current one.
-/// A null or already-current recorder makes the scope a no-op, so nested
-/// pipeline layers can all pass their RunOptions sink without fighting
-/// (the sweep installs once; per-case runs see it already current).
-/// Concurrent scopes installing *different* recorders are unsupported.
+/// RAII installation of a recorder as the process-wide current one; to
+/// observe a pipeline call, install one around it. A null or
+/// already-current recorder makes the scope a no-op, so a caller may pass
+/// an optional sink unconditionally and nested layers can install the
+/// same recorder without fighting. Concurrent scopes installing
+/// *different* recorders are unsupported.
 class RecorderScope {
  public:
   explicit RecorderScope(Recorder* recorder) noexcept;

@@ -180,10 +180,6 @@ void MetricsRegistry::add_counter(std::string_view name, std::uint64_t delta) {
   add(counter_id(name), delta);
 }
 
-void MetricsRegistry::set_gauge(std::string_view name, double value) {
-  set(gauge_id(name), value);
-}
-
 std::uint64_t MetricsRegistry::counter(std::string_view name) const {
   std::size_t index = 0;
   {

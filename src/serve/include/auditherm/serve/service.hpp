@@ -69,8 +69,8 @@ struct ChannelSets {
   std::vector<timeseries::ChannelId> inputs;  ///< [flows..., occ, light, amb]
 };
 
-/// Classify `trace`'s channels; throws std::runtime_error when fewer than
-/// 2 sensors or 2 inputs are present (the pipeline needs both).
+/// Classify `trace`'s channels; throws timeseries::InputError when fewer
+/// than 2 sensors or 2 inputs are present (the pipeline needs both).
 [[nodiscard]] ChannelSets classify_channels(
     const timeseries::MultiTrace& trace);
 
@@ -79,7 +79,8 @@ struct ChannelSets {
 /// channel, which follows request.occupancy ("estimated" swaps in a CO2
 /// mass-balance slot fed by the trace's VAV flows, "schedule" a two-level
 /// schedule prior). Throws core::cli::UsageError for unknown occupancy
-/// values; "" / "truth" return a pure ground-truth plan.
+/// values and timeseries::InputError when the trace has no occupancy
+/// channel to replace; "" / "truth" return a pure ground-truth plan.
 [[nodiscard]] sysid::InputPlan input_plan_for(const AnalyzeRequest& request,
                                               const ChannelSets& sets);
 
@@ -91,8 +92,9 @@ struct ServiceConfig {
   /// Byte budget for the shared stage cache (0 = unlimited). The daemon
   /// front-end sets this from --cache-budget-mb.
   core::CacheBudget cache_budget;
-  /// When false the stage cache is bypassed entirely (the CLI's
-  /// --cache off); results are bitwise identical either way.
+  /// When false the stage cache is bypassed entirely; results are bitwise
+  /// identical either way (the uncached service is the reference the
+  /// serve tests compare the cached one against).
   bool cache_enabled = true;
 };
 
@@ -109,8 +111,8 @@ class AnalysisService {
   /// Run one analysis and return the report text (the one-shot CLI's
   /// exact stdout). Throws cli-level std::invalid_argument for bad option
   /// values, timeseries::InputError for bad input data (an unreadable or
-  /// malformed trace, a non-finite result) and std::runtime_error for
-  /// other data problems.
+  /// malformed trace, too few channels or usable transitions, a
+  /// non-finite result) and std::runtime_error for other data problems.
   [[nodiscard]] std::string analyze(const AnalyzeRequest& request);
 
   [[nodiscard]] const core::StageCache& cache() const noexcept {

@@ -201,7 +201,7 @@ ChannelSets classify_channels(const timeseries::MultiTrace& trace) {
     if (trace.channel_index(id)) sets.inputs.push_back(id);
   }
   if (sets.sensors.size() < 2 || sets.inputs.size() < 2) {
-    throw std::runtime_error(
+    throw timeseries::InputError(
         "analyze: trace lacks sensor (<100) or input (>=101) channels");
   }
   return sets;
@@ -241,7 +241,7 @@ sysid::InputPlan input_plan_for(const AnalyzeRequest& request,
     }
   }
   if (!replaced && !request.occupancy.empty() && request.occupancy != "truth") {
-    throw std::runtime_error(
+    throw timeseries::InputError(
         "analyze: trace has no occupancy channel to replace with --occupancy " +
         request.occupancy);
   }
@@ -260,9 +260,12 @@ std::shared_ptr<const timeseries::MultiTrace> AnalysisService::load_trace(
   }
   std::ostringstream buffer;
   buffer << in.rdbuf();
-  const std::string bytes = buffer.str();
+  // The bytes live once: taken out of the buffer, hashed, then moved into
+  // the parse stream by the builder, which runs at most once and only
+  // after the hash.
+  std::string bytes = std::move(buffer).str();
   const auto parse = [&] {
-    std::istringstream stream(bytes);
+    std::istringstream stream(std::move(bytes));
     return timeseries::read_csv(stream);
   };
   if (!config_.cache_enabled) {
@@ -354,7 +357,6 @@ std::string AnalysisService::analyze(const AnalyzeRequest& request) {
   core::RunOptions run_options;
   run_options.thermostat_ids = sets.thermostats;
   run_options.artifacts = &artifacts;
-  run_options.cache = cache;
   const auto result = pipeline.run(*trace, schedule, split, sets.sensors,
                                    sets.inputs, run_options);
 

@@ -5,6 +5,7 @@
 #include "auditherm/core/parallel.hpp"
 #include "auditherm/linalg/least_squares.hpp"
 #include "auditherm/obs/trace_span.hpp"
+#include "auditherm/timeseries/csv_io.hpp"
 
 namespace auditherm::sysid {
 
@@ -86,7 +87,7 @@ ThermalModel ModelEstimator::fit(const timeseries::TraceView& trace,
   std::size_t min_needed = options_.min_transitions;
   if (min_needed == 0) min_needed = std::max<std::size_t>(4 * n_params, 8);
   if (transitions < min_needed) {
-    throw std::runtime_error(
+    throw timeseries::InputError(
         "ModelEstimator::fit: only " + std::to_string(transitions) +
         " usable transitions, need " + std::to_string(min_needed));
   }

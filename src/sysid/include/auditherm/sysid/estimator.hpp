@@ -29,8 +29,9 @@ struct EstimationOptions {
   double ridge = 1e-7;
   /// Interpret `ridge` relative to the regressor Gram diagonal.
   bool relative_ridge = true;
-  /// Minimum number of usable transitions; fit() throws std::runtime_error
-  /// below this (an over-parameterized fit would be meaningless).
+  /// Minimum number of usable transitions; fit() throws
+  /// timeseries::InputError below this (an over-parameterized fit would
+  /// be meaningless).
   std::size_t min_transitions = 0;  ///< 0 = max(4 * #parameters per row, 8)
 };
 
@@ -56,8 +57,8 @@ class ModelEstimator {
   /// Fit a model on all usable transitions of `trace`. `row_filter`, when
   /// non-empty, restricts which rows may participate (the mode filter:
   /// occupied vs unoccupied); it must match trace.size().
-  /// Throws std::runtime_error when fewer than min_transitions usable
-  /// transitions exist.
+  /// Throws timeseries::InputError (a std::runtime_error) when fewer than
+  /// min_transitions usable transitions exist.
   [[nodiscard]] ThermalModel fit(const timeseries::TraceView& trace,
                                  const std::vector<bool>& row_filter = {}) const;
 

@@ -38,8 +38,8 @@ class Co2OccupancyEstimator {
   /// Fit (V/g, Q-scale/g, C_out) by least squares on a training trace
   /// with known occupancy. Uses transitions where CO2, flows and the
   /// occupancy label are valid at consecutive rows. Throws
-  /// std::runtime_error with fewer than 32 usable transitions,
-  /// std::invalid_argument when channels are missing.
+  /// timeseries::InputError (a std::runtime_error) with fewer than 32
+  /// usable transitions, std::invalid_argument when channels are missing.
   void calibrate(const timeseries::TraceView& training);
 
   [[nodiscard]] bool calibrated() const noexcept { return calibrated_; }

@@ -6,6 +6,7 @@
 
 #include "auditherm/linalg/least_squares.hpp"
 #include "auditherm/obs/trace_span.hpp"
+#include "auditherm/timeseries/csv_io.hpp"
 
 namespace auditherm::sysid {
 
@@ -67,7 +68,7 @@ void Co2OccupancyEstimator::calibrate(const timeseries::TraceView& training) {
     if (rows[k].valid && training.valid(k, occ_col)) usable.push_back(k);
   }
   if (usable.size() < 32) {
-    throw std::runtime_error(
+    throw timeseries::InputError(
         "Co2OccupancyEstimator::calibrate: too few usable transitions");
   }
   static const obs::MetricId kTransitionsUsed =

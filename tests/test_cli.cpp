@@ -1,8 +1,8 @@
 // Tests for the shared CLI option parser: the declarative OptionSet,
 // the duplicate/unknown/missing-flag error paths, and decoding of the
-// common observability flags (--threads, --cache, --metrics-out,
-// --trace); plus the built `auditherm` binary's exit status on a bad flag
-// and on a trace whose analysis overflows.
+// common flags (--threads, --metrics-out, --trace); plus the built
+// `auditherm` binary's exit status on removed flags and on a trace whose
+// analysis overflows.
 
 #include <gtest/gtest.h>
 #include <sys/wait.h>
@@ -12,6 +12,7 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "auditherm/core/cli.hpp"
@@ -172,18 +173,15 @@ cli::OptionSet common_set() {
 TEST(CliCommonOptions, DefaultsWhenNoFlagsGiven) {
   const auto common = cli::parse_common(parse(common_set(), {}));
   EXPECT_EQ(common.threads, 0u);
-  EXPECT_TRUE(common.cache);
   EXPECT_TRUE(common.metrics_out.empty());
   EXPECT_FALSE(common.trace);
   EXPECT_FALSE(common.observability_enabled());
 }
 
-TEST(CliCommonOptions, DecodesAllFourFlags) {
-  const auto common = cli::parse_common(
-      parse(common_set(), {"--threads", "4", "--cache", "off",
-                           "--metrics-out", "m.json", "--trace"}));
+TEST(CliCommonOptions, DecodesAllThreeFlags) {
+  const auto common = cli::parse_common(parse(
+      common_set(), {"--threads", "4", "--metrics-out", "m.json", "--trace"}));
   EXPECT_EQ(common.threads, 4u);
-  EXPECT_FALSE(common.cache);
   EXPECT_EQ(common.metrics_out, "m.json");
   EXPECT_TRUE(common.trace);
   EXPECT_TRUE(common.observability_enabled());
@@ -196,10 +194,7 @@ TEST(CliCommonOptions, MetricsOutAloneEnablesObservability) {
   EXPECT_TRUE(common.observability_enabled());
 }
 
-TEST(CliCommonOptions, RejectsBadCacheAndNegativeThreads) {
-  EXPECT_THROW(
-      (void)cli::parse_common(parse(common_set(), {"--cache", "maybe"})),
-      cli::UsageError);
+TEST(CliCommonOptions, RejectsNegativeThreads) {
   EXPECT_THROW(
       (void)cli::parse_common(parse(common_set(), {"--threads", "-2"})),
       cli::UsageError);
@@ -222,15 +217,21 @@ int run_auditherm(const std::string& args, std::string& output,
   return WIFEXITED(status) ? WEXITSTATUS(status) : -1;
 }
 
-TEST(CliBinary, AnalyzeRejectsTheRemovedEigenFlag) {
-  // The eigensolver follows from the graph, so --eigen is an unknown flag:
-  // a usage error (exit 2) that prints the analyze usage.
-  std::string output;
-  EXPECT_EQ(run_auditherm("analyze --data unused.csv --eigen jacobi", output),
-            2);
-  EXPECT_NE(output.find("unknown flag --eigen"), std::string::npos) << output;
-  EXPECT_NE(output.find("usage: auditherm analyze"), std::string::npos)
-      << output;
+TEST(CliBinary, AnalyzeRejectsRemovedFlags) {
+  // The eigensolver follows from the graph and the stage cache is always
+  // on, so --eigen and --cache are unknown flags: usage errors (exit 2)
+  // that print the analyze usage.
+  const std::pair<std::string, std::string> removed[] = {
+      {"--eigen jacobi", "unknown flag --eigen"},
+      {"--cache off", "unknown flag --cache"},
+  };
+  for (const auto& [args, message] : removed) {
+    std::string output;
+    EXPECT_EQ(run_auditherm("analyze --data unused.csv " + args, output), 2);
+    EXPECT_NE(output.find(message), std::string::npos) << output;
+    EXPECT_NE(output.find("usage: auditherm analyze"), std::string::npos)
+        << output;
+  }
 }
 
 std::string read_file(const std::string& path) {

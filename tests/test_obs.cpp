@@ -209,9 +209,8 @@ void expect_bitwise_equal(const core::PipelineResult& a,
 TEST(ObsPipeline, SingleThreadSpanTreeIsExact) {
   if (!obs::kCompiledIn) GTEST_SKIP() << "observability compiled out";
   obs::Recorder recorder;
-  core::RunOptions options;
-  options.metrics = &recorder;
-  (void)run_with_options(/*threads=*/1, options);
+  const obs::RecorderScope scope(&recorder);
+  (void)run_with_options(/*threads=*/1, core::RunOptions{});
 
   const auto spans = recorder.spans();
   std::vector<std::string> names;
@@ -270,9 +269,9 @@ TEST(ObsPipeline, SingleThreadSpanTreeIsExact) {
 TEST(ObsPipeline, CacheCountersMirrorIntoRunRecorder) {
   if (!obs::kCompiledIn) GTEST_SKIP() << "observability compiled out";
   obs::Recorder recorder;
+  const obs::RecorderScope scope(&recorder);
   core::StageCache cache;
   core::RunOptions options;
-  options.metrics = &recorder;
   options.cache = &cache;
   (void)run_with_options(1, options);
   (void)run_with_options(1, options);
@@ -357,12 +356,11 @@ TEST(ObsPipeline, MultiThreadSweepSpansAreAWellFormedTree) {
   const auto sweep_at = [&](std::size_t threads, obs::Recorder& recorder) {
     core::PipelineConfig base;
     base.threads = threads;
-    core::RunOptions options;
-    options.metrics = &recorder;
+    const obs::RecorderScope scope(&recorder);
     return core::run_strategy_sweep(base, cases, dataset().trace,
                                     dataset().schedule, split(),
                                     dataset().wireless_ids(),
-                                    dataset().input_ids(), options);
+                                    dataset().input_ids(), core::RunOptions{});
   };
 
   obs::Recorder serial_rec;
@@ -414,11 +412,13 @@ TEST(ObsPipeline, InstrumentedRunIsBitwiseIdenticalToUninstrumented) {
   const auto reference = run_with_options(1, plain);
   for (std::size_t threads : {1u, 4u}) {
     obs::Recorder recorder;
-    core::RunOptions instrumented;
-    instrumented.metrics = &recorder;
-    expect_bitwise_equal(
-        reference, run_with_options(threads, instrumented),
-        "obs-enabled threads=" + std::to_string(threads));
+    core::PipelineResult instrumented;
+    {
+      const obs::RecorderScope scope(&recorder);
+      instrumented = run_with_options(threads, plain);
+    }
+    expect_bitwise_equal(reference, instrumented,
+                         "obs-enabled threads=" + std::to_string(threads));
     expect_bitwise_equal(reference, run_with_options(threads, plain),
                          "obs-disabled threads=" + std::to_string(threads));
     if (obs::kCompiledIn) {
@@ -468,7 +468,7 @@ TEST(ObsExport, JsonCarriesSchemaCountersAndSpans) {
     obs::RecorderScope scope(&recorder);
     obs::TraceSpan span("export.test_span");
     recorder.metrics().add_counter("export.test_counter", 7);
-    recorder.metrics().set_gauge("export.test_gauge", 2.5);
+    recorder.metrics().set(obs::gauge_id("export.test_gauge"), 2.5);
     recorder.metrics().observe(obs::histogram_id("export.test_hist"), 3.0);
   }
   const auto json = obs::to_json(recorder);

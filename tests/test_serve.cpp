@@ -17,6 +17,7 @@
 #include <cmath>
 #include <cstring>
 #include <fstream>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -171,11 +172,11 @@ TEST(ServeChannels, ThrowsWithoutEnoughSensorsOrInputs) {
   const timeseries::TimeGrid grid(0, 30, 8);
   EXPECT_THROW(
       (void)serve::classify_channels(timeseries::MultiTrace(grid, {1, 2})),
-      std::runtime_error);  // no inputs
+      timeseries::InputError);  // no inputs
   EXPECT_THROW((void)serve::classify_channels(timeseries::MultiTrace(
                    grid, {1, sim::DatasetChannels::kOccupancy,
                           sim::DatasetChannels::kLighting})),
-               std::runtime_error);  // one sensor
+               timeseries::InputError);  // one sensor
 }
 
 // --- AnalysisService ------------------------------------------------------
@@ -423,6 +424,33 @@ TEST(ServeServer, EndToEndOverLoopbackSockets) {
   EXPECT_NE(response_body(non_finite)
                 .find("non-finite sample 'inf' at line 103, column 2"),
             std::string::npos);
+  // A one-day trace parses but holds too little data to identify a model
+  // or calibrate the CO2 occupancy estimate: 400s naming the shortfall.
+  sim::DatasetConfig one_day;
+  one_day.days = 1;
+  one_day.failure_days = 0;
+  const TempFile short_trace("test_serve_one_day", [&] {
+    std::ostringstream out;
+    timeseries::write_csv(out, sim::generate_dataset(one_day).trace);
+    return out.str();
+  }());
+  const auto too_short = analyze_file(short_trace.path);
+  EXPECT_NE(too_short.find("HTTP/1.1 400"), std::string::npos) << too_short;
+  EXPECT_NE(response_body(too_short).find(
+                "ModelEstimator::fit: only 0 usable transitions"),
+            std::string::npos)
+      << too_short;
+  const auto uncalibrated = http_exchange(
+      server.port(), "POST", "/analyze",
+      R"({"data": ")" + json::escape(short_trace.path) +
+          R"(", "inputs": {"occupancy": "estimated"}})");
+  EXPECT_NE(uncalibrated.find("HTTP/1.1 400"), std::string::npos)
+      << uncalibrated;
+  EXPECT_NE(response_body(uncalibrated)
+                .find("Co2OccupancyEstimator::calibrate: too few usable "
+                      "transitions"),
+            std::string::npos)
+      << uncalibrated;
   // The eigensolver follows from the graph, so "eigen" is an unknown key
   // like any other, answered with a 400 that names it.
   const auto eigen = http_exchange(

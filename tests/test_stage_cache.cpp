@@ -17,6 +17,7 @@
 #include <tuple>
 #include <vector>
 
+#include "auditherm/core/parallel.hpp"
 #include "auditherm/core/pipeline.hpp"
 #include "auditherm/obs/trace_span.hpp"
 #include "auditherm/sim/dataset.hpp"
@@ -326,8 +327,8 @@ TEST(StageCache, SweepIsBitwiseIdenticalToPerCaseRunsAtAnyThreadCount) {
                            "threads " + std::to_string(threads) + " case " +
                                std::to_string(i));
     }
-    // Exactly one Step-1 computation per stage for the whole sweep; every
-    // case then hits.
+    // Exactly one Step-1 computation per stage for the whole sweep; the
+    // cases run on the prepared artifacts and never touch the cache.
     for (const auto name :
          {core::stage::kTrainingView, core::stage::kSimilarityGraph,
           core::stage::kSpectrum, core::stage::kClustering,
@@ -335,14 +336,15 @@ TEST(StageCache, SweepIsBitwiseIdenticalToPerCaseRunsAtAnyThreadCount) {
           core::stage::kWindows}) {
       EXPECT_EQ(cache.stats(name).misses, 1u)
           << name << " at " << threads << " threads";
-      EXPECT_EQ(cache.stats(name).hits, cases.size())
+      EXPECT_EQ(cache.stats(name).hits, 0u)
           << name << " at " << threads << " threads";
     }
   }
 }
 
 TEST(StageCache, SweepWithoutExternalCacheStillWorks) {
-  // The default path (no caller-provided cache) uses a sweep-local cache.
+  // The default path (no caller-provided cache) prepares a zero-copy
+  // prefix that views the caller's trace.
   const auto& ds = dataset();
   core::PipelineConfig base;
   base.threads = 2;
@@ -361,7 +363,7 @@ TEST(StageCache, SweepWithoutExternalCacheStillWorks) {
   const auto standalone = pipeline.run(
       ds.trace, ds.schedule, split(), ds.wireless_ids(), ds.input_ids(),
       core::RunOptions{.thermostat_ids = ds.thermostat_ids()});
-  expect_bitwise_equal(sweep[1], standalone, "local-cache sweep case 1");
+  expect_bitwise_equal(sweep[1], standalone, "uncached sweep case 1");
 }
 
 // --- Budget, LRU eviction, and lifecycle (PR 7) ---------------------------
@@ -549,6 +551,23 @@ TEST(StageCacheLifecycle, ConcurrentRequestThreadsParkOnOneBuild) {
   const auto stats = cache.stats("request");
   EXPECT_EQ(stats.misses, 1u);
   EXPECT_EQ(stats.hits, static_cast<std::size_t>(kThreads - 1));
+}
+
+TEST(StageCacheLifecycle, RefusesCallsFromInsideAParallelRegion) {
+  // A pool thread parked on an in-flight build could wait on a builder
+  // that waits for the pool's batch mutex, so the cache refuses every
+  // call from inside a pooled batch and builds nothing.
+  const core::ThreadCountScope pooled(4);
+  core::StageCache cache;
+  EXPECT_THROW(core::parallel_for(0, 8, 1,
+                                  [&](std::size_t i) {
+                                    (void)cache.get_or_build<int>(
+                                        "pooled", i % 2, [] { return 1; });
+                                  }),
+               std::logic_error);
+  EXPECT_EQ(cache.size(), 0u);
+  const auto totals = cache.totals();
+  EXPECT_EQ(totals.hits + totals.misses, 0u);
 }
 
 TEST(StageCacheLifecycle, CountersMirrorWithConcurrentRecorderTraffic) {

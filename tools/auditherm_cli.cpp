@@ -9,7 +9,7 @@
 //       [--occupancy truth|estimated|schedule]
 //   auditherm serve --port P [--workers N] [--cache-budget-mb MB]
 //
-// Every subcommand also accepts the shared flags (--threads, --cache,
+// Every subcommand also accepts the shared flags (--threads,
 // --metrics-out, --trace); see core/cli.hpp. Observability output goes to
 // stderr / the JSON file, so stdout stays byte-identical with the flags
 // off — and byte-identical to a daemon response for the same request,
@@ -306,20 +306,16 @@ int cmd_analyze(const cli::ParsedOptions& args,
   const ObsRun obs_run(common);
   obs::TraceSpan span("cli.analyze");
 
-  serve::ServiceConfig service_config;
-  service_config.cache_enabled = common.cache;
-  serve::AnalysisService service(service_config);
+  serve::AnalysisService service;
   const auto report = service.analyze(analyze_request_from_args(args));
   std::fputs(report.c_str(), stdout);
 
   // Cache bookkeeping is diagnostics, not analysis output: it goes to
   // stderr so stdout stays byte-identical to a daemon response (whose
   // long-lived shared cache would report different totals).
-  if (common.cache) {
-    const auto totals = service.cache().totals();
-    std::fprintf(stderr, "stage cache: %zu hits / %zu misses (%zu artifacts)\n",
-                 totals.hits, totals.misses, service.cache().size());
-  }
+  const auto totals = service.cache().totals();
+  std::fprintf(stderr, "stage cache: %zu hits / %zu misses (%zu artifacts)\n",
+               totals.hits, totals.misses, service.cache().size());
   return 0;
 }
 
@@ -343,7 +339,6 @@ int cmd_serve(const cli::ParsedOptions& args,
   if (budget_mb < 0) throw cli::UsageError("--cache-budget-mb must be >= 0");
 
   serve::ServiceConfig service_config;
-  service_config.cache_enabled = common.cache;
   service_config.cache_budget.bytes =
       static_cast<std::size_t>(budget_mb) * 1024 * 1024;
   serve::AnalysisService service(service_config);
