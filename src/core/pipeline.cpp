@@ -122,8 +122,9 @@ StageArtifacts ThermalModelingPipeline::prepare(
 
   // Keys chain: each stage folds its upstream key with the options it
   // newly consumes, so editing one knob invalidates exactly the suffix
-  // that depends on it. Strategy and seed never enter any key.
-  const std::uint64_t fp = trace_fingerprint(trace);
+  // that depends on it. Strategy and seed never enter any key. Without a
+  // cache no key is read, so the trace is not hashed.
+  const std::uint64_t fp = cache != nullptr ? trace_fingerprint(trace) : 0;
 
   // --- Training view: train days in mode, rows reindexed. ----------------
   // Uncached, this is a pure index mapping over the caller's trace — no

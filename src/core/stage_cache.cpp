@@ -1,5 +1,7 @@
 #include "auditherm/core/stage_cache.hpp"
 
+#include <array>
+#include <span>
 #include <stdexcept>
 #include <utility>
 
@@ -32,11 +34,19 @@ std::uint64_t trace_fingerprint(const timeseries::TraceView& trace) {
   h.add(trace.grid().step());
   h.add(static_cast<std::uint64_t>(trace.size()));
   h.add(trace.channels());
+  // Row-major samples in fixed-size blocks, each one lane-hashed span.
+  std::array<double, 512> block;
+  std::size_t used = 0;
   for (std::size_t k = 0; k < trace.size(); ++k) {
     for (std::size_t c = 0; c < trace.channel_count(); ++c) {
-      h.add(trace.value(k, c));
+      block[used++] = trace.value(k, c);
+      if (used == block.size()) {
+        h.add(std::span<const double>(block));
+        used = 0;
+      }
     }
   }
+  h.add(std::span<const double>(block.data(), used));
   return h.value();
 }
 

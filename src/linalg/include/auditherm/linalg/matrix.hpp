@@ -30,6 +30,10 @@ class Matrix {
   /// rows x cols matrix, all elements set to `fill`.
   Matrix(std::size_t rows, std::size_t cols, double fill = 0.0);
 
+  /// rows x cols matrix that adopts `data` (row-major) as its storage.
+  /// Throws std::invalid_argument when data.size() != rows * cols.
+  Matrix(std::size_t rows, std::size_t cols, std::vector<double> data);
+
   /// Build from nested initializer list; all rows must have equal length.
   /// Throws std::invalid_argument on ragged input.
   Matrix(std::initializer_list<std::initializer_list<double>> rows);

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <utility>
 
 #include "auditherm/core/parallel.hpp"
 #include "auditherm/obs/trace_span.hpp"
@@ -22,6 +23,13 @@ constexpr std::size_t kDenseBlock = 64;
 
 Matrix::Matrix(std::size_t rows, std::size_t cols, double fill)
     : rows_(rows), cols_(cols), data_(rows * cols, fill) {}
+
+Matrix::Matrix(std::size_t rows, std::size_t cols, std::vector<double> data)
+    : rows_(rows), cols_(cols), data_(std::move(data)) {
+  if (data_.size() != rows_ * cols_) {
+    throw std::invalid_argument("Matrix: data size does not match shape");
+  }
+}
 
 Matrix::Matrix(std::initializer_list<std::initializer_list<double>> rows) {
   rows_ = rows.size();

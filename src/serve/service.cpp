@@ -4,7 +4,6 @@
 #include <cstdarg>
 #include <cstdio>
 #include <fstream>
-#include <sstream>
 #include <utility>
 
 #include "auditherm/core/cli.hpp"
@@ -253,21 +252,16 @@ AnalysisService::AnalysisService(ServiceConfig config)
 
 std::shared_ptr<const timeseries::MultiTrace> AnalysisService::load_trace(
     const std::string& path) {
+  const obs::TraceSpan span("serve.load_trace");
   std::ifstream in(path, std::ios::binary);
   if (!in) {
     throw timeseries::InputError("analyze: could not read '" + path + "'",
                                  /*missing=*/true);
   }
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  // The bytes live once: taken out of the buffer, hashed, then moved into
-  // the parse stream by the builder, which runs at most once and only
-  // after the hash.
-  std::string bytes = std::move(buffer).str();
-  const auto parse = [&] {
-    std::istringstream stream(std::move(bytes));
-    return timeseries::read_csv(stream);
-  };
+  // The bytes live once: read in one pass, hashed, and parsed in place by
+  // `parse`, which the cache runs at most once and only after the hash.
+  const std::string bytes = timeseries::read_all(in);
+  const auto parse = [&] { return timeseries::read_csv(bytes); };
   if (!config_.cache_enabled) {
     return std::make_shared<const timeseries::MultiTrace>(parse());
   }

@@ -1,13 +1,21 @@
 #include "auditherm/timeseries/csv_io.hpp"
 
+#include <algorithm>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
+#include <istream>
 #include <limits>
+#include <ostream>
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <system_error>
 #include <vector>
+
+#include "auditherm/obs/trace_span.hpp"
 
 namespace auditherm::timeseries {
 
@@ -15,13 +23,78 @@ namespace {
 
 /// Comment key persisting the grid step, so a single-row (or empty) trace
 /// round-trips instead of silently reading back with step 1.
-constexpr const char kStepComment[] = "step_minutes=";
+constexpr std::string_view kStepComment = "step_minutes=";
 
-/// The writer emits '\n', but real building exports are often CRLF; strip
-/// one trailing '\r' so such files parse instead of feeding "20.5\r" to
-/// std::stod.
-void strip_trailing_cr(std::string& line) {
-  if (!line.empty() && line.back() == '\r') line.pop_back();
+constexpr double kGap = std::numeric_limits<double>::quiet_NaN();
+
+/// The whitespace std::strtod and std::strtoll skip before a number (the
+/// "C" locale's isspace; '\n' never reaches a cell).
+bool is_space(char ch) {
+  return ch == ' ' || ch == '\t' || ch == '\n' || ch == '\v' ||
+         ch == '\f' || ch == '\r';
+}
+
+bool is_hex_digit(char ch) {
+  return (ch >= '0' && ch <= '9') || (ch >= 'a' && ch <= 'f') ||
+         (ch >= 'A' && ch <= 'F');
+}
+
+/// Parse a time at `first` with std::stoll's syntax: leading whitespace,
+/// one optional sign, decimal digits. Returns the end of the number (the
+/// caller checks that the cell ends there), or nullptr when no number
+/// starts at `first` or it overflows.
+const char* parse_integer(const char* first, const char* last, Minutes& out) {
+  while (first != last && is_space(*first)) ++first;
+  // from_chars takes '-' itself but not '+', so "+-1" must stop here.
+  if (first != last && *first == '+' && ++first != last && *first == '-') {
+    return nullptr;
+  }
+  const auto [end, ec] = std::from_chars(first, last, out);
+  return ec == std::errc() ? end : nullptr;
+}
+
+/// Parse a sample at `first` with std::stod's syntax: leading whitespace,
+/// one optional sign, then a decimal float, a 0x hex float, inf/infinity
+/// or nan/nan(...). Returns the end of the number (the caller checks that
+/// the cell ends there), or nullptr when no number starts at `first` or
+/// its magnitude overflows or underflows to zero; subnormals parse.
+const char* parse_double(const char* first, const char* last, double& out) {
+  while (first != last && is_space(*first)) ++first;
+  const bool negative = first != last && *first == '-';
+  if (first != last && (*first == '+' || *first == '-')) ++first;
+  std::from_chars_result r{};
+  if (last - first > 2 && first[0] == '0' &&
+      (first[1] == 'x' || first[1] == 'X') &&
+      (is_hex_digit(first[2]) || first[2] == '.')) {
+    r = std::from_chars(first + 2, last, out, std::chars_format::hex);
+  } else if (first != last && (*first == '+' || *first == '-')) {
+    return nullptr;  // a second sign
+  } else {
+    r = std::from_chars(first, last, out);
+  }
+  if (r.ec != std::errc()) return nullptr;
+  if (negative) out = -out;
+  return r.ptr;
+}
+
+/// The InputError for a time cell std::stoll would refuse.
+[[noreturn]] void bad_time(std::string_view cell, std::size_t line_number) {
+  throw InputError("read_csv: bad time value '" + std::string(cell) +
+                   "' at line " + std::to_string(line_number) + ", column 1");
+}
+
+/// A whole cell as a time, or the InputError naming its position.
+Minutes parse_time(std::string_view cell, std::size_t line_number) {
+  Minutes v = 0;
+  const char* const last = cell.data() + cell.size();
+  if (parse_integer(cell.data(), last, v) != last) bad_time(cell, line_number);
+  return v;
+}
+
+/// a - b with two's-complement wraparound instead of signed overflow.
+Minutes wrapping_difference(Minutes a, Minutes b) {
+  return static_cast<Minutes>(static_cast<std::uint64_t>(a) -
+                              static_cast<std::uint64_t>(b));
 }
 
 std::vector<std::string> split_csv_line(const std::string& line) {
@@ -31,48 +104,6 @@ std::vector<std::string> split_csv_line(const std::string& line) {
   while (std::getline(ss, cell, ',')) cells.push_back(cell);
   if (!line.empty() && line.back() == ',') cells.emplace_back();
   return cells;
-}
-
-/// std::stoll with the raw std::invalid_argument / std::out_of_range
-/// replaced by an InputError naming the file position.
-Minutes parse_time(const std::string& cell, std::size_t line_number) {
-  try {
-    std::size_t consumed = 0;
-    const long long v = std::stoll(cell, &consumed);
-    if (consumed != cell.size()) {
-      throw std::invalid_argument("trailing characters");
-    }
-    return static_cast<Minutes>(v);
-  } catch (const std::exception&) {
-    throw InputError("read_csv: bad time value '" + cell + "' at line " +
-                     std::to_string(line_number) + ", column 1");
-  }
-}
-
-/// std::stod with row/column context on failure (column is the 1-based
-/// CSV column, so channel c is column c + 2). An infinite sample ("inf",
-/// "-Infinity", ...) is refused: it would poison every fit and error
-/// statistic downstream. "nan" still reads as NaN, the gap encoding.
-double parse_value(const std::string& cell, std::size_t line_number,
-                   std::size_t column) {
-  const auto where = [&] {
-    return "' at line " + std::to_string(line_number) + ", column " +
-           std::to_string(column);
-  };
-  double v = 0.0;
-  try {
-    std::size_t consumed = 0;
-    v = std::stod(cell, &consumed);
-    if (consumed != cell.size()) {
-      throw std::invalid_argument("trailing characters");
-    }
-  } catch (const std::exception&) {
-    throw InputError("read_csv: bad sample value '" + cell + where());
-  }
-  if (std::isinf(v)) {
-    throw InputError("read_csv: non-finite sample '" + cell + where());
-  }
-  return v;
 }
 
 ChannelId parse_channel_header(const std::string& header_cell,
@@ -94,26 +125,95 @@ ChannelId parse_channel_header(const std::string& header_cell,
   }
 }
 
+/// The first unusable value cell. It is thrown only after every check
+/// that reads the whole file, because values used to be parsed last.
+struct ValueError {
+  std::string_view cell;
+  std::size_t line = 0;  ///< 0 = none seen
+  std::size_t column = 0;
+  bool non_finite = false;
+
+  [[noreturn]] void raise() const {
+    throw InputError(std::string("read_csv: ") +
+                     (non_finite ? "non-finite sample '"
+                                 : "bad sample value '") +
+                     std::string(cell) + "' at line " + std::to_string(line) +
+                     ", column " + std::to_string(column));
+  }
+};
+
+/// Bounded output buffer for write_csv: every field is formatted in place
+/// with std::to_chars, and the buffer goes to the stream whenever the next
+/// field might not fit, so memory stays constant whatever the trace size.
+class ChunkedWriter {
+ public:
+  explicit ChunkedWriter(std::ostream& os) : os_(os), buffer_(kSize) {}
+
+  void text(std::string_view s) {
+    room(s.size());
+    std::memcpy(buffer_.data() + used_, s.data(), s.size());
+    used_ += s.size();
+  }
+  void put(char ch) {
+    room(1);
+    buffer_[used_++] = ch;
+  }
+  /// std::to_chars in place; `args` are its value and format arguments.
+  template <typename... Args>
+  void number(Args... args) {
+    room(kMaxNumber);
+    char* const first = buffer_.data() + used_;
+    used_ += static_cast<std::size_t>(
+        std::to_chars(first, buffer_.data() + kSize, args...).ptr - first);
+  }
+  void flush() {
+    os_.write(buffer_.data(), static_cast<std::streamsize>(used_));
+    used_ = 0;
+  }
+
+ private:
+  static constexpr std::size_t kSize = std::size_t{1} << 16;
+  /// Longer than any number written ("-1.2345678901234567e-308" is 24).
+  static constexpr std::size_t kMaxNumber = 32;
+
+  void room(std::size_t n) {
+    if (kSize - used_ < n) flush();
+  }
+
+  std::ostream& os_;
+  std::vector<char> buffer_;
+  std::size_t used_ = 0;
+};
+
 }  // namespace
 
 void write_csv(std::ostream& os, const MultiTrace& trace) {
+  ChunkedWriter out(os);
   // The step comment makes the grid explicit; readers that predate it
   // still parse the file (comments are skipped) and infer the step.
-  os << "# " << kStepComment << trace.grid().step() << '\n';
-  os << "time_minutes";
-  for (ChannelId id : trace.channels()) os << ",ch" << id;
-  os << '\n';
-  // max_digits10 (17) guarantees doubles survive the decimal round trip
-  // bit-for-bit; precision(10) silently truncated them.
-  os.precision(std::numeric_limits<double>::max_digits10);
-  for (std::size_t k = 0; k < trace.size(); ++k) {
-    os << trace.grid()[k];
-    for (std::size_t c = 0; c < trace.channel_count(); ++c) {
-      os << ',';
-      if (trace.valid(k, c)) os << trace.value(k, c);
-    }
-    os << '\n';
+  out.text("# ");
+  out.text(kStepComment);
+  out.number(trace.grid().step());
+  out.text("\ntime_minutes");
+  for (ChannelId id : trace.channels()) {
+    out.text(",ch");
+    out.number(id);
   }
+  out.put('\n');
+  for (std::size_t k = 0; k < trace.size(); ++k) {
+    out.number(trace.grid()[k]);
+    for (std::size_t c = 0; c < trace.channel_count(); ++c) {
+      out.put(',');
+      // printf's "%.17g": max_digits10, so doubles survive the decimal
+      // round trip bit for bit.
+      if (trace.valid(k, c)) {
+        out.number(trace.value(k, c), std::chars_format::general,
+                   std::numeric_limits<double>::max_digits10);
+      }
+    }
+    out.put('\n');
+  }
+  out.flush();
 }
 
 void write_csv_file(const std::string& path, const MultiTrace& trace) {
@@ -134,69 +234,185 @@ void write_csv_file(const std::string& path, const MultiTrace& trace) {
   }
 }
 
-MultiTrace read_csv(std::istream& is) {
-  std::string line;
-  std::size_t line_number = 0;
-  Minutes declared_step = 0;  // 0 = no "# step_minutes=" comment seen
+std::string read_all(std::istream& is) {
+  using traits = std::istream::traits_type;
+  std::string bytes;
+  const std::istream::sentry ok(is, /*noskipws=*/true);
+  if (!ok) return bytes;
+  std::streambuf& buf = *is.rdbuf();
+  // Files and string streams can say how much is left: one allocation.
+  std::size_t expected = 0;
+  const auto here = buf.pubseekoff(0, std::ios::cur, std::ios::in);
+  const auto last = buf.pubseekoff(0, std::ios::end, std::ios::in);
+  if (here != std::streampos(-1) && last != std::streampos(-1)) {
+    buf.pubseekpos(here, std::ios::in);
+    if (last > here) expected = static_cast<std::size_t>(last - here);
+  }
+  // Read to EOF whatever the size said: a short read, or nothing after
+  // the expected bytes, is the end.
+  constexpr std::size_t kChunk = std::size_t{1} << 16;
+  for (std::size_t chunk = expected > 0 ? expected : kChunk;;
+       chunk = kChunk) {
+    const std::size_t used = bytes.size();
+    bytes.resize(used + chunk);
+    const auto got = static_cast<std::size_t>(
+        buf.sgetn(bytes.data() + used, static_cast<std::streamsize>(chunk)));
+    bytes.resize(used + got);
+    if (got < chunk || traits::eq_int_type(buf.sgetc(), traits::eof())) {
+      break;
+    }
+  }
+  is.setstate(std::ios::eofbit);
+  return bytes;
+}
 
-  // Header: the first non-empty, non-comment line. "# step_minutes=N"
-  // comments are honored wherever they appear; other comments are skipped.
-  std::vector<ChannelId> channels;
-  std::size_t header_cells = 0;
-  bool have_header = false;
-  const auto handle_comment = [&](const std::string& comment) {
-    std::size_t pos = 1;  // past '#'
-    while (pos < comment.size() && comment[pos] == ' ') ++pos;
-    if (comment.compare(pos, sizeof(kStepComment) - 1, kStepComment) != 0) {
+MultiTrace read_csv(std::istream& is) { return read_csv(read_all(is)); }
+
+MultiTrace read_csv(std::string_view bytes) {
+  const obs::TraceSpan span("timeseries.read_csv");
+  const char* pos = bytes.data();
+  const char* const end = pos + bytes.size();
+  std::size_t line_number = 0;
+  // The next line without its '\n' and one trailing '\r' (real building
+  // exports are often CRLF); false at the end of the input.
+  std::string_view line;
+  const auto next_line = [&] {
+    if (pos == end) return false;
+    const auto* nl = static_cast<const char*>(
+        std::memchr(pos, '\n', static_cast<std::size_t>(end - pos)));
+    const char* stop = nl != nullptr ? nl : end;
+    line = std::string_view(pos, static_cast<std::size_t>(stop - pos));
+    pos = nl != nullptr ? nl + 1 : end;
+    ++line_number;
+    if (!line.empty() && line.back() == '\r') line.remove_suffix(1);
+    return true;
+  };
+
+  // "# step_minutes=N" comments are honored wherever they appear; other
+  // comments are skipped.
+  Minutes declared_step = 0;  // 0 = no "# step_minutes=" comment seen
+  const auto handle_comment = [&] {
+    std::size_t at = 1;  // past '#'
+    while (at < line.size() && line[at] == ' ') ++at;
+    if (line.substr(at, kStepComment.size()) != kStepComment) {
       return;  // unknown comment, ignored for forward compatibility
     }
-    const std::string value = comment.substr(pos + sizeof(kStepComment) - 1);
+    const std::string_view value = line.substr(at + kStepComment.size());
     declared_step = parse_time(value, line_number);
     if (declared_step <= 0) {
       throw InputError("read_csv: step_minutes must be positive, got " +
-                       value + " at line " + std::to_string(line_number));
+                       std::string(value) + " at line " +
+                       std::to_string(line_number));
     }
   };
 
-  std::vector<Minutes> times;
-  std::vector<std::vector<std::string>> rows;
-  std::vector<std::size_t> row_lines;  // source line of each data row
-  while (std::getline(is, line)) {
-    ++line_number;
-    strip_trailing_cr(line);
+  // Header: the first non-empty, non-comment line.
+  std::vector<ChannelId> channels;
+  std::size_t header_cells = 0;
+  while (header_cells == 0 && next_line()) {
     if (line.empty()) continue;
     if (line.front() == '#') {
-      handle_comment(line);
+      handle_comment();
       continue;
     }
-    auto cells = split_csv_line(line);
-    if (!have_header) {
-      if (cells.empty() || cells[0] != "time_minutes") {
-        throw InputError("read_csv: bad header, expected time_minutes");
-      }
-      for (std::size_t c = 1; c < cells.size(); ++c) {
-        channels.push_back(parse_channel_header(cells[c], c + 1));
-      }
-      header_cells = cells.size();
-      have_header = true;
-      continue;
+    const auto cells = split_csv_line(std::string(line));
+    if (cells.empty() || cells[0] != "time_minutes") {
+      throw InputError("read_csv: bad header, expected time_minutes");
     }
-    if (cells.size() != header_cells) {
-      throw InputError("read_csv: ragged row at line " +
-                       std::to_string(line_number));
+    for (std::size_t c = 1; c < cells.size(); ++c) {
+      channels.push_back(parse_channel_header(cells[c], c + 1));
     }
-    times.push_back(parse_time(cells[0], line_number));
-    rows.push_back(std::move(cells));
-    row_lines.push_back(line_number);
+    header_cells = cells.size();
   }
-  if (!have_header) {
+  if (header_cells == 0) {
     throw InputError("read_csv: empty input");
   }
 
-  const Minutes start = times.empty() ? 0 : times.front();
+  // Row-major samples, written once each into what becomes the trace's
+  // storage. Every line left is at most one row, and a row needs at least
+  // one byte per cell, which bounds the reservation for hostile input.
+  const std::size_t width = channels.size();
+  const auto remaining = static_cast<std::size_t>(end - pos);
+  const std::size_t max_rows =
+      std::min(static_cast<std::size_t>(std::count(pos, end, '\n')) + 1,
+               remaining / header_cells + 1);
+  std::vector<double> values;
+  values.reserve(max_rows * width);
+
+  // The time checks need only the first two times and the first row that
+  // breaks their step; they run after the scan, as comments may follow.
+  std::size_t rows = 0;
+  Minutes start = 0;
+  Minutes previous = 0;
+  Minutes inferred = 0;
+  std::size_t non_uniform_line = 0;  // 0 = every step matched
+  ValueError bad_value;
+  while (next_line()) {
+    if (line.empty()) continue;
+    if (line.front() == '#') {
+      handle_comment();
+      continue;
+    }
+    // One walk over the cells, each parsed where it starts: a cell ends
+    // where its number does, and is searched for its comma only when it is
+    // not one whole number. The values go straight into the storage (their
+    // errors wait, see ValueError); the row's shape, then its time, are
+    // checked after the walk.
+    const char* const line_end = line.data() + line.size();
+    const auto cell_end = [line_end](const char* p) {
+      while (p != line_end && *p != ',') ++p;
+      return p;
+    };
+    const auto ends_cell = [line_end](const char* p) {
+      return p != nullptr && (p == line_end || *p == ',');
+    };
+    Minutes t = 0;
+    const char* comma = parse_integer(line.data(), line_end, t);
+    const bool time_ok = ends_cell(comma);
+    if (!time_ok) comma = cell_end(line.data());
+    const std::string_view time_text(
+        line.data(), static_cast<std::size_t>(comma - line.data()));
+    std::size_t cells = 1;
+    for (; cells < header_cells && comma != line_end; ++cells) {
+      const char* const cell = comma + 1;
+      double v = kGap;  // an empty cell is a gap; so is "nan"
+      comma = cell;
+      if (cell != line_end && *cell != ',') {
+        comma = parse_double(cell, line_end, v);
+        const bool parsed = ends_cell(comma);
+        if (!parsed) {
+          comma = cell_end(cell);
+          v = kGap;
+        }
+        if ((!parsed || std::isinf(v)) && bad_value.line == 0) {
+          // An infinite sample would poison every fit and error
+          // statistic downstream.
+          bad_value = {std::string_view(cell, static_cast<std::size_t>(
+                                                  comma - cell)),
+                       line_number, cells + 1, parsed};
+        }
+      }
+      values.push_back(v);
+    }
+    if (cells != header_cells || comma != line_end) {
+      throw InputError("read_csv: ragged row at line " +
+                       std::to_string(line_number));
+    }
+    if (!time_ok) bad_time(time_text, line_number);
+    if (rows == 0) {
+      start = t;
+    } else if (rows == 1) {
+      inferred = wrapping_difference(t, previous);
+    } else if (non_uniform_line == 0 &&
+               wrapping_difference(t, previous) != inferred) {
+      non_uniform_line = line_number;
+    }
+    previous = t;
+    ++rows;
+  }
+
   Minutes step = declared_step > 0 ? declared_step : 1;
-  if (times.size() >= 2) {
-    const Minutes inferred = times[1] - times[0];
+  if (rows >= 2) {
     if (inferred <= 0) {
       throw InputError("read_csv: non-increasing time");
     }
@@ -206,23 +422,20 @@ MultiTrace read_csv(std::istream& is) {
           " disagrees with the data step " + std::to_string(inferred));
     }
     step = inferred;
-    for (std::size_t k = 1; k < times.size(); ++k) {
-      if (times[k] - times[k - 1] != step) {
-        throw InputError("read_csv: non-uniform time step at line " +
-                         std::to_string(row_lines[k]));
-      }
+    if (non_uniform_line != 0) {
+      throw InputError("read_csv: non-uniform time step at line " +
+                       std::to_string(non_uniform_line));
     }
   }
 
-  MultiTrace trace(TimeGrid(start, step, rows.size()), channels);
-  for (std::size_t k = 0; k < rows.size(); ++k) {
-    for (std::size_t c = 0; c < channels.size(); ++c) {
-      const std::string& cell = rows[k][c + 1];
-      if (!cell.empty()) {
-        trace.set(k, c, parse_value(cell, row_lines[k], c + 2));
-      }
-    }
+  MultiTrace trace;
+  try {
+    trace = MultiTrace(TimeGrid(start, step, rows), std::move(channels),
+                       linalg::Matrix(rows, width, std::move(values)));
+  } catch (const std::invalid_argument& e) {
+    throw InputError(e.what());  // a channel id named twice in the header
   }
+  if (bad_value.line != 0) bad_value.raise();
   return trace;
 }
 

@@ -9,6 +9,7 @@
 #include <iosfwd>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 
 #include "auditherm/timeseries/multi_trace.hpp"
 
@@ -30,22 +31,34 @@ class InputError : public std::runtime_error {
   bool missing_ = false;
 };
 
-/// Write the trace as CSV to a stream. Values are written with
-/// max_digits10 precision so doubles round-trip exactly, and the grid
+/// Write the trace as CSV to a stream. Values are written as printf's
+/// "%.17g" (max_digits10, so doubles round-trip exactly), and the grid
 /// step is persisted as a leading "# step_minutes=N" comment so
-/// single-row traces keep their step.
+/// single-row traces keep their step. The text is formatted with
+/// std::to_chars into a bounded buffer, whatever the stream's flags.
 void write_csv(std::ostream& os, const MultiTrace& trace);
 
 /// Write the trace to a file; throws std::runtime_error on I/O failure.
 void write_csv_file(const std::string& path, const MultiTrace& trace);
 
-/// Parse a trace from CSV. `#` comment lines are skipped; a
-/// "# step_minutes=N" comment fixes the grid step, otherwise it is
-/// inferred from the first two rows (a single-row file without the
-/// comment gets step 1). CRLF line endings are accepted. Empty cells and
-/// "nan" are gaps. Throws InputError on malformed input (bad header,
-/// ragged rows, non-uniform or contradicting time steps, unparsable or
-/// infinite samples — each reported with its line/column).
+/// Every byte left in the stream, read in bulk and sized from the stream
+/// when it can seek. Sets eofbit; a stream that is not good() yields "".
+[[nodiscard]] std::string read_all(std::istream& is);
+
+/// Parse a trace from CSV bytes in one pass. Lines split on '\n' with one
+/// trailing '\r' stripped, so CRLF files parse; blank lines and `#`
+/// comment lines are skipped, and a "# step_minutes=N" comment anywhere
+/// fixes the grid step, otherwise it is inferred from the first two rows
+/// (a single-row file without the comment gets step 1). Cells take
+/// std::strtod's syntax: leading whitespace, one optional sign, decimal or
+/// 0x hex floats, "inf"/"nan" in any case; times are decimal integers.
+/// Empty cells and "nan" are gaps; subnormal samples parse. Throws
+/// InputError on malformed input (bad header or duplicate channel, ragged
+/// rows, non-uniform or contradicting time steps, unparsable, out-of-range
+/// or infinite samples — each reported with its line/column).
+[[nodiscard]] MultiTrace read_csv(std::string_view bytes);
+
+/// read_csv over the rest of a stream (drained with read_all).
 [[nodiscard]] MultiTrace read_csv(std::istream& is);
 
 }  // namespace auditherm::timeseries

@@ -34,6 +34,12 @@ class MultiTrace {
   /// Throws std::invalid_argument on duplicate channel ids.
   MultiTrace(TimeGrid grid, std::vector<ChannelId> channels);
 
+  /// Trace that adopts `values` (NaN = gap) as its storage. Throws
+  /// std::invalid_argument on duplicate channel ids or when `values` is
+  /// not grid.size() x channels.size().
+  MultiTrace(TimeGrid grid, std::vector<ChannelId> channels,
+             linalg::Matrix values);
+
   [[nodiscard]] const TimeGrid& grid() const noexcept { return grid_; }
   [[nodiscard]] std::size_t size() const noexcept { return grid_.size(); }
   [[nodiscard]] std::size_t channel_count() const noexcept {

@@ -24,9 +24,15 @@ void note_bytes_copied(std::size_t samples) {
 }  // namespace
 
 MultiTrace::MultiTrace(TimeGrid grid, std::vector<ChannelId> channels)
-    : grid_(grid),
-      channels_(std::move(channels)),
-      values_(grid.size(), channels_.size(), kGap) {
+    : MultiTrace(grid, channels,
+                 linalg::Matrix(grid.size(), channels.size(), kGap)) {}
+
+MultiTrace::MultiTrace(TimeGrid grid, std::vector<ChannelId> channels,
+                       linalg::Matrix values)
+    : grid_(grid), channels_(std::move(channels)), values_(std::move(values)) {
+  if (values_.rows() != grid_.size() || values_.cols() != channels_.size()) {
+    throw std::invalid_argument("MultiTrace: values are not rows x channels");
+  }
   std::unordered_set<ChannelId> seen;
   for (ChannelId id : channels_) {
     if (!seen.insert(id).second) {

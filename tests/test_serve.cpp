@@ -23,6 +23,8 @@
 #include <vector>
 
 #include "auditherm/core/cli.hpp"
+#include "auditherm/obs/metrics.hpp"
+#include "auditherm/obs/trace_span.hpp"
 #include "auditherm/serve/json.hpp"
 #include "auditherm/serve/scenario_codec.hpp"
 #include "auditherm/serve/service.hpp"
@@ -228,6 +230,30 @@ TEST(ServeService, RepeatRequestsAreByteIdenticalAndHitTheCache) {
   // Every stage (and the trace load) came from the cache the second time.
   EXPECT_EQ(service.cache().totals().misses, misses_after_first);
   EXPECT_GT(service.cache().totals().hits, 0u);
+}
+
+TEST(ServeService, LoadSpanShowsTheParseOnlyOnAMiss) {
+  if (!auditherm::obs::kCompiledIn) GTEST_SKIP() << "observability off";
+  serve::AnalysisService service;
+  const auto load_children = [&] {
+    auditherm::obs::Recorder recorder;
+    const auditherm::obs::RecorderScope scope(&recorder);
+    (void)service.analyze(small_request());
+    const auto spans = recorder.spans();
+    std::vector<std::string> loads;
+    for (const auto& load : spans) {
+      if (load.name != "serve.load_trace") continue;
+      loads.push_back("load:");
+      for (const auto& child : spans) {
+        if (child.parent == load.id) loads.back() += " " + child.name;
+      }
+    }
+    return loads;
+  };
+  // A miss reads, hashes and parses; a hit reads and hashes only.
+  EXPECT_EQ(load_children(),
+            std::vector<std::string>{"load: timeseries.read_csv"});
+  EXPECT_EQ(load_children(), std::vector<std::string>{"load:"});
 }
 
 TEST(ServeService, CacheOnAndOffProduceIdenticalReports) {

@@ -7,12 +7,16 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cmath>
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <tuple>
 #include <vector>
@@ -111,6 +115,19 @@ TEST(StageKeyHasher, NanPayloadsCollapse) {
   core::StageKeyHasher c;
   c.add(0.0);
   EXPECT_NE(a.value(), c.value());
+
+  // The same through the lane-hashed span of doubles.
+  std::vector<double> span_a(9, 1.25);
+  std::vector<double> span_b = span_a;
+  span_a[5] = std::nan("1");
+  span_b[5] = -std::nan("7");
+  core::StageKeyHasher sa, sb, sc;
+  sa.add(std::span<const double>(span_a));
+  sb.add(std::span<const double>(span_b));
+  EXPECT_EQ(sa.value(), sb.value());
+  span_b[8] = 1.2500000000000002;
+  sc.add(std::span<const double>(span_b));
+  EXPECT_NE(sa.value(), sc.value());
 }
 
 TEST(StageKeyHasher, MaskBitsMatter) {
@@ -124,6 +141,42 @@ TEST(StageKeyHasher, MaskBitsMatter) {
   EXPECT_NE(a.value(), b.value());
   EXPECT_NE(a.value(), c.value());
   EXPECT_NE(b.value(), c.value());
+}
+
+TEST(StageKeyHasher, EveryByteOfASpanMatters) {
+  // A 100-byte span runs through the four lanes (96 bytes) and the tail
+  // (4); changing any one byte must change the key.
+  std::vector<unsigned char> bytes(100);
+  for (std::size_t i = 0; i < bytes.size(); ++i) {
+    bytes[i] = static_cast<unsigned char>(i * 37 + 11);
+  }
+  core::StageKeyHasher base;
+  base.add_bytes(bytes.data(), bytes.size());
+  for (std::size_t i = 0; i < bytes.size(); ++i) {
+    for (const unsigned char flip : {0x01, 0x80, 0xff}) {
+      auto edited = bytes;
+      edited[i] ^= flip;
+      core::StageKeyHasher h;
+      h.add_bytes(edited.data(), edited.size());
+      EXPECT_NE(h.value(), base.value()) << "offset " << i;
+    }
+  }
+}
+
+TEST(StageKeyHasher, LengthsGiveDistinctKeys) {
+  // Zero bytes of lengths 0..40 (word path, tail, and the 32-byte lane
+  // threshold) all key differently, through add_bytes and as strings.
+  const std::vector<unsigned char> zeros(40, 0);
+  std::vector<std::uint64_t> keys;
+  for (std::size_t n = 0; n <= zeros.size(); ++n) {
+    core::StageKeyHasher bytes, text;
+    bytes.add_bytes(zeros.data(), n);
+    text.add(std::string_view(reinterpret_cast<const char*>(zeros.data()), n));
+    keys.push_back(bytes.value());
+    keys.push_back(text.value());
+  }
+  std::sort(keys.begin(), keys.end());
+  EXPECT_EQ(std::adjacent_find(keys.begin(), keys.end()), keys.end());
 }
 
 TEST(TraceFingerprint, SensitiveToContentInsensitiveToNanPayload) {
