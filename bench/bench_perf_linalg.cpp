@@ -1,12 +1,11 @@
 // Performance microbenchmarks for the numeric kernels (google-benchmark):
 // matrix products, the QR and Cholesky factorizations, least squares and
-// the production symmetric eigensolvers at the sizes the pipeline actually
-// uses (27 sensors -> 27-61 column regressions, 27x27 Laplacians) plus
-// scaled-up 128/256/512-sensor halls. After the google benchmarks, main()
-// runs a single-thread full-spectrum-QL-vs-partial scaling report on
-// synthetic-grid Laplacians and a sparse-Lanczos-vs-dense-partial report
-// on k-NN campus Laplacians, and writes the BENCH_perf_linalg.json
-// artifact (CI's perf-smoke gate). The Jacobi test oracle is checked in
+// the dense symmetric eigensolver at the sizes the pipeline actually uses
+// (27 sensors -> 27-61 column regressions, 27x27 Laplacians) plus
+// scaled-up 128/256/512 sizes. After the google benchmarks, main()
+// runs a single-thread sparse-Lanczos-vs-dense-partial report on k-NN
+// campus Laplacians and writes the BENCH_perf_linalg.json artifact (CI's
+// perf-smoke gate). The Jacobi test oracle is checked in
 // test_eigen_solvers, not timed here.
 
 #include <benchmark/benchmark.h>
@@ -29,9 +28,10 @@ using linalg::Matrix;
 
 namespace {
 
-/// Eigenpairs the pipeline asks the partial solver for on big halls:
-/// cluster_count/k_max sweeps top out at k_max = 8, so k_max + 1.
-constexpr std::size_t kPartialPairs = 9;
+/// Eigenpairs the pipeline asks the partial solver for on big halls: the
+/// eigengap scan reads up to kEigengapMaxK = 8, so kEigengapMaxK + 1.
+constexpr std::size_t kPartialPairs =
+    auditherm::clustering::kEigengapMaxK + 1;
 
 Matrix random_matrix(std::size_t rows, std::size_t cols, std::uint64_t seed) {
   std::mt19937_64 rng(seed);
@@ -68,13 +68,6 @@ Matrix hall_weights(std::size_t sensor_count) {
     }
   }
   return weights;
-}
-
-/// The normalized Laplacian of a synthetic hall: exactly the matrix the
-/// spectral stage hands the eigensolver for a scaled-up auditorium.
-Matrix synthetic_hall_laplacian(std::size_t sensor_count) {
-  return auditherm::clustering::normalized_laplacian(
-      hall_weights(sensor_count));
 }
 
 /// True when the first kPartialPairs eigenvalues agree to 1e-8 (normalized
@@ -130,24 +123,6 @@ void BM_CholeskySolve(benchmark::State& state) {
 }
 BENCHMARK(BM_CholeskySolve)->Arg(16)->Arg(34)->Arg(61);
 
-void BM_EigenTridiagonal(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  const auto a = random_spd(n, 9);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(linalg::eigen_symmetric_tridiagonal(a));
-  }
-  state.SetComplexityN(state.range(0));
-}
-BENCHMARK(BM_EigenTridiagonal)
-    ->Arg(8)
-    ->Arg(16)
-    ->Arg(27)
-    ->Arg(54)
-    ->Arg(128)
-    ->Arg(256)
-    ->Arg(512)
-    ->Complexity();
-
 void BM_EigenSmallest(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   const auto a = random_spd(n, 9);
@@ -178,18 +153,13 @@ void BM_LeastSquaresRidge(benchmark::State& state) {
 }
 BENCHMARK(BM_LeastSquaresRidge);
 
-/// Best-of-`reps` wall time of `fn` in milliseconds.
+/// Wall time of one call of `fn` in milliseconds.
 template <typename Fn>
-double best_of_ms(int reps, Fn&& fn) {
-  double best = 0.0;
-  for (int r = 0; r < reps; ++r) {
-    const auto t0 = std::chrono::steady_clock::now();
-    fn();
-    const auto t1 = std::chrono::steady_clock::now();
-    const double ms = std::chrono::duration<double, std::milli>(t1 - t0).count();
-    if (r == 0 || ms < best) best = ms;
-  }
-  return best;
+double time_ms(Fn&& fn) {
+  const auto t0 = std::chrono::steady_clock::now();
+  fn();
+  const auto t1 = std::chrono::steady_clock::now();
+  return std::chrono::duration<double, std::milli>(t1 - t0).count();
 }
 
 /// Gaussian grid weights of a synthetic hall, k-NN sparsified (union of
@@ -245,10 +215,10 @@ bool run_sparse_report(bench::JsonObject& out) {
         weights, auditherm::clustering::LaplacianKind::kSymmetricNormalized);
 
     linalg::SymmetricEigen dense;
-    const double dense_ms = best_of_ms(
-        1, [&] { dense = linalg::eigen_symmetric_smallest(l, kPartialPairs); });
+    const double dense_ms = time_ms(
+        [&] { dense = linalg::eigen_symmetric_smallest(l, kPartialPairs); });
     linalg::SymmetricEigen sparse;
-    const double sparse_ms = best_of_ms(1, [&] {
+    const double sparse_ms = time_ms([&] {
       sparse = linalg::eigen_symmetric_smallest_sparse(csr, kPartialPairs);
     });
     const bool agree = eigenvalues_agree(sparse, dense);
@@ -278,54 +248,6 @@ bool run_sparse_report(bench::JsonObject& out) {
   return all_agree && speedup_2048 > 1.0;
 }
 
-/// Single-thread full-spectrum QL vs dense partial solver on the
-/// normalized Laplacians of 128/256/512-sensor synthetic halls — the two
-/// dense production solvers — with an eigenvalue agreement check. Adds the
-/// `scaling` section; CI's perf-smoke job gates on the 256-sensor
-/// speedup_partial_vs_full staying > 1 and on eigenvalues_agree.
-bool run_scaling_report(bench::JsonObject& out) {
-  bench::print_header(
-      "eigensolver scaling: full QL vs tridiagonal partial (1 thread)");
-
-  std::vector<bench::JsonObject> points;
-  bool all_agree = true;
-  for (const std::size_t sensors : {std::size_t{128}, std::size_t{256},
-                                    std::size_t{512}}) {
-    const auto l = synthetic_hall_laplacian(sensors);
-    const std::size_t n = l.rows();
-    const int reps = n >= 512 ? 1 : 3;
-
-    linalg::SymmetricEigen full;
-    const double full_ms =
-        best_of_ms(reps, [&] { full = linalg::eigen_symmetric_tridiagonal(l); });
-    linalg::SymmetricEigen partial;
-    const double partial_ms = best_of_ms(
-        reps, [&] { partial = linalg::eigen_symmetric_smallest(l, kPartialPairs); });
-    const bool agree = eigenvalues_agree(partial, full);
-    all_agree = all_agree && agree;
-
-    const double speedup = partial_ms > 0.0 ? full_ms / partial_ms : 0.0;
-    std::printf(
-        "n=%3zu  full QL %8.2f ms  partial(m=%zu) %7.2f ms  speedup %6.1fx  "
-        "eigenvalues %s\n",
-        n, full_ms, kPartialPairs, partial_ms, speedup,
-        agree ? "agree" : "DISAGREE");
-
-    points.push_back(bench::JsonObject()
-                         .add("n", n)
-                         .add("tridiagonal_ms", full_ms)
-                         .add("partial_pairs", kPartialPairs)
-                         .add("partial_ms", partial_ms)
-                         .add("speedup_partial_vs_full", speedup)
-                         .add("eigenvalues_agree", agree));
-  }
-
-  out.add("partial_pairs", kPartialPairs);
-  out.add("eigenvalues_agree", all_agree);
-  out.add("scaling", points);
-  return all_agree;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -337,8 +259,7 @@ int main(int argc, char** argv) {
 
   const auditherm::core::ThreadCountScope single_thread(1);
   auto json = bench::artifact("perf_linalg", 1);
-  const bool scaling_ok = run_scaling_report(json);
   const bool sparse_ok = run_sparse_report(json);
   if (!bench::write_artifact(json, "BENCH_perf_linalg.json")) return 1;
-  return scaling_ok && sparse_ok ? 0 : 1;
+  return sparse_ok ? 0 : 1;
 }

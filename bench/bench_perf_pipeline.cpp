@@ -63,9 +63,8 @@ const core::DataSplit& standard_split() {
 }
 
 core::PipelineResult run_pipeline_at(std::size_t threads) {
-  core::PipelineConfig config;
-  config.threads = threads;
-  const core::ThermalModelingPipeline pipeline(config);
+  const core::ThreadCountScope scope(threads);
+  const core::ThermalModelingPipeline pipeline(core::PipelineConfig{});
   return pipeline.run(
       standard_dataset().trace, standard_dataset().schedule, standard_split(),
       standard_dataset().wireless_ids(), standard_dataset().input_ids(),
@@ -87,10 +86,9 @@ const std::vector<core::SweepCase>& sweep_cases() {
 /// through `cache`, and every case runs on those artifacts.
 std::vector<core::PipelineResult> run_sweep_cached(std::size_t threads,
                                                    core::StageCache* cache) {
-  core::PipelineConfig base;
-  base.threads = threads;
+  const core::ThreadCountScope scope(threads);
   return core::run_strategy_sweep(
-      base, sweep_cases(), standard_dataset().trace,
+      core::PipelineConfig{}, sweep_cases(), standard_dataset().trace,
       standard_dataset().schedule, standard_split(),
       standard_dataset().wireless_ids(), standard_dataset().input_ids(),
       core::RunOptions{
@@ -101,10 +99,10 @@ std::vector<core::PipelineResult> run_sweep_cached(std::size_t threads,
 /// The pre-cache baseline: each case is a full standalone run() that
 /// recomputes every Step-1 stage from scratch.
 std::vector<core::PipelineResult> run_sweep_uncached(std::size_t threads) {
+  const core::ThreadCountScope scope(threads);
   std::vector<core::PipelineResult> results;
   for (const auto& c : sweep_cases()) {
     core::PipelineConfig config;
-    config.threads = threads;
     config.strategy = c.strategy;
     config.selection_seed = c.seed;
     const core::ThermalModelingPipeline pipeline(config);
@@ -279,11 +277,11 @@ bool copy_vs_view_report(bench::JsonObject& out) {
 
   std::vector<bench::JsonObject> rows;
   bool ok = true;
+  const core::ThreadCountScope serial(1);
   for (const std::size_t sensors : {std::size_t{128}, std::size_t{512}}) {
     const auto hall = make_synthetic_hall(sensors, 10);
 
-    core::PipelineConfig base;
-    base.threads = 1;
+    const core::PipelineConfig base;
     core::RunOptions plain;
     plain.thermostat_ids = hall.thermostat_ids;
 

@@ -49,13 +49,20 @@ enum class LaplacianKind {
 [[nodiscard]] linalg::CsrMatrix laplacian_csr(const linalg::Matrix& weights,
                                               LaplacianKind kind);
 
+/// The cluster counts the eigengap heuristic searches (Section V). k = 1
+/// is no clustering at all; 8 keeps the search to a handful of thermal
+/// zones, above the paper's two and the synthetic campuses' four, and
+/// bounds the pairs a partial spectrum needs (needed_eigenpairs()).
+inline constexpr std::size_t kEigengapMinK = 2;
+inline constexpr std::size_t kEigengapMaxK = 8;
+
 /// Eigenstructure of a Laplacian, with the paper's eigengap heuristic.
 ///
 /// May hold the full spectrum (n pairs) or just the m smallest pairs from
 /// the partial eigensolver; `eigenvectors` is then n x m with columns
 /// pairing with `eigenvalues`. The eigengap heuristic only ever looks at
 /// the small end of the spectrum, so it works unchanged on a partial
-/// analysis as long as m > k_max.
+/// analysis as long as m > kEigengapMaxK.
 struct SpectralAnalysis {
   linalg::Vector eigenvalues;  ///< ascending, >= 0 up to roundoff
   linalg::Matrix eigenvectors; ///< columns pair with eigenvalues
@@ -66,11 +73,12 @@ struct SpectralAnalysis {
 
   /// Cluster count chosen by the largest log-eigengap: k such that the
   /// gap between eigenvalue k-1 and k (0-based) is maximal, searched over
-  /// k in [k_min, k_max]. The paper's Fig. 6 reads the same rule off its
-  /// middle column ("the number of clusters is decided by the largest
-  /// eigengap").
-  [[nodiscard]] std::size_t eigengap_cluster_count(std::size_t k_min = 2,
-                                                   std::size_t k_max = 8) const;
+  /// k in [kEigengapMinK, kEigengapMaxK] (the top clamped to the gaps
+  /// held). The paper's Fig. 6 reads the same rule off its middle column
+  /// ("the number of clusters is decided by the largest eigengap").
+  /// Returns 1 for fewer than two eigenvalues; throws
+  /// std::invalid_argument when exactly two leave no k in range.
+  [[nodiscard]] std::size_t eigengap_cluster_count() const;
 };
 
 /// ADL hook for the stage cache's byte accounting (core/stage_cache.hpp).
@@ -85,10 +93,11 @@ struct SpectralAnalysis {
 ///
 /// The solver follows from the input alone. `max_pairs` bounds the
 /// spectrum: 0 (or >= n) computes the full spectrum with the dense
-/// tridiagonal QL solver; a positive value below n computes only the
-/// `max_pairs` smallest eigenpairs — with the dense partial solver below
-/// linalg::kEigenSparseThreshold vertices, and from there up with sparse
-/// CSR Lanczos, which never forms the dense Laplacian (pair it with
+/// partial solver asked for all n pairs; a positive value below n
+/// computes only the `max_pairs` smallest eigenpairs — with the dense
+/// partial solver below linalg::kEigenSparseThreshold vertices, and from
+/// there up with sparse CSR Lanczos, which never forms the dense
+/// Laplacian (pair it with
 /// GraphSparsification::kKnn so the Laplacian is actually sparse). The
 /// Lanczos path locks the Laplacian's null space up front, one vector per
 /// connected component, when every weight is finite and non-negative.
@@ -128,8 +137,6 @@ struct ClusteringResult {
 struct SpectralOptions {
   /// Number of clusters; 0 = choose by the largest eigengap.
   std::size_t cluster_count = 0;
-  std::size_t k_min = 2;  ///< eigengap search range
-  std::size_t k_max = 8;
   LaplacianKind laplacian = LaplacianKind::kSymmetricNormalized;
   /// Normalize each embedding row to unit length before k-means (the
   /// Ng-Jordan-Weiss step). On densely connected similarity graphs —
@@ -137,13 +144,12 @@ struct SpectralOptions {
   /// single low-degree outlier sensor from dominating the k-means
   /// objective and hiding the spatial partition.
   bool normalize_rows = true;
-  KMeansOptions kmeans;
 };
 
 /// Number of smallest eigenpairs spectral clustering actually consumes
 /// for an n-vertex graph under `options`: enough columns for the
-/// embedding (cluster_count when fixed) and one past k_max so the
-/// eigengap scan can see the gap at k_max; never more than n.
+/// embedding (cluster_count when fixed) and one past kEigengapMaxK so the
+/// eigengap scan can see the gap at kEigengapMaxK; never more than n.
 [[nodiscard]] std::size_t needed_eigenpairs(const SpectralOptions& options,
                                             std::size_t n);
 

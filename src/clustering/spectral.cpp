@@ -44,20 +44,18 @@ linalg::Vector SpectralAnalysis::log_eigengaps() const {
   return gaps;
 }
 
-std::size_t SpectralAnalysis::eigengap_cluster_count(std::size_t k_min,
-                                                     std::size_t k_max) const {
+std::size_t SpectralAnalysis::eigengap_cluster_count() const {
   const auto gaps = log_eigengaps();
   if (gaps.empty()) return 1;
-  k_min = std::max<std::size_t>(k_min, 1);
-  k_max = std::min(k_max, gaps.size());
-  if (k_min > k_max) {
+  const std::size_t k_max = std::min(kEigengapMaxK, gaps.size());
+  if (kEigengapMinK > k_max) {
     throw std::invalid_argument("eigengap_cluster_count: empty search range");
   }
   // Choosing k means the gap sits between eigenvalue index k-1 and k
   // (0-based): eigenvalues 0..k-1 are the "small" group.
-  std::size_t best_k = k_min;
+  std::size_t best_k = kEigengapMinK;
   double best_gap = -1.0;
-  for (std::size_t k = k_min; k <= k_max; ++k) {
+  for (std::size_t k = kEigengapMinK; k <= k_max; ++k) {
     if (gaps[k - 1] > best_gap) {
       best_gap = gaps[k - 1];
       best_k = k;
@@ -218,11 +216,14 @@ SpectralAnalysis analyze_spectrum(const linalg::Matrix& weights,
     eig = linalg::eigen_symmetric_smallest_sparse(
         l, max_pairs, laplacian_null_basis(weights, l, kind, max_pairs));
   } else {
+    // Dense path: the partial solver, asked for every pair (m == n) when
+    // the request is the full spectrum.
     const auto l = kind == LaplacianKind::kUnnormalized
                        ? laplacian(weights)
                        : normalized_laplacian(weights);
-    eig = partial ? linalg::eigen_symmetric_smallest(l, max_pairs)
-                  : linalg::eigen_symmetric_tridiagonal(l);
+    if (n > 0) {
+      eig = linalg::eigen_symmetric_smallest(l, partial ? max_pairs : n);
+    }
   }
   SpectralAnalysis a;
   a.eigenvalues = std::move(eig.eigenvalues);
@@ -232,9 +233,9 @@ SpectralAnalysis analyze_spectrum(const linalg::Matrix& weights,
 
 std::size_t needed_eigenpairs(const SpectralOptions& options, std::size_t n) {
   // The embedding uses cluster_count columns (when fixed); the eigengap
-  // scan inspects gaps up to index k_max - 1, i.e. eigenvalue k_max —
-  // one past it is enough for either consumer.
-  return std::min(n, std::max(options.cluster_count, options.k_max + 1));
+  // scan inspects gaps up to index kEigengapMaxK - 1, i.e. eigenvalue
+  // kEigengapMaxK — one past it is enough for either consumer.
+  return std::min(n, std::max(options.cluster_count, kEigengapMaxK + 1));
 }
 
 std::vector<std::vector<timeseries::ChannelId>> ClusteringResult::clusters()
@@ -289,11 +290,9 @@ ClusteringResult spectral_cluster(const SimilarityGraph& graph,
         "spectral_cluster: analysis dimensions do not match the graph");
   }
 
-  std::size_t k = options.cluster_count;
-  if (k == 0) {
-    k = analysis.eigengap_cluster_count(options.k_min,
-                                        std::min(options.k_max, n - 1));
-  }
+  const std::size_t k = options.cluster_count != 0
+                            ? options.cluster_count
+                            : analysis.eigengap_cluster_count();
   if (k > pairs) {
     throw std::invalid_argument(
         "spectral_cluster: analysis holds " + std::to_string(pairs) +
@@ -317,7 +316,7 @@ ClusteringResult spectral_cluster(const SimilarityGraph& graph,
       }
     }
   }
-  const auto km = kmeans(embedding, k, options.kmeans);
+  const auto km = kmeans(embedding, k);
 
   ClusteringResult result;
   result.channels = graph.channels;

@@ -19,7 +19,8 @@
 ///
 /// Thread count resolution, strongest first: set_thread_count() override >
 /// the AUDITHERM_THREADS environment variable > hardware_concurrency().
-/// PipelineConfig::threads feeds the override via ThreadCountScope.
+/// The CLI's --threads flag sets the override; benches and tests pin a
+/// count with ThreadCountScope.
 
 #include <cstddef>
 #include <exception>
@@ -37,8 +38,8 @@ namespace auditherm::core {
 /// Returns the previous override (0 when none was set).
 std::size_t set_thread_count(std::size_t n);
 
-/// RAII thread-count override. `n == 0` leaves the current setting alone,
-/// so PipelineConfig::threads == 0 means "inherit".
+/// RAII thread-count override. `n == 0` leaves the current setting alone
+/// ("inherit").
 class ThreadCountScope {
  public:
   explicit ThreadCountScope(std::size_t n)

@@ -37,7 +37,9 @@ enum class SelectionStrategy {
   kGaussianProcess,     ///< Krause et al. MI placement
 };
 
-/// Pipeline configuration.
+/// Pipeline configuration. Runs model kPipelineMode, evaluate with
+/// kPipelineEvaluation and use the process-wide thread count (results are
+/// bitwise identical at any count — see parallel.hpp).
 struct PipelineConfig {
   clustering::SimilarityOptions similarity;  ///< correlation metric default
   clustering::SpectralOptions spectral;      ///< eigengap-chosen k default
@@ -46,13 +48,16 @@ struct PipelineConfig {
   std::uint64_t selection_seed = 7;          ///< SRS / RS draws
   sysid::ModelOrder order = sysid::ModelOrder::kSecond;
   sysid::EstimationOptions estimation;
-  sysid::EvaluationOptions evaluation;
-  hvac::Mode mode = hvac::Mode::kOccupied;
-  /// Threads for the pipeline's parallel kernels; 0 inherits the global
-  /// setting (AUDITHERM_THREADS, else hardware concurrency). Results are
-  /// bitwise identical at any value — see parallel.hpp.
-  std::size_t threads = 0;
 };
+
+/// The schedule mode every pipeline run trains and validates in: the
+/// paper identifies the occupied (HVAC-on) regime (Section VII).
+inline constexpr hvac::Mode kPipelineMode = hvac::Mode::kOccupied;
+
+/// Validation-window options every pipeline run evaluates with: 13.5 h
+/// horizons, windows of at least 4 predicted steps (sysid::EvaluationOptions
+/// defaults, the paper's Fig. 11 setup).
+inline constexpr sysid::EvaluationOptions kPipelineEvaluation{};
 
 /// StageCache stage names used by the pipeline (for stats() queries; see
 /// DESIGN.md for the key-chaining rules).
@@ -83,8 +88,8 @@ struct StageArtifacts {
   std::shared_ptr<const timeseries::MultiTrace> training_store;
   std::shared_ptr<const clustering::SimilarityGraph> graph;
   /// Laplacian eigendecomposition of the graph: its needed_eigenpairs()
-  /// smallest pairs, reused across cluster counts up to k_max + 1 — only
-  /// the cheap k-means embedding depends on k.
+  /// smallest pairs, reused across cluster counts up to kEigengapMaxK + 1
+  /// — only the cheap k-means embedding depends on k.
   std::shared_ptr<const clustering::SpectralAnalysis> spectrum;
   std::shared_ptr<const clustering::ClusteringResult> clustering;
   std::shared_ptr<const selection::ClusterSets> clusters;
@@ -199,7 +204,7 @@ struct SweepCase {
 /// sweeps behind Tables I-II and Figs 8-11), parallelized over cases with
 /// the deterministic runtime: results arrive in case order and each case
 /// equals a standalone run() with that strategy/seed. `base` supplies
-/// every other configuration field, including `threads`.
+/// every other configuration field.
 ///
 /// The strategy/seed-independent Step-1 prefix (training view, similarity
 /// graph, eigendecomposition, clustering, windows, cluster means) is

@@ -4,7 +4,6 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
-#include <numeric>
 #include <stdexcept>
 #include <string>
 
@@ -125,34 +124,6 @@ void givens_fold_row(Matrix& r, Matrix& u, Vector& z, Vector& y) {
   }
 }
 
-/// Back-substitute R X = U for upper-triangular r with the UpdatableQr
-/// diagonal convention (diagonal stored in r itself).
-Matrix upper_back_substitute(const Matrix& r, const Matrix& u) {
-  const std::size_t n = r.rows();
-  const std::size_t k = u.cols();
-  Matrix x(n, k);
-  for (std::size_t j = 0; j < k; ++j) {
-    for (std::size_t ii = n; ii-- > 0;) {
-      double s = u(ii, j);
-      for (std::size_t jj = ii + 1; jj < n; ++jj) s -= r(ii, jj) * x(jj, j);
-      x(ii, j) = s / r(ii, ii);
-    }
-  }
-  return x;
-}
-
-bool upper_rank_deficient(const Matrix& r, double tol) {
-  double dmax = 0.0;
-  for (std::size_t i = 0; i < r.rows(); ++i) {
-    dmax = std::max(dmax, std::abs(r(i, i)));
-  }
-  if (dmax == 0.0) return true;
-  for (std::size_t i = 0; i < r.rows(); ++i) {
-    if (std::abs(r(i, i)) <= tol * dmax) return true;
-  }
-  return false;
-}
-
 }  // namespace
 
 UpdatableQr::UpdatableQr(std::size_t cols, std::size_t rhs_cols)
@@ -200,33 +171,44 @@ Matrix UpdatableQr::solve() const {
   if (rank_deficient()) {
     throw std::domain_error("UpdatableQr::solve: rank-deficient system");
   }
-  return upper_back_substitute(r_, u_);
+  // Back-substitute R X = U (R's diagonal is stored in r_ itself).
+  Matrix x(n_, k_);
+  for (std::size_t j = 0; j < k_; ++j) {
+    for (std::size_t ii = n_; ii-- > 0;) {
+      double s = u_(ii, j);
+      for (std::size_t jj = ii + 1; jj < n_; ++jj) s -= r_(ii, jj) * x(jj, j);
+      x(ii, j) = s / r_(ii, ii);
+    }
+  }
+  return x;
 }
 
-Matrix UpdatableQr::solve_ridge(double lambda) const {
+Matrix UpdatableQr::solve_ridge(double lambda) && {
   if (!(lambda > 0.0)) {
     throw std::invalid_argument("UpdatableQr::solve_ridge: lambda <= 0");
   }
-  // Fold the n rows of sqrt(lambda) I into a copy of [R | U]; ridge row i
-  // is sqrt(lambda) e_i with a zero right-hand side.
-  Matrix r = r_;
-  Matrix u = u_;
-  Vector z(n_), y(k_);
+  // Fold the n rows of sqrt(lambda) I into [R | U] itself; ridge row i is
+  // sqrt(lambda) e_i with a zero right-hand side.
   const double s = std::sqrt(lambda);
   for (std::size_t i = 0; i < n_; ++i) {
-    std::fill(z.begin(), z.end(), 0.0);
-    std::fill(y.begin(), y.end(), 0.0);
-    z[i] = s;
-    givens_fold_row(r, u, z, y);
+    std::fill(z_.begin(), z_.end(), 0.0);
+    std::fill(y_.begin(), y_.end(), 0.0);
+    z_[i] = s;
+    givens_fold_row(r_, u_, z_, y_);
   }
-  if (upper_rank_deficient(r, 1e-12)) {
-    throw std::domain_error("UpdatableQr::solve_ridge: rank-deficient system");
-  }
-  return upper_back_substitute(r, u);
+  return solve();
 }
 
 bool UpdatableQr::rank_deficient(double tol) const noexcept {
-  return upper_rank_deficient(r_, tol);
+  double dmax = 0.0;
+  for (std::size_t i = 0; i < n_; ++i) {
+    dmax = std::max(dmax, std::abs(r_(i, i)));
+  }
+  if (dmax == 0.0) return true;
+  for (std::size_t i = 0; i < n_; ++i) {
+    if (std::abs(r_(i, i)) <= tol * dmax) return true;
+  }
+  return false;
 }
 
 // ---------------------------------------------------------------------------
@@ -325,7 +307,7 @@ namespace {
 
 using detail::pin_column_signs;
 
-// (A + A^T)/2: every solver tolerates the tiny asymmetries that upstream
+// (A + A^T)/2: the solver tolerates the tiny asymmetries that upstream
 // products accumulate.
 Matrix symmetrized(const Matrix& a) {
   const std::size_t n = a.rows();
@@ -337,8 +319,8 @@ Matrix symmetrized(const Matrix& a) {
 
 // Householder reduction A = Q T Q^T to symmetric tridiagonal form. The
 // unit reflectors are kept (column k holds v_k in rows k+1..n-1) instead
-// of accumulating Q eagerly, so the partial-spectrum path can back-apply
-// them to just the m eigenvectors it needs in O(n^2 m).
+// of accumulating Q eagerly, so the solver can back-apply them to just the
+// m eigenvectors it needs in O(n^2 m).
 struct HouseholderTridiagonal {
   Vector diag;        // T diagonal, size n
   Vector off;         // off[i] = T(i, i+1); off[n-1] = 0
@@ -404,98 +386,6 @@ void back_transform(const HouseholderTridiagonal& t, Vector& z) {
     if (dot == 0.0) continue;  // includes skipped (all-zero) reflectors
     const double f = 2.0 * dot;
     for (std::size_t i = k + 1; i < n; ++i) z[i] -= f * t.reflectors(i, k);
-  }
-}
-
-// Dense Q = H_0 H_1 ... H_{n-3} for the full-spectrum QL path, which then
-// rotates Q's columns into eigenvectors in place.
-Matrix accumulate_q(const HouseholderTridiagonal& t) {
-  const std::size_t n = t.diag.size();
-  Matrix q = Matrix::identity(n);
-  if (n < 3) return q;
-  Vector u(n, 0.0);
-  const std::size_t grain = core::grain_for_cost(n);
-  for (std::size_t k = n - 2; k-- > 0;) {
-    // u^T = v_k^T Q accumulated serially ascending in i; the row-parallel
-    // rank-1 update below then has no cross-row dependence, keeping the
-    // result thread-count independent.
-    std::fill(u.begin(), u.end(), 0.0);
-    for (std::size_t i = k + 1; i < n; ++i) {
-      const double vi = t.reflectors(i, k);
-      if (vi == 0.0) continue;
-      for (std::size_t j = 0; j < n; ++j) u[j] += vi * q(i, j);
-    }
-    core::parallel_for(k + 1, n, grain, [&](std::size_t i) {
-      const double f = 2.0 * t.reflectors(i, k);
-      if (f == 0.0) return;
-      for (std::size_t j = 0; j < n; ++j) q(i, j) -= f * u[j];
-    });
-  }
-  return q;
-}
-
-// Implicit-shift QL iteration on the tridiagonal (d, e), rotating the
-// columns of z along so they end up as eigenvectors of the original
-// matrix (classic EISPACK tql2 recurrence; e[i] couples d[i] and d[i+1],
-// e[n-1] unused). Eigenvalues land in d, unsorted.
-void ql_implicit_shift(Vector& d, Vector& e, Matrix& z) {
-  const std::size_t n = d.size();
-  if (n == 0) return;
-  const double eps = std::numeric_limits<double>::epsilon();
-  e[n - 1] = 0.0;
-  for (std::size_t l = 0; l < n; ++l) {
-    std::size_t iterations = 0;
-    for (;;) {
-      // Find the block [l, m]: m is the first index whose off-diagonal is
-      // negligible against its neighbors.
-      std::size_t m = l;
-      while (m + 1 < n) {
-        const double dd = std::abs(d[m]) + std::abs(d[m + 1]);
-        if (std::abs(e[m]) <= eps * dd) break;
-        ++m;
-      }
-      if (m == l) break;
-      if (++iterations > 50) {
-        throw std::domain_error(
-            "eigen_symmetric_tridiagonal: QL iteration did not converge");
-      }
-      // Wilkinson shift from the 2x2 at the l end.
-      double g = (d[l + 1] - d[l]) / (2.0 * e[l]);
-      double r = std::hypot(g, 1.0);
-      g = d[m] - d[l] + e[l] / (g + std::copysign(r, g));
-      double s = 1.0;
-      double c = 1.0;
-      double p = 0.0;
-      bool deflated_early = false;
-      for (std::size_t i = m; i-- > l;) {
-        double f = s * e[i];
-        const double b = c * e[i];
-        r = std::hypot(f, g);
-        e[i + 1] = r;
-        if (r == 0.0) {
-          d[i + 1] -= p;
-          e[m] = 0.0;
-          deflated_early = true;
-          break;
-        }
-        s = f / r;
-        c = g / r;
-        g = d[i + 1] - p;
-        r = (d[i] - g) * s + 2.0 * c * b;
-        p = s * r;
-        d[i + 1] = g + p;
-        g = c * r - b;
-        for (std::size_t row = 0; row < z.rows(); ++row) {
-          f = z(row, i + 1);
-          z(row, i + 1) = s * z(row, i) + c * f;
-          z(row, i) = c * z(row, i) - s * f;
-        }
-      }
-      if (deflated_early) continue;
-      d[l] -= p;
-      e[l] = g;
-      e[m] = 0.0;
-    }
   }
 }
 
@@ -576,13 +466,6 @@ void solve_shifted(const ShiftedTridiagonalLu& f, Vector& x) {
     if (i + 2 < n) s -= f.u2[i] * x[i + 2];
     x[i] = s / f.u0[i];
   }
-}
-
-SymmetricEigen trivial_eigen(const Matrix& a) {
-  SymmetricEigen out;
-  out.eigenvalues = a.rows() == 1 ? Vector{a(0, 0)} : Vector{};
-  out.eigenvectors = Matrix::identity(a.rows());
-  return out;
 }
 
 }  // namespace
@@ -685,43 +568,6 @@ TridiagonalEigen tridiagonal_smallest(const Vector& d, const Vector& e,
 
 }  // namespace detail
 
-SymmetricEigen eigen_symmetric_tridiagonal(const Matrix& a) {
-  if (a.rows() != a.cols()) {
-    throw std::invalid_argument(
-        "eigen_symmetric_tridiagonal: matrix not square");
-  }
-  obs::TraceSpan span("linalg.eigen_tridiagonal");
-  const std::size_t n = a.rows();
-  if (n <= 1) return trivial_eigen(a);
-  static const obs::MetricId kTridiagonalCalls =
-      obs::counter_id("linalg.eigen_tridiagonal_calls");
-  static const obs::MetricId kEigenCalls =
-      obs::counter_id("linalg.eigen_calls");
-  obs::add_counter(kTridiagonalCalls);
-  obs::add_counter(kEigenCalls);
-
-  HouseholderTridiagonal t = tridiagonalize(symmetrized(a));
-  Matrix z = accumulate_q(t);
-  Vector d = t.diag;
-  Vector e = t.off;
-  ql_implicit_shift(d, e, z);
-
-  std::vector<std::size_t> order(n);
-  std::iota(order.begin(), order.end(), std::size_t{0});
-  std::sort(order.begin(), order.end(),
-            [&](std::size_t i, std::size_t j) { return d[i] < d[j]; });
-
-  SymmetricEigen out;
-  out.eigenvalues.resize(n);
-  out.eigenvectors = Matrix(n, n);
-  for (std::size_t j = 0; j < n; ++j) {
-    out.eigenvalues[j] = d[order[j]];
-    out.eigenvectors.set_col(j, z.col_vector(order[j]));
-  }
-  pin_column_signs(out.eigenvectors);
-  return out;
-}
-
 SymmetricEigen eigen_symmetric_smallest(const Matrix& a, std::size_t m) {
   if (a.rows() != a.cols()) {
     throw std::invalid_argument("eigen_symmetric_smallest: matrix not square");
@@ -737,7 +583,7 @@ SymmetricEigen eigen_symmetric_smallest(const Matrix& a, std::size_t m) {
         " matrix (m must be <= n)");
   }
   obs::TraceSpan span("linalg.eigen_symmetric_smallest");
-  if (n <= 1) return trivial_eigen(a);
+  if (n == 1) return {Vector{a(0, 0)}, Matrix::identity(1)};
   static const obs::MetricId kPartialCalls =
       obs::counter_id("linalg.eigen_partial_calls");
   static const obs::MetricId kPartialPairs =

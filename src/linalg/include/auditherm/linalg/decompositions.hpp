@@ -2,8 +2,8 @@
 
 /// \file decompositions.hpp
 /// Matrix factorizations: Householder QR, a Givens-updated QR that grows
-/// one row (or one merged factorization) at a time, Cholesky, and dense
-/// symmetric eigensolvers.
+/// one row (or one merged factorization) at a time, Cholesky, and the
+/// dense symmetric eigensolver.
 ///
 /// These are the direct solvers behind the paper's convex least-squares
 /// identification problem (eq. 4) and the spectral-clustering Laplacian
@@ -86,11 +86,12 @@ class UpdatableQr {
   [[nodiscard]] Matrix solve() const;
 
   /// Ridge solution of min ||A X - B||^2 + lambda ||X||^2: folds the n
-  /// rows of sqrt(lambda) I into a copy of [R | U] and back-substitutes.
+  /// rows of sqrt(lambda) I into [R | U] in place and back-substitutes, so
+  /// it consumes the factorization (call it on a copy to keep one).
   /// O(n^2 (n + k)) — still independent of the row count, and it never
-  /// forms A^T A, so the condition number is not squared. lambda must be
-  /// positive.
-  [[nodiscard]] Matrix solve_ridge(double lambda) const;
+  /// forms A^T A, so the condition number is not squared. Throws
+  /// std::invalid_argument unless lambda is positive.
+  [[nodiscard]] Matrix solve_ridge(double lambda) &&;
 
   /// The current R factor (n x n upper triangular, R_ii >= 0).
   [[nodiscard]] const Matrix& r() const noexcept { return r_; }
@@ -156,27 +157,19 @@ struct SymmetricEigen {
 /// 105-185 ms (4-vCPU host).
 inline constexpr std::size_t kEigenSparseThreshold = 512;
 
-/// Compute all eigenpairs of symmetric `a` via Householder
-/// tridiagonalization followed by the implicit-shift QL iteration.
+/// Compute the `m` smallest eigenpairs of symmetric `a` (m == n is the
+/// full spectrum).
 ///
-/// `a` is symmetrized as (A + A^T)/2 first, so tiny asymmetries from
-/// accumulated roundoff are tolerated. Throws std::invalid_argument when
-/// `a` is not square, std::domain_error when QL fails to converge
-/// (pathological input).
-[[nodiscard]] SymmetricEigen eigen_symmetric_tridiagonal(const Matrix& a);
-
-/// Compute only the `m` smallest eigenpairs of symmetric `a`.
-///
-/// Pipeline: Householder tridiagonalization, bisection on the Sturm
-/// sequence for the m smallest eigenvalues, inverse iteration for the
-/// tridiagonal eigenvectors (with within-cluster reorthogonalization for
-/// repeated eigenvalues, e.g. a disconnected Laplacian's zero modes), and
-/// a back-transform through the stored reflectors. O(n^2 (n/3 + m)) work
-/// instead of the full spectrum's O(n^3) — this is the solver behind
-/// spectral clustering at scale, which only ever needs the k+1 smallest
-/// pairs. Throws std::invalid_argument when `a` is not square, m == 0, or
-/// m > n (a partial-spectrum request must fit the matrix; silently
-/// clamping hid caller sizing bugs).
+/// Pipeline: Householder tridiagonalization of (A + A^T)/2, bisection on
+/// the Sturm sequence for the m smallest eigenvalues, inverse iteration
+/// for the tridiagonal eigenvectors (with within-cluster
+/// reorthogonalization for repeated eigenvalues, e.g. a disconnected
+/// Laplacian's zero modes), and a back-transform through the stored
+/// reflectors. O(n^2 (n/3 + m)) work — this is the dense solver behind
+/// spectral clustering, which only ever needs the k+1 smallest pairs.
+/// Throws std::invalid_argument when `a` is not square, m == 0, or m > n
+/// (a partial-spectrum request must fit the matrix; silently clamping hid
+/// caller sizing bugs).
 [[nodiscard]] SymmetricEigen eigen_symmetric_smallest(const Matrix& a,
                                                       std::size_t m);
 

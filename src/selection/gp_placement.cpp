@@ -11,6 +11,10 @@ namespace auditherm::selection {
 
 namespace {
 
+/// Covariance-diagonal jitter, relative to the largest variance (or 1);
+/// keeps conditional variances well defined for near-duplicate sensors.
+constexpr double kJitter = 1e-3;
+
 /// Conditional variance sigma^2(y | S) = K_yy - K_yS K_SS^{-1} K_Sy.
 double conditional_variance(const linalg::Matrix& k, std::size_t y,
                             const std::vector<std::size_t>& s) {
@@ -32,8 +36,7 @@ double conditional_variance(const linalg::Matrix& k, std::size_t y,
 
 std::vector<timeseries::ChannelId> gp_mutual_information_selection(
     const timeseries::TraceView& training,
-    const std::vector<timeseries::ChannelId>& candidates, std::size_t count,
-    const GpPlacementOptions& options) {
+    const std::vector<timeseries::ChannelId>& candidates, std::size_t count) {
   if (count == 0 || count > candidates.size()) {
     throw std::invalid_argument(
         "gp_mutual_information_selection: count outside [1, #candidates]");
@@ -53,7 +56,7 @@ std::vector<timeseries::ChannelId> gp_mutual_information_selection(
   for (std::size_t i = 0; i < k.rows(); ++i) {
     max_diag = std::max(max_diag, k(i, i));
   }
-  const double jitter = options.jitter * std::max(max_diag, 1.0);
+  const double jitter = kJitter * std::max(max_diag, 1.0);
   for (std::size_t i = 0; i < k.rows(); ++i) k(i, i) += jitter;
 
   const std::size_t n = candidates.size();

@@ -18,20 +18,14 @@
 
 namespace auditherm::selection {
 
-/// GP placement options.
-struct GpPlacementOptions {
-  /// Jitter added to the covariance diagonal; keeps conditional variances
-  /// well defined for near-duplicate sensors.
-  double jitter = 1e-3;
-};
-
 /// Choose `count` sensors from `candidates` by greedy MI maximization.
-/// Throws std::invalid_argument when count == 0 or count > #candidates,
-/// std::domain_error when the (jittered) covariance is not positive
-/// definite.
+/// The covariance diagonal carries a relative jitter (1e-3 of its largest
+/// entry, at least 1e-3) that keeps conditional variances well defined for
+/// near-duplicate sensors. Throws std::invalid_argument when count == 0 or
+/// count > #candidates, std::domain_error when the (jittered) covariance
+/// is not positive definite.
 [[nodiscard]] std::vector<timeseries::ChannelId> gp_mutual_information_selection(
     const timeseries::TraceView& training,
-    const std::vector<timeseries::ChannelId>& candidates, std::size_t count,
-    const GpPlacementOptions& options = {});
+    const std::vector<timeseries::ChannelId>& candidates, std::size_t count);
 
 }  // namespace auditherm::selection

@@ -109,9 +109,12 @@ class AnalysisService {
   AnalysisService& operator=(const AnalysisService&) = delete;
 
   /// Run one analysis and return the report text (the one-shot CLI's
-  /// exact stdout). Throws cli-level std::invalid_argument for bad option
-  /// values, timeseries::InputError for bad input data (an unreadable or
-  /// malformed trace, too few channels or usable transitions, a
+  /// exact stdout). Throws core::cli::UsageError for a bad option value
+  /// (an unknown name, or a negative clusters/knn/sweep, per_cluster < 1,
+  /// order outside {1, 2}, stream < -1) before the trace is read;
+  /// timeseries::InputError for bad input data (an unreadable or
+  /// malformed trace, too few channels, more clusters than sensors —
+  /// checked before any Step-1 stage runs — too few usable transitions, a
   /// non-finite result) and std::runtime_error for other data problems.
   [[nodiscard]] std::string analyze(const AnalyzeRequest& request);
 

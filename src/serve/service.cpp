@@ -4,6 +4,7 @@
 #include <cstdarg>
 #include <cstdio>
 #include <fstream>
+#include <string>
 #include <utility>
 
 #include "auditherm/core/cli.hpp"
@@ -61,7 +62,9 @@ double finite(double v, const char* name) {
 }
 
 long integer_field(const json::Value& v, const std::string& key) {
-  if (!v.is_number() || v.number != std::floor(v.number)) {
+  // Outside long's range (e.g. 1e300) the cast below would be undefined.
+  if (!v.is_number() || v.number != std::floor(v.number) ||
+      !(std::abs(v.number) < 0x1p63)) {
     throw std::invalid_argument("analyze request: '" + key +
                                 "' must be an integer");
   }
@@ -90,6 +93,26 @@ void require_occupancy_source(const AnalyzeRequest& request) {
     throw core::cli::UsageError("analyze: unknown --occupancy value '" +
                                 request.occupancy + "'");
   }
+}
+
+/// Reject out-of-range numeric fields before any work: a negative count
+/// cast to std::size_t would otherwise run a huge or default-valued
+/// analysis and exit 0. `clusters` is checked against the sensor count
+/// once the trace is classified.
+void require_numeric_ranges(const AnalyzeRequest& request) {
+  const auto require = [](bool ok, const char* message) {
+    if (!ok) throw core::cli::UsageError(message);
+  };
+  require(request.clusters >= 0,
+          "analyze: --clusters must be >= 0 (0 = eigengap choice)");
+  require(request.order == 1 || request.order == 2,
+          "analyze: --order must be 1 or 2");
+  require(request.per_cluster >= 1, "analyze: --per-cluster must be >= 1");
+  require(request.sweep >= 0, "analyze: --sweep must be >= 0 (0 = none)");
+  require(request.knn >= 0, "analyze: --knn must be >= 0 (0 = default)");
+  require(request.stream >= -1,
+          "analyze: --stream expects a window length in rows, 0 (off), or "
+          "-1 (growing window)");
 }
 
 /// Decode the nested "inputs" object. Errors carry the full key path
@@ -306,11 +329,18 @@ core::PipelineConfig AnalysisService::make_config(
 std::string AnalysisService::analyze(const AnalyzeRequest& request) {
   obs::add_counter("serve.request");
   require_occupancy_source(request);
+  require_numeric_ranges(request);
+  const core::PipelineConfig config = make_config(request);
   Report report;
   report.append("loading %s...\n", request.data.c_str());
   const auto trace = load_trace(request.data);
-  const core::PipelineConfig config = make_config(request);
   const ChannelSets sets = classify_channels(*trace);
+  if (static_cast<std::size_t>(request.clusters) > sets.sensors.size()) {
+    throw timeseries::InputError(
+        "analyze: --clusters " + std::to_string(request.clusters) +
+        " exceeds the trace's " + std::to_string(sets.sensors.size()) +
+        " sensors");
+  }
   auto required = sets.sensors;
   required.insert(required.end(), sets.thermostats.begin(),
                   sets.thermostats.end());
@@ -376,11 +406,6 @@ std::string AnalysisService::analyze(const AnalyzeRequest& request) {
                        "cluster-mean p99"));
 
   if (request.stream != 0) {
-    if (request.stream < -1) {
-      throw core::cli::UsageError(
-          "analyze: --stream expects a window length in rows, 0 (off), or "
-          "-1 (growing window)");
-    }
     core::StreamingRunConfig stream_config;
     stream_config.order = config.order;
     stream_config.streaming.estimation = config.estimation;

@@ -129,11 +129,9 @@ struct ScenarioSpec {
 struct FleetOptions {
   /// When non-empty: write <name>.csv, <name>.truth.csv and manifest.json
   /// into this directory (created if missing) and drop the in-memory
-  /// datasets after fingerprinting (unless keep_datasets). When empty:
-  /// nothing is written and every outcome retains its dataset.
+  /// datasets after fingerprinting. When empty: nothing is written and
+  /// every outcome retains its dataset.
   std::string out_dir;
-  /// Retain datasets in the outcomes even when writing to out_dir.
-  bool keep_datasets = false;
 };
 
 /// What one logical process produced.
@@ -151,7 +149,7 @@ struct ScenarioOutcome {
   std::string trace_file;  ///< file name under out_dir ("" when unwritten)
   std::string truth_file;
   double wall_seconds = 0.0;  ///< this building's simulation wall time
-  /// Present when FleetOptions kept datasets (always without out_dir).
+  /// Present exactly when FleetOptions::out_dir is empty.
   std::optional<AuditoriumDataset> dataset;
 };
 

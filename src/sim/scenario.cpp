@@ -154,7 +154,7 @@ ScenarioOutcome run_one(const ScenarioSpec& spec, const FleetOptions& options,
     write_bytes_file(dir / out.trace_file, trace_csv);
     write_bytes_file(dir / out.truth_file, truth_csv);
   }
-  if (!writing || options.keep_datasets) out.dataset = std::move(dataset);
+  if (!writing) out.dataset = std::move(dataset);
 
   out.wall_seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - start)

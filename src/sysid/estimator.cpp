@@ -84,8 +84,7 @@ ThermalModel ModelEstimator::fit(const timeseries::TraceView& trace,
   for (const auto& seg : segments) transitions += seg.length() - h;
   obs::add_counter(kFitTransitions, transitions);
 
-  std::size_t min_needed = options_.min_transitions;
-  if (min_needed == 0) min_needed = std::max<std::size_t>(4 * n_params, 8);
+  const std::size_t min_needed = min_transitions(n_params);
   if (transitions < min_needed) {
     throw timeseries::InputError(
         "ModelEstimator::fit: only " + std::to_string(transitions) +

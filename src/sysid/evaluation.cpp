@@ -16,6 +16,10 @@ using timeseries::Segment;
 
 constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
 
+/// How far into a window predict_window() may scan for a fully valid
+/// initial state: 12 rows = 6 h at the standard 30-minute samples.
+constexpr std::size_t kMaxStartScan = 12;
+
 std::size_t history_rows(ModelOrder order) {
   return order == ModelOrder::kSecond ? 2 : 1;
 }
@@ -52,7 +56,7 @@ std::optional<WindowPrediction> predict_window(
 
   // Find the first start row where the state history is fully observed.
   const std::size_t scan_end =
-      std::min(window.last, window.first + options.max_start_scan + 1);
+      std::min(window.last, window.first + kMaxStartScan + 1);
   std::optional<std::size_t> start;  // row of T(0) history end
   for (std::size_t s = window.first; s + h <= scan_end; ++s) {
     bool ok = true;

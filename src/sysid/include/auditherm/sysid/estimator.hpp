@@ -11,6 +11,8 @@
 /// is an ordinary linear least squares; CVX/SeDuMi in the paper computes
 /// the same global optimum).
 
+#include <algorithm>
+#include <cstddef>
 #include <vector>
 
 #include "auditherm/sysid/model.hpp"
@@ -29,11 +31,17 @@ struct EstimationOptions {
   double ridge = 1e-7;
   /// Interpret `ridge` relative to the regressor Gram diagonal.
   bool relative_ridge = true;
-  /// Minimum number of usable transitions; fit() throws
-  /// timeseries::InputError below this (an over-parameterized fit would
-  /// be meaningless).
-  std::size_t min_transitions = 0;  ///< 0 = max(4 * #parameters per row, 8)
 };
+
+/// Usable transitions an identification needs for a model with
+/// `parameters` unknowns per output row: max(4 * parameters, 8). Below it
+/// ModelEstimator::fit() throws timeseries::InputError and a
+/// StreamingEstimator window has no model (an over-parameterized fit
+/// would be meaningless).
+[[nodiscard]] constexpr std::size_t min_transitions(
+    std::size_t parameters) noexcept {
+  return std::max<std::size_t>(4 * parameters, 8);
+}
 
 /// Summary of the assembled regression, for diagnostics and tests.
 struct RegressionSummary {
@@ -58,7 +66,7 @@ class ModelEstimator {
   /// non-empty, restricts which rows may participate (the mode filter:
   /// occupied vs unoccupied); it must match trace.size().
   /// Throws timeseries::InputError (a std::runtime_error) when fewer than
-  /// min_transitions usable transitions exist.
+  /// min_transitions() usable transitions exist.
   [[nodiscard]] ThermalModel fit(const timeseries::TraceView& trace,
                                  const std::vector<bool>& row_filter = {}) const;
 

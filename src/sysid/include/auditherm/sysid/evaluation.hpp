@@ -52,13 +52,11 @@ struct EvaluationOptions {
   std::size_t horizon_samples = 27;
   /// Windows yielding fewer predicted steps than this are skipped.
   std::size_t min_steps = 4;
-  /// How far into a window we may scan for a fully valid initial state.
-  std::size_t max_start_scan = 12;
 };
 
 /// Simulate the model over one window.
 ///
-/// Scans (up to options.max_start_scan rows) for a starting point where
+/// Scans (up to 12 rows past the window's first) for a starting point where
 /// the model's state channels are valid for the needed history, then
 /// simulates with measured inputs. Returns std::nullopt when no valid
 /// start exists or fewer than options.min_steps steps fit.

@@ -34,39 +34,14 @@
 
 namespace auditherm::sysid {
 
-/// Residual-CUSUM change-point detection knobs.
-///
-/// The detector watches the per-transition one-step prediction residual
-/// (RMS over the state channels) of a reference model that is re-solved
-/// every `refit_transitions` appends. Residuals are normalized against a
-/// baseline mean/std learned over `calibration_transitions` (Welford) and
-/// then tracked by a slow EWMA while the detector is quiet; the two-sided
-/// CUSUM fires when the accumulated normalized excess passes
-/// `threshold_sigmas`. After an event the detector re-calibrates from
-/// scratch, so a persistent regime change fires exactly once.
+/// Residual-CUSUM change-point detection: a two-sided CUSUM over the
+/// normalized one-step residuals (RMS over the state channels) of a
+/// periodically re-solved reference model. After an event the detector
+/// re-calibrates from scratch, so a persistent regime change fires
+/// exactly once. Its tuning is fixed (streaming.cpp); only the switch is
+/// an option.
 struct DriftDetectorOptions {
   bool enabled = true;
-  /// CUSUM slack k: per-step |z|-score excess below this is ignored.
-  double slack_sigmas = 0.5;
-  /// CUSUM decision threshold h, in accumulated sigma units. The default
-  /// keeps the stationary 98-day paper run silent (daily occupancy cycles
-  /// reach ~half of it) while a season or HVAC-regime switch crosses it
-  /// within a day or two of transitions.
-  double threshold_sigmas = 25.0;
-  /// Transitions used to (re-)learn the residual baseline before arming.
-  std::size_t calibration_transitions = 96;
-  /// EWMA rate for baseline adaptation while quiet (statistic < h/4).
-  double baseline_alpha = 1e-3;
-  /// Appends between refreshes of the reference model the residuals are
-  /// scored against (48 = one day at the dataset's 30-minute sampling).
-  std::size_t refit_transitions = 48;
-  /// Reference-model refreshes to skip before calibration starts. The very
-  /// first reference is solved from the minimum transition count and may
-  /// not have seen a full excitation cycle (e.g. it only knows occupied
-  /// hours), so its out-of-sample residuals can inflate the calibration
-  /// sigma by 10x and deafen the detector. One warmup refresh guarantees
-  /// the scored reference saw >= refit_transitions + min_transitions rows.
-  std::size_t warmup_refits = 1;
 };
 
 /// One detected change point.
@@ -83,8 +58,8 @@ struct DriftEvent {
 
 /// StreamingEstimator configuration.
 struct StreamingOptions {
-  /// Ridge and minimum-transition settings, shared with the batch
-  /// estimator so window fits are comparable.
+  /// Ridge settings, shared with the batch estimator so window fits are
+  /// comparable.
   EstimationOptions estimation;
   /// Sliding-window length in source rows; 0 selects growing-window mode
   /// (never forget). Must be at least history+2 rows when non-zero, else
@@ -134,7 +109,7 @@ class StreamingEstimator {
   }
 
   /// True once the window holds at least the batch estimator's minimum
-  /// transition count (EstimationOptions::min_transitions semantics).
+  /// transition count, min_transitions().
   [[nodiscard]] bool has_model() const noexcept;
 
   /// The model identified from the current window; matches a batch
@@ -160,9 +135,6 @@ class StreamingEstimator {
   [[nodiscard]] double cusum_statistic() const noexcept;
 
   [[nodiscard]] ModelOrder order() const noexcept { return order_; }
-  [[nodiscard]] const StreamingOptions& options() const noexcept {
-    return options_;
-  }
 
  private:
   struct TransitionRow {
@@ -180,7 +152,6 @@ class StreamingEstimator {
   [[nodiscard]] double squared_residual(const linalg::Matrix& theta,
                                         const TransitionRow& row) const;
   [[nodiscard]] linalg::Matrix solve_theta() const;
-  [[nodiscard]] std::size_t min_transitions_needed() const noexcept;
 
   std::vector<timeseries::ChannelId> state_ids_;
   std::vector<timeseries::ChannelId> input_ids_;

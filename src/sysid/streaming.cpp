@@ -5,6 +5,7 @@
 #include <limits>
 #include <stdexcept>
 #include <string>
+#include <utility>
 
 #include "auditherm/obs/trace_span.hpp"
 
@@ -17,6 +18,22 @@ namespace {
 std::size_t history_rows(ModelOrder order) {
   return order == ModelOrder::kSecond ? 2 : 1;
 }
+
+// Drift-detector tuning. The 25-sigma threshold keeps the stationary
+// 98-day paper run silent (daily occupancy cycles reach about half of it)
+// while a season or HVAC-regime switch crosses it within a day or two.
+constexpr double kDriftSlackSigmas = 0.5;         // CUSUM slack k
+constexpr double kDriftThresholdSigmas = 25.0;    // CUSUM threshold h
+constexpr double kDriftBaselineAlpha = 1e-3;      // EWMA rate while < h/4
+/// Transitions that (re-)learn the residual baseline before arming.
+constexpr std::size_t kDriftCalibrationTransitions = 96;
+/// Appends between reference-model refreshes: one day at 30 minutes.
+constexpr std::size_t kDriftRefitTransitions = 48;
+/// Refreshes skipped before calibration. The first reference is solved
+/// from the minimum transition count and may not have seen a full
+/// excitation cycle, so its residuals would inflate the calibration sigma
+/// by 10x and deafen the detector.
+constexpr std::size_t kDriftWarmupRefits = 1;
 
 bool all_finite(const linalg::Vector& v) {
   for (double x : v) {
@@ -58,20 +75,14 @@ StreamingEstimator::StreamingEstimator(
   }
 }
 
-std::size_t StreamingEstimator::min_transitions_needed() const noexcept {
-  if (options_.estimation.min_transitions != 0) {
-    return options_.estimation.min_transitions;
-  }
-  return std::max<std::size_t>(4 * n_params_, 8);
-}
-
 bool StreamingEstimator::has_model() const noexcept {
-  return window_.size() >= min_transitions_needed();
+  return window_.size() >= min_transitions(n_params_);
 }
 
 linalg::Matrix StreamingEstimator::solve_theta() const {
   // The window's factor: the front top (the older rows) merged with the
-  // back (every row appended since the last rebuild).
+  // back (every row appended since the last rebuild). This copy is the
+  // only one a solve makes; the ridge rows fold into it.
   linalg::UpdatableQr qr = front_rows_ == 0 ? back_ : front_[front_rows_ - 1];
   if (front_rows_ != 0) qr.merge(back_);
   const double ridge = options_.estimation.ridge;
@@ -81,7 +92,7 @@ linalg::Matrix StreamingEstimator::solve_theta() const {
     lambda *= qr.gram_trace() / static_cast<double>(n_params_);
   }
   if (!(lambda > 0.0)) return qr.solve();
-  return qr.solve_ridge(lambda);
+  return std::move(qr).solve_ridge(lambda);
 }
 
 const ThermalModel& StreamingEstimator::model() const {
@@ -89,7 +100,7 @@ const ThermalModel& StreamingEstimator::model() const {
     throw std::runtime_error(
         "StreamingEstimator::model: only " +
         std::to_string(window_.size()) + " window transitions, need " +
-        std::to_string(min_transitions_needed()));
+        std::to_string(min_transitions(n_params_)));
   }
   if (!cached_model_) {
     const linalg::Matrix theta = solve_theta();
@@ -151,11 +162,11 @@ double StreamingEstimator::cusum_statistic() const noexcept {
 }
 
 void StreamingEstimator::observe_residual(const TransitionRow& row) {
-  const DriftDetectorOptions& d = options_.drift;
-  if (!d.enabled || !drift_theta_) return;
-  // The first warmup_refits references have seen too little excitation to
-  // score against (their residual spikes would inflate the calibration).
-  if (drift_refits_ <= d.warmup_refits) return;
+  if (!options_.drift.enabled || !drift_theta_) return;
+  // The first kDriftWarmupRefits references have seen too little
+  // excitation to score against (their residual spikes would inflate the
+  // calibration).
+  if (drift_refits_ <= kDriftWarmupRefits) return;
   const double s = std::sqrt(squared_residual(*drift_theta_, row) /
                              static_cast<double>(state_ids_.size()));
 
@@ -165,7 +176,7 @@ void StreamingEstimator::observe_residual(const TransitionRow& row) {
     const double delta = s - calib_mean_;
     calib_mean_ += delta / static_cast<double>(calib_count_);
     calib_m2_ += delta * (s - calib_mean_);
-    if (calib_count_ >= std::max<std::size_t>(d.calibration_transitions, 2)) {
+    if (calib_count_ >= kDriftCalibrationTransitions) {
       base_mean_ = calib_mean_;
       base_std_ = std::max(
           std::sqrt(calib_m2_ / static_cast<double>(calib_count_ - 1)),
@@ -178,10 +189,10 @@ void StreamingEstimator::observe_residual(const TransitionRow& row) {
   }
 
   const double z = (s - base_mean_) / base_std_;
-  cusum_pos_ = std::max(0.0, cusum_pos_ + z - d.slack_sigmas);
-  cusum_neg_ = std::max(0.0, cusum_neg_ - z - d.slack_sigmas);
+  cusum_pos_ = std::max(0.0, cusum_pos_ + z - kDriftSlackSigmas);
+  cusum_neg_ = std::max(0.0, cusum_neg_ - z - kDriftSlackSigmas);
   const double g = std::max(cusum_pos_, cusum_neg_);
-  if (g > d.threshold_sigmas) {
+  if (g > kDriftThresholdSigmas) {
     static const obs::MetricId kDriftEvents =
         obs::counter_id("sysid.stream.drift_events");
     obs::add_counter(kDriftEvents);
@@ -199,12 +210,12 @@ void StreamingEstimator::observe_residual(const TransitionRow& row) {
     cusum_neg_ = 0.0;
     return;
   }
-  if (g < 0.25 * d.threshold_sigmas) {
+  if (g < 0.25 * kDriftThresholdSigmas) {
     // Quiet: let the baseline track slow benign drift.
     const double dm = s - base_mean_;
-    base_mean_ += d.baseline_alpha * dm;
+    base_mean_ += kDriftBaselineAlpha * dm;
     double var = base_std_ * base_std_;
-    var += d.baseline_alpha * (dm * dm - var);
+    var += kDriftBaselineAlpha * (dm * dm - var);
     base_std_ = std::max(std::sqrt(var), 1e-12);
   }
 }
@@ -290,7 +301,7 @@ void StreamingEstimator::push(const linalg::Vector& states,
     // detection never depends on which accessors the caller invokes.
     if (options_.drift.enabled && has_model() &&
         (!drift_theta_ ||
-         since_drift_refit_ >= options_.drift.refit_transitions)) {
+         since_drift_refit_ >= kDriftRefitTransitions)) {
       drift_theta_ = solve_theta();
       since_drift_refit_ = 0;
       ++drift_refits_;

@@ -17,7 +17,7 @@ namespace auditherm::test_support {
 /// All eigenpairs of symmetric `a` by the cyclic Jacobi method: slow
 /// (O(n^3) per sweep) but simple and robust, the reference every
 /// production eigensolver is tested against. Same output conventions as
-/// linalg::eigen_symmetric_tridiagonal(): eigenvalues ascending,
+/// linalg::eigen_symmetric_smallest(): eigenvalues ascending,
 /// orthonormal sign-pinned eigenvectors. `a` is symmetrized as
 /// (A + A^T)/2 first. Throws std::invalid_argument when `a` is not
 /// square. Performs up to `max_sweeps` rotation sweeps and throws

@@ -234,6 +234,27 @@ TEST(CliBinary, AnalyzeRejectsRemovedFlags) {
   }
 }
 
+TEST(CliBinary, AnalyzeRejectsOutOfRangeFieldsBeforeReadingTheTrace) {
+  // Usage errors (exit 2 with the analyze usage), raised before the data
+  // file is opened: unused.csv does not exist.
+  const std::pair<std::string, std::string> bad[] = {
+      {"--clusters -1", "--clusters must be >= 0"},
+      {"--knn -3 --graph knn", "--knn must be >= 0"},
+      {"--sweep -2", "--sweep must be >= 0"},
+      {"--per-cluster -1", "--per-cluster must be >= 1"},
+      {"--order 7", "--order must be 1 or 2"},
+      {"--stream -5", "--stream expects a window length"},
+  };
+  for (const auto& [args, message] : bad) {
+    std::string output;
+    EXPECT_EQ(run_auditherm("analyze --data unused.csv " + args, output), 2)
+        << args;
+    EXPECT_NE(output.find(message), std::string::npos) << output;
+    EXPECT_NE(output.find("usage: auditherm analyze"), std::string::npos)
+        << output;
+  }
+}
+
 std::string read_file(const std::string& path) {
   std::ifstream in(path);
   std::ostringstream text;

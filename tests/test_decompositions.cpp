@@ -8,6 +8,7 @@
 #include <cmath>
 #include <random>
 #include <stdexcept>
+#include <utility>
 
 #include "auditherm/linalg/least_squares.hpp"
 #include "auditherm/linalg/vector_ops.hpp"
@@ -151,14 +152,16 @@ TEST(UpdatableQr, SolveRidgeMatchesAugmentedBatch) {
   }
   for (std::size_t j = 0; j < 4; ++j) aug(12 + j, j) = std::sqrt(lambda);
   const auto batch = linalg::QrDecomposition(aug).solve(baug);
-  EXPECT_LT(max_param_diff(inc.solve_ridge(lambda), batch), 1e-10);
+  const auto ridge = linalg::UpdatableQr(inc).solve_ridge(lambda);
+  EXPECT_LT(max_param_diff(ridge, batch), 1e-10);
 }
 
 TEST(UpdatableQr, ArgumentChecks) {
   EXPECT_THROW(linalg::UpdatableQr(0, 1), std::invalid_argument);
   EXPECT_THROW(linalg::UpdatableQr(3, 0), std::invalid_argument);
   linalg::UpdatableQr inc(3, 1);
-  EXPECT_THROW((void)inc.solve_ridge(0.0), std::invalid_argument);
+  EXPECT_THROW((void)linalg::UpdatableQr(inc).solve_ridge(0.0),
+               std::invalid_argument);
   // Empty factorization is rank deficient.
   EXPECT_THROW((void)inc.solve(), std::domain_error);
   EXPECT_THROW(inc.merge(linalg::UpdatableQr(3, 2)), std::invalid_argument);
@@ -228,7 +231,7 @@ TEST(UpdatableQr, PropertySweepAcrossShapesAndSeeds) {
       baug.set_block(0, 0, row_range(b, 4, 20));
       for (std::size_t j = 0; j < 4; ++j) aug(16 + j, j) = std::sqrt(lambda);
       const auto batch = linalg::QrDecomposition(aug).solve(baug);
-      EXPECT_LT(max_param_diff(inc.solve_ridge(lambda), batch), 1e-6)
+      EXPECT_LT(max_param_diff(std::move(inc).solve_ridge(lambda), batch), 1e-6)
           << "seed " << seed;
     }
   }

@@ -1,11 +1,12 @@
-// Property tests for the fast eigensolver path: the tridiagonal full and
-// partial solvers must reproduce the Jacobi reference across >= 50 random
-// seeds spanning four matrix families (random SPD, near-diagonal,
-// clustered spectra, rank-deficient graph Laplacians), with eigenvalues
-// matched to 1e-10 relative and eigenvectors compared respecting the
-// shared sign convention. The cache-blocked dense kernels are checked
-// bitwise against naive serial references on ragged shapes, and the new
-// paths must be bitwise thread-count invariant.
+// Property tests for the dense eigensolver: eigen_symmetric_smallest(),
+// asked for the full spectrum (m == n) or a few pairs, and its tridiagonal
+// kernel must reproduce the Jacobi reference across >= 50 random seeds
+// spanning four matrix families (random SPD, near-diagonal, clustered
+// spectra, rank-deficient graph Laplacians), with eigenvalues matched to
+// 1e-10 relative and eigenvectors compared respecting the shared sign
+// convention. The cache-blocked dense kernels are checked bitwise against
+// naive serial references on ragged shapes, and the solver must be
+// bitwise thread-count invariant.
 
 #include <gtest/gtest.h>
 
@@ -111,7 +112,7 @@ void expect_matches_reference(const Matrix& a, const linalg::SymmetricEigen& ref
 }  // namespace
 
 // ---------------------------------------------------------------------------
-// Tridiagonal full spectrum vs Jacobi: 50+ seeds over four families.
+// Full spectrum (m == n) vs Jacobi: 50+ seeds over four families.
 // ---------------------------------------------------------------------------
 
 TEST(EigenSolvers, TridiagonalMatchesJacobiAcrossSeedsAndFamilies) {
@@ -121,7 +122,8 @@ TEST(EigenSolvers, TridiagonalMatchesJacobiAcrossSeedsAndFamilies) {
     const std::size_t n = sizes[seed % 5];
     const auto a = family_matrix(family, n, 1000 + seed);
     const auto ref = support::eigen_symmetric(a);
-    const auto got = linalg::eigen_symmetric_tridiagonal(a);
+    const auto got = linalg::eigen_symmetric_smallest(a, n);
+    ASSERT_EQ(got.eigenvalues.size(), n);
     const std::string context = std::string(family_name(family)) + " n=" +
                                 std::to_string(n) + " seed=" +
                                 std::to_string(seed);
@@ -147,18 +149,17 @@ TEST(EigenSolvers, PartialMatchesJacobiLeadingPairs) {
   }
 }
 
-TEST(EigenSolvers, TridiagonalKernelMatchesQlOnSeededTridiagonals) {
+TEST(EigenSolvers, TridiagonalKernelMatchesJacobiOnSeededTridiagonals) {
   // detail::tridiagonal_smallest is the one bisection + inverse-iteration
-  // kernel behind the dense partial solver and the Lanczos convergence
-  // checks; QL on the dense copy of T is the reference. A third of the
-  // seeds zero some couplings (a block-diagonal T, as after a Lanczos
-  // breakdown) and a third repeat one 2x2 block down the diagonal, so
-  // eigenvalues recur exactly.
+  // kernel behind the dense solver and the Lanczos convergence checks; the
+  // Jacobi oracle on the dense copy of T is the reference, for a few pairs
+  // and for the whole spectrum. A third of the seeds zero some couplings
+  // (a block-diagonal T, as after a Lanczos breakdown) and a third repeat
+  // one 2x2 block down the diagonal, so eigenvalues recur exactly.
   for (std::uint64_t seed = 0; seed < 48; ++seed) {
     std::mt19937_64 rng(5000 + seed);
     std::uniform_real_distribution<double> unit(-1.0, 1.0);
     const std::size_t n = 2 + seed % 23;
-    const std::size_t m = 1 + seed % std::min<std::size_t>(n, 6);
     Vector d(n);
     Vector e(n - 1);
     for (double& di : d) di = 4.0 * unit(rng);
@@ -184,39 +185,42 @@ TEST(EigenSolvers, TridiagonalKernelMatchesQlOnSeededTridiagonals) {
         t(i + 1, i) = e[i];
       }
     }
-    const std::string context = "n=" + std::to_string(n) + " m=" +
-                                std::to_string(m) + " seed=" +
-                                std::to_string(seed);
-    const auto ref = linalg::eigen_symmetric_tridiagonal(t);
-    const auto got = linalg::detail::tridiagonal_smallest(d, e, m);
-    ASSERT_EQ(got.eigenvalues.size(), m) << context;
-    ASSERT_EQ(got.vectors.size(), m) << context;
+    const auto ref = support::eigen_symmetric(t);
     double scale = 1.0;
     for (const double x : t.data()) scale = std::max(scale, std::abs(x));
-    for (std::size_t j = 0; j < m; ++j) {
-      EXPECT_NEAR(got.eigenvalues[j], ref.eigenvalues[j], 1e-10 * scale)
-          << context << " eigenvalue " << j;
-      const Vector& s = got.vectors[j];
-      ASSERT_EQ(s.size(), n) << context;
-      EXPECT_NEAR(linalg::norm2(s), 1.0, 1e-10) << context << " vector " << j;
-      Vector ls = s;
-      for (double& x : ls) x *= got.eigenvalues[j];
-      const Vector residual = linalg::subtract(t * s, ls);
-      EXPECT_LE(linalg::norm2(residual), 1e-9 * scale)
-          << context << " residual " << j;
-      for (std::size_t l = 0; l < j; ++l) {
-        EXPECT_NEAR(linalg::dot(s, got.vectors[l]), 0.0, 1e-9)
-            << context << " vectors " << l << "," << j;
-      }
-      // An isolated eigenvalue fixes its vector up to sign.
-      const double gap = 1e-6 * scale;
-      const bool isolated =
-          (j == 0 || ref.eigenvalues[j] - ref.eigenvalues[j - 1] > gap) &&
-          (j + 1 == n || ref.eigenvalues[j + 1] - ref.eigenvalues[j] > gap);
-      if (isolated) {
-        EXPECT_GT(std::abs(linalg::dot(s, ref.eigenvectors.col_vector(j))),
-                  1.0 - 1e-9)
-            << context << " direction " << j;
+    for (const std::size_t m : {1 + seed % std::min<std::size_t>(n, 6), n}) {
+      const std::string context = "n=" + std::to_string(n) + " m=" +
+                                  std::to_string(m) + " seed=" +
+                                  std::to_string(seed);
+      const auto got = linalg::detail::tridiagonal_smallest(d, e, m);
+      ASSERT_EQ(got.eigenvalues.size(), m) << context;
+      ASSERT_EQ(got.vectors.size(), m) << context;
+      for (std::size_t j = 0; j < m; ++j) {
+        EXPECT_NEAR(got.eigenvalues[j], ref.eigenvalues[j], 1e-10 * scale)
+            << context << " eigenvalue " << j;
+        const Vector& s = got.vectors[j];
+        ASSERT_EQ(s.size(), n) << context;
+        EXPECT_NEAR(linalg::norm2(s), 1.0, 1e-10)
+            << context << " vector " << j;
+        Vector ls = s;
+        for (double& x : ls) x *= got.eigenvalues[j];
+        const Vector residual = linalg::subtract(t * s, ls);
+        EXPECT_LE(linalg::norm2(residual), 1e-9 * scale)
+            << context << " residual " << j;
+        for (std::size_t l = 0; l < j; ++l) {
+          EXPECT_NEAR(linalg::dot(s, got.vectors[l]), 0.0, 1e-9)
+              << context << " vectors " << l << "," << j;
+        }
+        // An isolated eigenvalue fixes its vector up to sign.
+        const double gap = 1e-6 * scale;
+        const bool isolated =
+            (j == 0 || ref.eigenvalues[j] - ref.eigenvalues[j - 1] > gap) &&
+            (j + 1 == n || ref.eigenvalues[j + 1] - ref.eigenvalues[j] > gap);
+        if (isolated) {
+          EXPECT_GT(std::abs(linalg::dot(s, ref.eigenvectors.col_vector(j))),
+                    1.0 - 1e-9)
+              << context << " direction " << j;
+        }
       }
     }
   }
@@ -231,42 +235,66 @@ TEST(EigenSolvers, PartialValidation) {
   // m > n is a caller sizing bug: rejected, not silently clamped.
   EXPECT_THROW((void)linalg::eigen_symmetric_smallest(a, 12),
                std::invalid_argument);
-  // Exactly-full request agrees with the dedicated full solver.
+  // Exactly-full request agrees with the Jacobi oracle.
   const auto all = linalg::eigen_symmetric_smallest(a, 5);
   ASSERT_EQ(all.eigenvalues.size(), 5u);
-  const auto full = linalg::eigen_symmetric_tridiagonal(a);
+  const auto full = support::eigen_symmetric(a);
   for (std::size_t j = 0; j < 5; ++j) {
     EXPECT_NEAR(all.eigenvalues[j], full.eigenvalues[j], 1e-10);
   }
 }
 
 TEST(EigenSolvers, TrivialSizes) {
-  EXPECT_TRUE(linalg::eigen_symmetric_tridiagonal(Matrix()).eigenvalues.empty());
-  const auto one = linalg::eigen_symmetric_tridiagonal(Matrix{{4.0}});
+  // An empty matrix has no pair to ask for (clustering::analyze_spectrum
+  // returns an empty analysis without calling the solver).
+  EXPECT_THROW((void)linalg::eigen_symmetric_smallest(Matrix(), 0),
+               std::invalid_argument);
+  const auto one = linalg::eigen_symmetric_smallest(Matrix{{4.0}}, 1);
   ASSERT_EQ(one.eigenvalues.size(), 1u);
   EXPECT_DOUBLE_EQ(one.eigenvalues[0], 4.0);
   EXPECT_DOUBLE_EQ(one.eigenvectors(0, 0), 1.0);
-  const auto small = linalg::eigen_symmetric_smallest(Matrix{{4.0}}, 1);
-  EXPECT_DOUBLE_EQ(small.eigenvalues[0], 4.0);
+  const auto tri = linalg::detail::tridiagonal_smallest(Vector{4.0}, {}, 1);
+  ASSERT_EQ(tri.eigenvalues.size(), 1u);
+  EXPECT_DOUBLE_EQ(tri.eigenvalues[0], 4.0);
+  EXPECT_EQ(tri.vectors[0], Vector{1.0});
+  // 2x2 [[2, 1], [1, 2]]: eigenvalues 1 and 3, vectors (1, -+1)/sqrt(2).
+  const Matrix two{{2.0, 1.0}, {1.0, 2.0}};
+  const auto full = linalg::eigen_symmetric_smallest(two, 2);
+  const auto kernel =
+      linalg::detail::tridiagonal_smallest(Vector{2.0, 2.0}, Vector{1.0}, 2);
+  for (const auto& values : {full.eigenvalues, kernel.eigenvalues}) {
+    ASSERT_EQ(values.size(), 2u);
+    EXPECT_NEAR(values[0], 1.0, 1e-14);
+    EXPECT_NEAR(values[1], 3.0, 1e-14);
+  }
+  const double h = 1.0 / std::sqrt(2.0);
+  EXPECT_NEAR(std::abs(full.eigenvectors(0, 0)), h, 1e-14);
+  EXPECT_NEAR(full.eigenvectors(0, 0) + full.eigenvectors(1, 0), 0.0, 1e-14);
+  EXPECT_NEAR(full.eigenvectors(0, 1), h, 1e-14);
+  EXPECT_NEAR(full.eigenvectors(1, 1), h, 1e-14);
 }
 
 // ---------------------------------------------------------------------------
-// Thread-count invariance of the new solvers (bitwise).
+// Thread-count invariance of the solver (bitwise).
 // ---------------------------------------------------------------------------
 
 TEST(EigenSolvers, TridiagonalBitwiseStableAcrossThreads) {
+  // The full spectrum (m == n) of a dense Gram matrix and of a
+  // disconnected Laplacian (a repeated zero eigenvalue).
   const auto g = random_matrix(300, 48, 77);
-  const auto s = linalg::gram(g, g);
-  linalg::SymmetricEigen serial;
-  {
-    core::ThreadCountScope scope(1);
-    serial = linalg::eigen_symmetric_tridiagonal(s);
-  }
-  for (std::size_t threads : {2u, 4u, 8u}) {
-    core::ThreadCountScope scope(threads);
-    const auto eig = linalg::eigen_symmetric_tridiagonal(s);
-    EXPECT_EQ(eig.eigenvalues, serial.eigenvalues) << "threads=" << threads;
-    EXPECT_EQ(eig.eigenvectors, serial.eigenvectors) << "threads=" << threads;
+  for (const auto& s : {linalg::gram(g, g), rank_deficient_laplacian(48, 6)}) {
+    linalg::SymmetricEigen serial;
+    {
+      core::ThreadCountScope scope(1);
+      serial = linalg::eigen_symmetric_smallest(s, 48);
+    }
+    for (std::size_t threads : {2u, 4u, 8u}) {
+      core::ThreadCountScope scope(threads);
+      const auto eig = linalg::eigen_symmetric_smallest(s, 48);
+      EXPECT_EQ(eig.eigenvalues, serial.eigenvalues) << "threads=" << threads;
+      EXPECT_EQ(eig.eigenvectors, serial.eigenvectors)
+          << "threads=" << threads;
+    }
   }
 }
 

@@ -7,7 +7,9 @@
 
 #include <random>
 #include <stdexcept>
+#include <string>
 
+#include "auditherm/timeseries/csv_io.hpp"
 #include "support/oracles.hpp"
 
 namespace sysid = auditherm::sysid;
@@ -153,11 +155,23 @@ TEST(Estimator, SecondOrderNeedsThreeRowHistory) {
 }
 
 TEST(Estimator, ThrowsWithTooFewTransitions) {
-  const auto trace = known_first_order_trace(10, kA, kB, 7);
-  sysid::EstimationOptions opts;
-  opts.min_transitions = 100;
-  sysid::ModelEstimator est({1, 2}, {101}, sysid::ModelOrder::kFirst, opts);
-  EXPECT_THROW((void)est.fit(trace), std::runtime_error);
+  // The rule is max(4 * parameters, 8) usable transitions.
+  EXPECT_EQ(sysid::min_transitions(1), 8u);
+  EXPECT_EQ(sysid::min_transitions(2), 8u);
+  EXPECT_EQ(sysid::min_transitions(3), 12u);
+  EXPECT_EQ(sysid::min_transitions(61), 244u);
+  // [T1, T2, u] is 3 parameters per row, so a first-order fit needs 12
+  // transitions: 13 gap-free rows fit, 12 rows throw.
+  sysid::ModelEstimator est({1, 2}, {101}, sysid::ModelOrder::kFirst);
+  EXPECT_NO_THROW((void)est.fit(known_first_order_trace(13, kA, kB, 7)));
+  try {
+    (void)est.fit(known_first_order_trace(12, kA, kB, 7));
+    FAIL() << "expected timeseries::InputError";
+  } catch (const ts::InputError& e) {
+    EXPECT_NE(std::string(e.what()).find("only 11 usable transitions, need 12"),
+              std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(Estimator, RidgeDefaultStillAccurate) {

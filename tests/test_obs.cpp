@@ -183,9 +183,8 @@ core::DataSplit split() {
 
 core::PipelineResult run_with_options(std::size_t threads,
                                       const core::RunOptions& options) {
-  core::PipelineConfig config;
-  config.threads = threads;
-  const core::ThermalModelingPipeline pipeline(config);
+  const core::ThreadCountScope scope(threads);
+  const core::ThermalModelingPipeline pipeline(core::PipelineConfig{});
   return pipeline.run(dataset().trace, dataset().schedule, split(),
                       dataset().wireless_ids(), dataset().input_ids(),
                       options);
@@ -323,7 +322,7 @@ TEST(ObsSpectrum, KnnSpectrumIsOneEigenCallWithNoTridiagonalSpans) {
   EXPECT_EQ(recorder.metrics().counter("linalg.eigen_lanczos_calls"), 1u);
   std::size_t lanczos_spans = 0;
   for (const auto& span : recorder.spans()) {
-    EXPECT_NE(span.name, "linalg.eigen_tridiagonal");
+    EXPECT_NE(span.name, "linalg.eigen_symmetric_smallest");
     if (span.name == "linalg.eigen_lanczos") ++lanczos_spans;
   }
   EXPECT_EQ(lanczos_spans, 1u);
@@ -354,10 +353,10 @@ TEST(ObsPipeline, MultiThreadSweepSpansAreAWellFormedTree) {
       {core::SelectionStrategy::kSimpleRandom, 1},
   };
   const auto sweep_at = [&](std::size_t threads, obs::Recorder& recorder) {
-    core::PipelineConfig base;
-    base.threads = threads;
+    const core::ThreadCountScope thread_scope(threads);
     const obs::RecorderScope scope(&recorder);
-    return core::run_strategy_sweep(base, cases, dataset().trace,
+    return core::run_strategy_sweep(core::PipelineConfig{}, cases,
+                                    dataset().trace,
                                     dataset().schedule, split(),
                                     dataset().wireless_ids(),
                                     dataset().input_ids(), core::RunOptions{});

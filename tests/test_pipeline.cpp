@@ -45,7 +45,7 @@ core::PipelineResult run_with(core::SelectionStrategy strategy,
   core::PipelineConfig config;
   config.strategy = strategy;
   config.sensors_per_cluster = per_cluster;
-  config.threads = threads;
+  const core::ThreadCountScope scope(threads);
   const core::ThermalModelingPipeline pipeline(config);
   return pipeline.run(ds.trace, ds.schedule, make_split(), ds.wireless_ids(),
                       ds.input_ids(),
@@ -187,23 +187,27 @@ TEST(Pipeline, BitwiseIdenticalAcrossThreadCounts) {
 
 TEST(Pipeline, StrategySweepMatchesIndividualRuns) {
   const auto& ds = dataset();
-  core::PipelineConfig base;
-  base.threads = 4;
+  const core::PipelineConfig base;
   const std::vector<core::SweepCase> cases{
       {core::SelectionStrategy::kStratifiedNearMean, 7},
       {core::SelectionStrategy::kStratifiedRandom, 1},
       {core::SelectionStrategy::kStratifiedRandom, 2},
       {core::SelectionStrategy::kSimpleRandom, 1},
   };
-  const auto sweep = core::run_strategy_sweep(
-      base, cases, ds.trace, ds.schedule, make_split(), ds.wireless_ids(),
-      ds.input_ids(), core::RunOptions{.thermostat_ids = ds.thermostat_ids()});
+  std::vector<core::PipelineResult> sweep;
+  {
+    const core::ThreadCountScope scope(4);
+    sweep = core::run_strategy_sweep(
+        base, cases, ds.trace, ds.schedule, make_split(), ds.wireless_ids(),
+        ds.input_ids(),
+        core::RunOptions{.thermostat_ids = ds.thermostat_ids()});
+  }
   ASSERT_EQ(sweep.size(), cases.size());
+  const core::ThreadCountScope serial(1);
   for (std::size_t i = 0; i < cases.size(); ++i) {
     core::PipelineConfig config;
     config.strategy = cases[i].strategy;
     config.selection_seed = cases[i].seed;
-    config.threads = 1;
     const core::ThermalModelingPipeline pipeline(config);
     const auto individual = pipeline.run(
         ds.trace, ds.schedule, make_split(), ds.wireless_ids(), ds.input_ids(),

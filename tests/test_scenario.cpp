@@ -263,7 +263,7 @@ TEST(RunFleet, WritesTracesAndManifestToOutDir) {
   const auto outcomes = sim::run_fleet(specs, options);
 
   for (const auto& outcome : outcomes) {
-    // Datasets are dropped once written (keep_datasets defaults false).
+    // Datasets are dropped once written.
     EXPECT_FALSE(outcome.dataset.has_value());
     std::ifstream file(dir / outcome.trace_file);
     const auto trace = timeseries::read_csv(file);
@@ -288,16 +288,6 @@ TEST(RunFleet, WritesTracesAndManifestToOutDir) {
         serve::scenario_from_json(*scenarios[i].find("spec"));
     EXPECT_EQ(decoded, outcomes[i].spec);
   }
-  std::filesystem::remove_all(dir);
-}
-
-TEST(RunFleet, KeepDatasetsRetainsDataAlongsideFiles) {
-  const auto dir = scratch_dir("keep");
-  sim::FleetOptions options;
-  options.out_dir = dir.string();
-  options.keep_datasets = true;
-  const auto outcomes = sim::run_fleet({quick_spec("kept")}, options);
-  EXPECT_TRUE(outcomes[0].dataset.has_value());
   std::filesystem::remove_all(dir);
 }
 

@@ -12,6 +12,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstdio>
 #include <cmath>
@@ -148,6 +149,13 @@ TEST(ServeRequest, RejectsUnknownKeysAndWrongTypes) {
   EXPECT_THROW((void)serve::request_from_json(
                    json::parse(R"({"data": "t.csv", "clusters": 2.5})")),
                std::invalid_argument);  // non-integer count
+  for (const char* huge : {"1e300", "-1e19", "9223372036854775808"}) {
+    EXPECT_THROW((void)serve::request_from_json(json::parse(
+                     std::string(R"({"data": "t.csv", "sweep": )") + huge +
+                     "}")),
+                 std::invalid_argument)
+        << huge;  // a whole number no long can hold
+  }
 }
 
 // --- Channel classification ----------------------------------------------
@@ -336,6 +344,99 @@ TEST(ServeService, InvalidOptionValuesThrow) {
   EXPECT_THROW((void)service.analyze(bad_path), std::runtime_error);
 }
 
+/// One out-of-range analyze field: the request edit, the same edit as a
+/// JSON body fragment, a piece of the error it must produce, and whether
+/// that error is a usage error (else an input error).
+struct OutOfRangeField {
+  void (*apply)(serve::AnalyzeRequest&);
+  const char* json;
+  const char* message;
+  bool usage = true;
+};
+
+/// Every numeric analyze field outside its range. All but the last are
+/// usage errors, caught before the trace is read; more clusters than the
+/// trace has sensors is an input error, caught once the channels are
+/// classified. None may reach a Step-1 stage.
+const std::vector<OutOfRangeField>& out_of_range_fields() {
+  static const std::vector<OutOfRangeField> fields{
+      {[](serve::AnalyzeRequest& r) { r.clusters = -1; }, R"("clusters": -1)",
+       "--clusters must be >= 0"},
+      {[](serve::AnalyzeRequest& r) { r.knn = -3; r.graph = "knn"; },
+       R"("knn": -3, "graph": "knn")", "--knn must be >= 0"},
+      {[](serve::AnalyzeRequest& r) { r.sweep = -2; }, R"("sweep": -2)",
+       "--sweep must be >= 0"},
+      {[](serve::AnalyzeRequest& r) { r.per_cluster = -1; },
+       R"("per_cluster": -1)", "--per-cluster must be >= 1"},
+      {[](serve::AnalyzeRequest& r) { r.per_cluster = 0; },
+       R"("per_cluster": 0)", "--per-cluster must be >= 1"},
+      {[](serve::AnalyzeRequest& r) { r.order = 7; }, R"("order": 7)",
+       "--order must be 1 or 2"},
+      {[](serve::AnalyzeRequest& r) { r.order = 0; }, R"("order": 0)",
+       "--order must be 1 or 2"},
+      {[](serve::AnalyzeRequest& r) { r.stream = -5; }, R"("stream": -5)",
+       "--stream expects a window length"},
+      {[](serve::AnalyzeRequest& r) { r.clusters = 99; }, R"("clusters": 99)",
+       "--clusters 99 exceeds the trace's 25 sensors", false},
+  };
+  return fields;
+}
+
+/// Names of the spans `recorder` holds, one per span.
+std::vector<std::string> span_names(const auditherm::obs::Recorder& recorder) {
+  std::vector<std::string> names;
+  for (const auto& span : recorder.spans()) names.push_back(span.name);
+  return names;
+}
+
+bool has_span(const std::vector<std::string>& names, const std::string& name) {
+  return std::find(names.begin(), names.end(), name) != names.end();
+}
+
+TEST(ServeService, OutOfRangeFieldsFailBeforeAnyStage) {
+  serve::AnalysisService service;
+  for (const auto& field : out_of_range_fields()) {
+    SCOPED_TRACE(field.json);
+    auto request = small_request();
+    field.apply(request);
+    const bool usage = field.usage;
+    auditherm::obs::Recorder recorder;
+    {
+      const auditherm::obs::RecorderScope scope(&recorder);
+      try {
+        (void)service.analyze(request);
+        ADD_FAILURE() << "expected an error";
+      } catch (const core::cli::UsageError& e) {
+        EXPECT_TRUE(usage) << e.what();
+        EXPECT_NE(std::string(e.what()).find(field.message), std::string::npos)
+            << e.what();
+      } catch (const timeseries::InputError& e) {
+        EXPECT_FALSE(usage) << e.what();
+        EXPECT_NE(std::string(e.what()).find(field.message), std::string::npos)
+            << e.what();
+      }
+    }
+    const auto names = span_names(recorder);
+    EXPECT_FALSE(has_span(names, "stage.spectrum"));
+    EXPECT_FALSE(has_span(names, "pipeline.prepare"));
+    if (auditherm::obs::kCompiledIn) {
+      EXPECT_EQ(has_span(names, "serve.load_trace"), !usage);
+    }
+    // A usage error wins over a data path that does not exist.
+    if (usage) {
+      request.data = "/nonexistent/nope.csv";
+      EXPECT_THROW((void)service.analyze(request), core::cli::UsageError);
+    }
+  }
+  EXPECT_EQ(service.cache().stats(core::stage::kSpectrum).misses, 0u);
+  // knn 0 still means the default neighbor count (8).
+  auto knn_default = small_request();
+  knn_default.graph = "knn";
+  auto knn_eight = knn_default;
+  knn_eight.knn = 8;
+  EXPECT_EQ(service.analyze(knn_default), service.analyze(knn_eight));
+}
+
 // --- Socket-level end-to-end ----------------------------------------------
 
 /// Minimal HTTP client: one request, reads to connection close.
@@ -502,6 +603,35 @@ TEST(ServeServer, EndToEndOverLoopbackSockets) {
   EXPECT_NE(shutdown.find("HTTP/1.1 200"), std::string::npos);
   runner.join();  // run() drains and exits after /shutdown
   EXPECT_TRUE(server.stopping());
+}
+
+TEST(ServeServer, OutOfRangeFieldsAnswer400BeforeAnyStage) {
+  serve::AnalysisService service;
+  auditherm::obs::Recorder recorder;
+  const auditherm::obs::RecorderScope scope(&recorder);
+  serve::ServerConfig config;
+  config.port = 0;
+  config.workers = 2;
+  serve::Server server(config, service, &recorder);
+  server.start();
+  ASSERT_GT(server.port(), 0);
+  std::thread runner([&] { server.run(); });
+  for (const auto& field : out_of_range_fields()) {
+    SCOPED_TRACE(field.json);
+    const auto answer = http_exchange(
+        server.port(), "POST", "/analyze",
+        R"({"data": ")" + json::escape(trace_csv_path()) + R"(", )" +
+            field.json + "}");
+    EXPECT_NE(answer.find("HTTP/1.1 400"), std::string::npos) << answer;
+    EXPECT_NE(response_body(answer).find(field.message), std::string::npos)
+        << answer;
+  }
+  (void)http_exchange(server.port(), "POST", "/shutdown", "");
+  runner.join();
+  const auto names = span_names(recorder);
+  EXPECT_FALSE(has_span(names, "stage.spectrum"));
+  EXPECT_FALSE(has_span(names, "pipeline.prepare"));
+  EXPECT_EQ(service.cache().stats(core::stage::kSpectrum).misses, 0u);
 }
 
 TEST(ServeServer, SimulateEndpointReturnsTheFleetManifest) {

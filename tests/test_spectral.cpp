@@ -94,7 +94,7 @@ TEST(Spectral, EigengapPicksBlockCount) {
   for (std::size_t blocks : {2u, 3u, 4u}) {
     const auto graph = block_graph(blocks, 5);
     const auto analysis = clustering::analyze_spectrum(graph.weights);
-    EXPECT_EQ(analysis.eigengap_cluster_count(2, 8), blocks)
+    EXPECT_EQ(analysis.eigengap_cluster_count(), blocks)
         << "blocks=" << blocks;
   }
 }
@@ -107,10 +107,34 @@ TEST(Spectral, LogEigengapsShape) {
 }
 
 TEST(Spectral, EigengapRangeValidation) {
-  const auto graph = block_graph(2, 3);
-  const auto analysis = clustering::analyze_spectrum(graph.weights);
-  EXPECT_THROW((void)analysis.eigengap_cluster_count(8, 2),
-               std::invalid_argument);
+  // Two eigenvalues hold one gap, below the search's k = 2 floor: the
+  // range is empty. One eigenvalue (no gap) is the trivial k = 1.
+  const auto pair = clustering::analyze_spectrum(block_graph(1, 2).weights);
+  ASSERT_EQ(pair.eigenvalues.size(), 2u);
+  EXPECT_THROW((void)pair.eigengap_cluster_count(), std::invalid_argument);
+  const auto single = clustering::analyze_spectrum(block_graph(1, 1).weights);
+  ASSERT_EQ(single.eigenvalues.size(), 1u);
+  EXPECT_EQ(single.eigengap_cluster_count(), 1u);
+}
+
+TEST(Spectral, EigengapSearchesTwoToEight) {
+  static_assert(clustering::kEigengapMinK == 2);
+  static_assert(clustering::kEigengapMaxK == 8);
+  // Log-gaps of 1 everywhere except a 3 at k = target and decoys of 10 at
+  // k = 1 and k = 9, just outside the range: the scan must pick target.
+  const auto spectrum = [](std::size_t target) {
+    clustering::SpectralAnalysis a;
+    double log_lambda = 0.0;
+    for (std::size_t i = 0; i < 12; ++i) {
+      a.eigenvalues.push_back(std::exp(log_lambda));
+      const std::size_t k = i + 1;  // the gap after eigenvalue i
+      log_lambda += k == target ? 3.0 : (k == 1 || k == 9) ? 10.0 : 1.0;
+    }
+    return a;
+  };
+  for (std::size_t k = 2; k <= 8; ++k) {
+    EXPECT_EQ(spectrum(k).eigengap_cluster_count(), k) << "k=" << k;
+  }
 }
 
 TEST(Spectral, ClusterRecoveryWithFixedK) {
@@ -237,14 +261,14 @@ TEST(Spectral, TridiagonalMethodRecoversSameClusters) {
 }
 
 TEST(Spectral, PartialAnalysisClustersLikeFullSpectrum) {
-  // A partial (n x m) analysis with m >= k_max + 1 eigenpairs must produce
-  // the same clustering as the full spectrum: only the leading embedding
-  // columns feed k-means and the eigengap scan.
+  // A partial (n x m) analysis with m >= kEigengapMaxK + 1 eigenpairs
+  // must produce the same clustering as the full spectrum: only the
+  // leading embedding columns feed k-means and the eigengap scan.
   const auto graph = block_graph(3, 6);
-  clustering::SpectralOptions options;  // auto-k via eigengap, k_max = 8
+  clustering::SpectralOptions options;  // auto-k via eigengap
   const std::size_t n = graph.channels.size();
   const auto pairs = clustering::needed_eigenpairs(options, n);
-  EXPECT_EQ(pairs, std::min(n, options.k_max + 1));
+  EXPECT_EQ(pairs, std::min(n, clustering::kEigengapMaxK + 1));
 
   const auto full = clustering::spectral_cluster(
       graph, clustering::analyze_spectrum(graph.weights, options.laplacian),
@@ -274,11 +298,11 @@ TEST(Spectral, PartialAnalysisTooShallowForKThrows) {
 }
 
 TEST(Spectral, NeededEigenpairsClampsToMatrixSize) {
-  clustering::SpectralOptions options;  // k_max = 8 -> wants 9
+  clustering::SpectralOptions options;  // kEigengapMaxK = 8 -> wants 9
   EXPECT_EQ(clustering::needed_eigenpairs(options, 5), 5u);
   options.cluster_count = 4;
   EXPECT_EQ(clustering::needed_eigenpairs(options, 100), 9u);
-  options.cluster_count = 12;  // explicit k above k_max + 1
+  options.cluster_count = 12;  // explicit k above kEigengapMaxK + 1
   EXPECT_EQ(clustering::needed_eigenpairs(options, 100), 12u);
 }
 
@@ -295,5 +319,65 @@ TEST(Spectral, AutoMethodMatchesJacobiOnSmallGraphs) {
             clustering::needed_eigenpairs(options, graph.channels.size()));
   for (std::size_t i = 0; i < a.eigenvalues.size(); ++i) {
     EXPECT_NEAR(a.eigenvalues[i], b.eigenvalues[i], 1e-10) << "i=" << i;
+  }
+}
+
+TEST(Spectral, FullSpectrumOnSmallGraphsMatchesJacobi) {
+  // Below 10 vertices needed_eigenpairs() asks for every pair, so the
+  // analysis is a full spectrum from the dense solver (m == n). Connected
+  // and disconnected (repeated zero eigenvalues) graphs, both Laplacians.
+  // An empty graph has an empty spectrum.
+  EXPECT_TRUE(clustering::analyze_spectrum(Matrix()).eigenvalues.empty());
+  for (const auto& graph : {block_graph(2, 4), block_graph(3, 3),
+                            block_graph(3, 3, 0.8, 0.0),
+                            block_graph(2, 2, 0.9, 0.0)}) {
+    const std::size_t n = graph.channels.size();
+    ASSERT_LT(n, 10u);
+    ASSERT_EQ(clustering::needed_eigenpairs(clustering::SpectralOptions{}, n),
+              n);
+    for (const auto kind : {clustering::LaplacianKind::kSymmetricNormalized,
+                            clustering::LaplacianKind::kUnnormalized}) {
+      const auto l = kind == clustering::LaplacianKind::kUnnormalized
+                         ? clustering::laplacian(graph.weights)
+                         : clustering::normalized_laplacian(graph.weights);
+      const auto ref = support::eigen_symmetric(l);
+      for (const std::size_t max_pairs : {std::size_t{0}, n}) {
+        const auto got =
+            clustering::analyze_spectrum(graph.weights, kind, max_pairs);
+        const std::string context = "n=" + std::to_string(n) + " kind=" +
+                                    std::to_string(static_cast<int>(kind)) +
+                                    " max_pairs=" + std::to_string(max_pairs);
+        ASSERT_EQ(got.eigenvalues.size(), n) << context;
+        ASSERT_EQ(got.eigenvectors.rows(), n) << context;
+        ASSERT_EQ(got.eigenvectors.cols(), n) << context;
+        for (std::size_t j = 0; j < n; ++j) {
+          EXPECT_NEAR(got.eigenvalues[j], ref.eigenvalues[j], 1e-10)
+              << context << " eigenvalue " << j;
+          // Orthonormal columns that solve L v = lambda v.
+          for (std::size_t m = 0; m <= j; ++m) {
+            double dot = 0.0;
+            for (std::size_t i = 0; i < n; ++i) {
+              dot += got.eigenvectors(i, j) * got.eigenvectors(i, m);
+            }
+            EXPECT_NEAR(dot, m == j ? 1.0 : 0.0, 1e-9)
+                << context << " columns " << m << "," << j;
+          }
+          for (std::size_t i = 0; i < n; ++i) {
+            double lv = 0.0;
+            for (std::size_t c = 0; c < n; ++c) {
+              lv += l(i, c) * got.eigenvectors(c, j);
+            }
+            EXPECT_NEAR(lv, got.eigenvalues[j] * got.eigenvectors(i, j), 1e-9)
+                << context << " residual " << j << " row " << i;
+          }
+        }
+      }
+    }
+    // The one-shot clustering on that full spectrum matches the oracle's.
+    const auto a = clustering::spectral_cluster(graph);
+    const auto b = clustering::spectral_cluster(
+        graph, jacobi_analysis(graph.weights), clustering::SpectralOptions{});
+    EXPECT_EQ(a.cluster_count, b.cluster_count);
+    EXPECT_TRUE(same_partition(a.labels, b.labels));
   }
 }

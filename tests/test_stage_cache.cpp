@@ -354,21 +354,23 @@ TEST(StageCache, SweepIsBitwiseIdenticalToPerCaseRunsAtAnyThreadCount) {
 
   // Reference: standalone uncached serial runs.
   std::vector<core::PipelineResult> reference;
-  for (const auto& c : cases) {
-    core::PipelineConfig config;
-    config.strategy = c.strategy;
-    config.selection_seed = c.seed;
-    config.threads = 1;
-    const core::ThermalModelingPipeline pipeline(config);
-    reference.push_back(pipeline.run(
-        ds.trace, ds.schedule, split(), ds.wireless_ids(), ds.input_ids(),
-        core::RunOptions{.thermostat_ids = ds.thermostat_ids()}));
+  {
+    const core::ThreadCountScope serial(1);
+    for (const auto& c : cases) {
+      core::PipelineConfig config;
+      config.strategy = c.strategy;
+      config.selection_seed = c.seed;
+      const core::ThermalModelingPipeline pipeline(config);
+      reference.push_back(pipeline.run(
+          ds.trace, ds.schedule, split(), ds.wireless_ids(), ds.input_ids(),
+          core::RunOptions{.thermostat_ids = ds.thermostat_ids()}));
+    }
   }
 
   for (std::size_t threads : {1u, 2u, 4u, 8u}) {
     core::StageCache cache;
-    core::PipelineConfig base;
-    base.threads = threads;
+    const core::PipelineConfig base;
+    const core::ThreadCountScope scope(threads);
     const auto sweep = core::run_strategy_sweep(
         base, cases, ds.trace, ds.schedule, split(), ds.wireless_ids(),
         ds.input_ids(),
@@ -399,15 +401,19 @@ TEST(StageCache, SweepWithoutExternalCacheStillWorks) {
   // The default path (no caller-provided cache) prepares a zero-copy
   // prefix that views the caller's trace.
   const auto& ds = dataset();
-  core::PipelineConfig base;
-  base.threads = 2;
+  const core::PipelineConfig base;
   const std::vector<core::SweepCase> cases{
       {core::SelectionStrategy::kStratifiedNearMean, 7},
       {core::SelectionStrategy::kSimpleRandom, 3},
   };
-  const auto sweep = core::run_strategy_sweep(
-      base, cases, ds.trace, ds.schedule, split(), ds.wireless_ids(),
-      ds.input_ids(), core::RunOptions{.thermostat_ids = ds.thermostat_ids()});
+  std::vector<core::PipelineResult> sweep;
+  {
+    const core::ThreadCountScope scope(2);
+    sweep = core::run_strategy_sweep(
+        base, cases, ds.trace, ds.schedule, split(), ds.wireless_ids(),
+        ds.input_ids(),
+        core::RunOptions{.thermostat_ids = ds.thermostat_ids()});
+  }
   ASSERT_EQ(sweep.size(), 2u);
   core::PipelineConfig config;
   config.strategy = cases[1].strategy;

@@ -357,3 +357,26 @@ TEST(Streaming, CoreEntryPointRuns) {
   ASSERT_FALSE(result.drift_events.empty());
   EXPECT_GT(result.drift_events.front().row, 400u);
 }
+
+TEST(Streaming, ModelAppearsAtTheMinimumTransitionCount) {
+  // The streaming window shares the batch estimator's rule: a second-order
+  // model over 2 states and 2 inputs has 6 parameters per row, so the
+  // window needs min_transitions(6) = 24 transitions before it has a model.
+  const auto trace = make_trace(60, 5);
+  const timeseries::TraceView view(trace);
+  sysid::StreamingOptions opts;
+  opts.drift.enabled = false;
+  sysid::StreamingEstimator est(kStates, kInputs, sysid::ModelOrder::kSecond,
+                                opts);
+  ASSERT_EQ(sysid::min_transitions(6), 24u);
+  linalg::Vector states(2), inputs(2);
+  for (std::size_t k = 0; k < view.size(); ++k) {
+    states[0] = view.value(k, 0);
+    states[1] = view.value(k, 1);
+    inputs[0] = view.value(k, 2);
+    inputs[1] = view.value(k, 3);
+    est.push(states, inputs);
+    EXPECT_EQ(est.has_model(), est.window_transitions() >= 24u) << "row " << k;
+  }
+  EXPECT_TRUE(est.has_model());
+}

@@ -74,12 +74,17 @@ TEST(PredictWindow, ScansPastMissingInitialState) {
 }
 
 TEST(PredictWindow, GivesUpWhenScanExhausted) {
+  // The scan reaches 12 rows past the window's first: a valid state at
+  // row 12 still starts the window, one at row 13 does not.
   auto setup = make_perfect();
-  for (std::size_t k = 0; k < 30; ++k) setup.trace.clear(k, 0);
-  auto opts = quick_options();
-  opts.max_start_scan = 5;
+  for (std::size_t k = 0; k < 12; ++k) setup.trace.clear(k, 0);
+  const auto reached =
+      sysid::predict_window(setup.model, setup.trace, {0, 60}, quick_options());
+  ASSERT_TRUE(reached.has_value());
+  EXPECT_EQ(reached->first_row, 13u);
+  setup.trace.clear(12, 0);
   const auto wp =
-      sysid::predict_window(setup.model, setup.trace, {0, 60}, opts);
+      sysid::predict_window(setup.model, setup.trace, {0, 60}, quick_options());
   EXPECT_FALSE(wp.has_value());
 }
 
