@@ -53,7 +53,8 @@ struct SimilarityOptions {
   /// graph whose cuts are dominated by single low-degree vertices.
   double threshold_quantile = 0.6;
   /// Regardless of thresholds, keep each vertex's strongest `knn_floor`
-  /// edges so no sensor is disconnected from the graph (epsilon mode).
+  /// edges so no sensor is disconnected from the graph (epsilon mode; ties
+  /// broken by lower neighbor index, as in kKnn).
   std::size_t knn_floor = 3;
   /// Neighbors kept per vertex in kKnn mode (before symmetrization).
   std::size_t knn_k = 8;

@@ -10,36 +10,37 @@ namespace auditherm::clustering {
 
 namespace {
 
-/// Keep only the symmetrized union of each vertex's k strongest edges.
-/// Neighbor ranking sorts by (weight descending, index ascending) — the
-/// index tie-break is what makes the sparsified pattern deterministic when
-/// several neighbors share a weight (common with perfectly correlated
-/// synthetic traces).
-void sparsify_knn(linalg::Matrix& weights, std::size_t k) {
+/// Flat p×p mask (row-major) of each vertex's `k` strongest edges,
+/// union-symmetrized. A row ranks its neighbors j != i of positive weight by
+/// (weight descending, index ascending) — a strict total order, so the kept
+/// set does not depend on the ranking algorithm, and ties (common with
+/// perfectly correlated synthetic traces) go to the lower index.
+std::vector<unsigned char> strongest_edges(const linalg::Matrix& weights,
+                                           std::size_t k) {
   const std::size_t p = weights.rows();
-  std::vector<std::vector<bool>> keep(p, std::vector<bool>(p, false));
+  std::vector<unsigned char> keep(p * p, 0);
   std::vector<std::size_t> order;
+  order.reserve(p);
   for (std::size_t i = 0; i < p; ++i) {
     order.clear();
     for (std::size_t j = 0; j < p; ++j) {
       if (j != i && weights(i, j) > 0.0) order.push_back(j);
     }
-    std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
-      if (weights(i, a) != weights(i, b)) {
-        return weights(i, a) > weights(i, b);
-      }
-      return a < b;
-    });
-    for (std::size_t r = 0; r < std::min(k, order.size()); ++r) {
-      keep[i][order[r]] = true;
-      keep[order[r]][i] = true;
+    const auto top =
+        order.begin() + static_cast<std::ptrdiff_t>(std::min(k, order.size()));
+    std::partial_sort(order.begin(), top, order.end(),
+                      [&](std::size_t a, std::size_t b) {
+                        if (weights(i, a) != weights(i, b)) {
+                          return weights(i, a) > weights(i, b);
+                        }
+                        return a < b;
+                      });
+    for (auto it = order.begin(); it != top; ++it) {
+      keep[i * p + *it] = 1;
+      keep[*it * p + i] = 1;
     }
   }
-  for (std::size_t i = 0; i < p; ++i) {
-    for (std::size_t j = 0; j < p; ++j) {
-      if (i != j && !keep[i][j]) weights(i, j) = 0.0;
-    }
-  }
+  return keep;
 }
 
 }  // namespace
@@ -56,18 +57,20 @@ SimilarityGraph build_similarity_graph(
 
   SimilarityGraph graph;
   graph.channels = channels;
-  graph.weights = linalg::Matrix(p, p);
 
+  // Both metrics turn the kernel's matrix into weights in place.
   if (options.metric == SimilarityMetric::kEuclidean) {
-    const auto dist = timeseries::rms_distance_matrix(sub);
+    graph.weights = timeseries::rms_distance_matrix(sub);
+    auto& w = graph.weights;
     std::vector<double> pair_dists;
+    pair_dists.reserve(p * (p - 1) / 2);
     for (std::size_t i = 0; i < p; ++i) {
       for (std::size_t j = i + 1; j < p; ++j) {
-        if (std::isinf(dist(i, j))) {
+        if (std::isinf(w(i, j))) {
           throw std::runtime_error(
               "build_similarity_graph: channel pair shares no samples");
         }
-        pair_dists.push_back(dist(i, j));
+        pair_dists.push_back(w(i, j));
       }
     }
     double sigma = options.sigma;
@@ -84,26 +87,27 @@ SimilarityGraph build_similarity_graph(
     const double two_s2 = 2.0 * sigma * sigma;
     for (std::size_t i = 0; i < p; ++i) {
       for (std::size_t j = i + 1; j < p; ++j) {
-        const double w = std::exp(-dist(i, j) * dist(i, j) / two_s2);
-        graph.weights(i, j) = w;
-        graph.weights(j, i) = w;
+        const double d = w(i, j);
+        const double v = std::exp(-d * d / two_s2);
+        w(i, j) = v;
+        w(j, i) = v;
       }
     }
   } else {
-    const auto corr = timeseries::correlation_matrix(sub);
-    for (std::size_t i = 0; i < p; ++i) {
-      for (std::size_t j = i + 1; j < p; ++j) {
-        // Clamp into [0, 1]: roundoff can push a perfect correlation a few
-        // ulps above 1.
-        const double w = std::clamp(corr(i, j), 0.0, 1.0);
-        graph.weights(i, j) = w;
-        graph.weights(j, i) = w;
-      }
-    }
+    graph.weights = timeseries::correlation_matrix(sub);
+    // Clamp into [0, 1]: roundoff can push a perfect correlation a few ulps
+    // above 1. The matrix is exactly symmetric, so clamping every entry
+    // clamps each pair once per side.
+    for (double& v : graph.weights.data()) v = std::clamp(v, 0.0, 1.0);
+    for (std::size_t i = 0; i < p; ++i) graph.weights(i, i) = 0.0;
   }
+  auto& entries = graph.weights.data();
 
   if (options.sparsification == GraphSparsification::kKnn) {
-    sparsify_knn(graph.weights, options.knn_k);
+    const auto keep = strongest_edges(graph.weights, options.knn_k);
+    for (std::size_t e = 0; e < entries.size(); ++e) {
+      entries[e] = keep[e] == 0 ? 0.0 : entries[e];
+    }
     return graph;
   }
 
@@ -127,27 +131,9 @@ SimilarityGraph build_similarity_graph(
   }
   if (cutoff > 0.0) {
     // Protected edges: each vertex's strongest knn_floor links.
-    std::vector<std::vector<bool>> keep(p, std::vector<bool>(p, false));
-    for (std::size_t i = 0; i < p; ++i) {
-      std::vector<std::size_t> order;
-      for (std::size_t j = 0; j < p; ++j) {
-        if (j != i) order.push_back(j);
-      }
-      std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
-        return graph.weights(i, a) > graph.weights(i, b);
-      });
-      for (std::size_t r = 0; r < std::min(options.knn_floor, order.size());
-           ++r) {
-        keep[i][order[r]] = true;
-        keep[order[r]][i] = true;
-      }
-    }
-    for (std::size_t i = 0; i < p; ++i) {
-      for (std::size_t j = 0; j < p; ++j) {
-        if (i != j && !keep[i][j] && graph.weights(i, j) < cutoff) {
-          graph.weights(i, j) = 0.0;
-        }
-      }
+    const auto keep = strongest_edges(graph.weights, options.knn_floor);
+    for (std::size_t e = 0; e < entries.size(); ++e) {
+      entries[e] = keep[e] == 0 && entries[e] < cutoff ? 0.0 : entries[e];
     }
   }
   return graph;

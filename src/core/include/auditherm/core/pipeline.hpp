@@ -259,20 +259,4 @@ struct StreamingRunResult {
     const StreamingRunConfig& config,
     const std::vector<bool>& row_filter = {});
 
-/// Evaluate a reduced model's cluster-mean predictions (Fig. 11 metric):
-/// simulate the model over each window, average the predicted selected
-/// sensors per cluster, and compare against the measured all-sensor
-/// cluster mean wherever it exists. The measured per-cluster means come
-/// precomputed (the stage-cache path: they depend only on trace and
-/// clustering, so a sweep computes them once); `cluster_means[c]` must be
-/// row-aligned with `trace`. Throws std::invalid_argument on count
-/// mismatch.
-[[nodiscard]] selection::ClusterMeanErrors evaluate_reduced_model_cluster_mean(
-    const sysid::ThermalModel& model, const timeseries::TraceView& trace,
-    const selection::ClusterSets& clusters,
-    const selection::Selection& selection,
-    const std::vector<timeseries::Segment>& windows,
-    const std::vector<linalg::Vector>& cluster_means,
-    const sysid::EvaluationOptions& options);
-
 }  // namespace auditherm::core

@@ -58,6 +58,85 @@ std::string stage_span_name(std::string_view name) {
   return s;
 }
 
+/// Evaluate a reduced model's cluster-mean predictions (Fig. 11 metric):
+/// simulate the model over each window, average the predicted selected
+/// sensors per cluster, and compare against the measured all-sensor
+/// cluster mean wherever it exists. The measured per-cluster means come
+/// precomputed (the stage-cache path: they depend only on trace and
+/// clustering, so a sweep computes them once); `cluster_means[c]` must be
+/// row-aligned with `trace`. Throws std::invalid_argument on count
+/// mismatch.
+selection::ClusterMeanErrors evaluate_reduced_model_cluster_mean(
+    const sysid::ThermalModel& model, const timeseries::TraceView& trace,
+    const selection::ClusterSets& clusters,
+    const selection::Selection& selection,
+    const std::vector<timeseries::Segment>& windows,
+    const std::vector<linalg::Vector>& cluster_means) {
+  if (selection.per_cluster.size() != clusters.size()) {
+    throw std::invalid_argument(
+        "evaluate_reduced_model_cluster_mean: cluster count mismatch");
+  }
+  if (cluster_means.size() != clusters.size()) {
+    throw std::invalid_argument(
+        "evaluate_reduced_model_cluster_mean: cluster mean count mismatch");
+  }
+
+  // Map each cluster to the model-state indices of its selected sensors.
+  std::vector<std::vector<std::size_t>> cluster_state_idx(clusters.size());
+  for (std::size_t c = 0; c < clusters.size(); ++c) {
+    for (ChannelId id : selection.per_cluster[c]) {
+      const auto& states = model.state_channels();
+      const auto it = std::find(states.begin(), states.end(), id);
+      if (it == states.end()) {
+        throw std::invalid_argument(
+            "evaluate_reduced_model_cluster_mean: selected sensor not a "
+            "model state");
+      }
+      cluster_state_idx[c].push_back(
+          static_cast<std::size_t>(it - states.begin()));
+    }
+    if (cluster_state_idx[c].empty()) {
+      throw std::invalid_argument(
+          "evaluate_reduced_model_cluster_mean: cluster with no selection");
+    }
+  }
+
+  // Each window's open-loop simulation is independent; per-window error
+  // buffers are concatenated in window order afterwards, so the pooled
+  // error samples are identical at any thread count.
+  std::vector<std::vector<linalg::Vector>> window_errors(windows.size());
+  parallel_for(0, windows.size(), 1, [&](std::size_t w) {
+    const auto wp = sysid::predict_window(model, trace, windows[w],
+                                           kPipelineEvaluation);
+    if (!wp) return;
+    auto& local = window_errors[w];
+    local.resize(clusters.size());
+    for (std::size_t k = 0; k < wp->predicted.rows(); ++k) {
+      const std::size_t row = wp->first_row + k;
+      for (std::size_t c = 0; c < clusters.size(); ++c) {
+        const double target = cluster_means[c][row];
+        if (std::isnan(target)) continue;
+        double pred = 0.0;
+        for (std::size_t s : cluster_state_idx[c]) {
+          pred += wp->predicted(k, s);
+        }
+        pred /= static_cast<double>(cluster_state_idx[c].size());
+        local[c].push_back(std::abs(pred - target));
+      }
+    }
+  });
+
+  selection::ClusterMeanErrors errors;
+  errors.per_cluster_abs.resize(clusters.size());
+  for (const auto& local : window_errors) {
+    for (std::size_t c = 0; c < local.size(); ++c) {
+      errors.per_cluster_abs[c].insert(errors.per_cluster_abs[c].end(),
+                                       local[c].begin(), local[c].end());
+    }
+  }
+  return errors;
+}
+
 }  // namespace
 
 ThermalModelingPipeline::ThermalModelingPipeline(PipelineConfig config)
@@ -284,7 +363,7 @@ PipelineResult ThermalModelingPipeline::run_from(
         result.reduced_model, full, *artifacts.windows, kPipelineEvaluation);
     result.cluster_mean_errors = evaluate_reduced_model_cluster_mean(
         result.reduced_model, full, clusters, result.selection,
-        *artifacts.windows, *artifacts.cluster_means, kPipelineEvaluation);
+        *artifacts.windows, *artifacts.cluster_means);
   }
   return result;
 }
@@ -315,77 +394,6 @@ PipelineResult ThermalModelingPipeline::run(
                            static_cast<double>(rec->now_ns() - t0) / 1e3);
   }
   return result;
-}
-
-selection::ClusterMeanErrors evaluate_reduced_model_cluster_mean(
-    const sysid::ThermalModel& model, const timeseries::TraceView& trace,
-    const selection::ClusterSets& clusters,
-    const selection::Selection& selection,
-    const std::vector<timeseries::Segment>& windows,
-    const std::vector<linalg::Vector>& cluster_means,
-    const sysid::EvaluationOptions& options) {
-  if (selection.per_cluster.size() != clusters.size()) {
-    throw std::invalid_argument(
-        "evaluate_reduced_model_cluster_mean: cluster count mismatch");
-  }
-  if (cluster_means.size() != clusters.size()) {
-    throw std::invalid_argument(
-        "evaluate_reduced_model_cluster_mean: cluster mean count mismatch");
-  }
-
-  // Map each cluster to the model-state indices of its selected sensors.
-  std::vector<std::vector<std::size_t>> cluster_state_idx(clusters.size());
-  for (std::size_t c = 0; c < clusters.size(); ++c) {
-    for (ChannelId id : selection.per_cluster[c]) {
-      const auto& states = model.state_channels();
-      const auto it = std::find(states.begin(), states.end(), id);
-      if (it == states.end()) {
-        throw std::invalid_argument(
-            "evaluate_reduced_model_cluster_mean: selected sensor not a "
-            "model state");
-      }
-      cluster_state_idx[c].push_back(
-          static_cast<std::size_t>(it - states.begin()));
-    }
-    if (cluster_state_idx[c].empty()) {
-      throw std::invalid_argument(
-          "evaluate_reduced_model_cluster_mean: cluster with no selection");
-    }
-  }
-
-  // Each window's open-loop simulation is independent; per-window error
-  // buffers are concatenated in window order afterwards, so the pooled
-  // error samples are identical at any thread count.
-  std::vector<std::vector<linalg::Vector>> window_errors(windows.size());
-  parallel_for(0, windows.size(), 1, [&](std::size_t w) {
-    const auto wp = sysid::predict_window(model, trace, windows[w], options);
-    if (!wp) return;
-    auto& local = window_errors[w];
-    local.resize(clusters.size());
-    for (std::size_t k = 0; k < wp->predicted.rows(); ++k) {
-      const std::size_t row = wp->first_row + k;
-      for (std::size_t c = 0; c < clusters.size(); ++c) {
-        const double target = cluster_means[c][row];
-        if (std::isnan(target)) continue;
-        double pred = 0.0;
-        for (std::size_t s : cluster_state_idx[c]) {
-          pred += wp->predicted(k, s);
-        }
-        pred /= static_cast<double>(cluster_state_idx[c].size());
-        local[c].push_back(std::abs(pred - target));
-      }
-    }
-  });
-
-  selection::ClusterMeanErrors errors;
-  errors.per_cluster_abs.resize(clusters.size());
-  for (const auto& local : window_errors) {
-    for (std::size_t c = 0; c < local.size(); ++c) {
-      errors.per_cluster_abs[c].insert(errors.per_cluster_abs[c].end(),
-                                       local[c].begin(), local[c].end());
-    }
-  }
-  return errors;
 }
 
 std::vector<PipelineResult> run_strategy_sweep(

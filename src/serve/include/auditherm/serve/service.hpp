@@ -30,7 +30,7 @@ namespace auditherm::serve {
 /// same defaults, so CLI args and JSON bodies decode into the same shape.
 struct AnalyzeRequest {
   std::string data;     ///< trace CSV path (required)
-  std::string metric;   ///< "correlation" (default) | "euclidean"
+  std::string metric;   ///< "" or "correlation" (default) | "euclidean"
   long clusters = 0;    ///< 0 = eigengap choice
   long order = 2;       ///< model order, 1 | 2
   long per_cluster = 1; ///< representatives per cluster
@@ -131,7 +131,8 @@ class AnalysisService {
       const std::string& path);
 
   /// Translate request options into a pipeline configuration (validates
-  /// the graph value; throws core::cli::UsageError on an unknown one).
+  /// the metric and graph values; throws core::cli::UsageError on an
+  /// unknown one).
   [[nodiscard]] static core::PipelineConfig make_config(
       const AnalyzeRequest& request);
 

@@ -298,12 +298,11 @@ core::PipelineConfig AnalysisService::make_config(
     const AnalyzeRequest& request) {
   namespace cli = core::cli;
   core::PipelineConfig config;
-  if (!request.metric.empty()) {
-    // Matches the historical CLI decode: anything but "euclidean" selects
-    // the (default) correlation metric.
-    config.similarity.metric = request.metric == "euclidean"
-                                   ? clustering::SimilarityMetric::kEuclidean
-                                   : clustering::SimilarityMetric::kCorrelation;
+  if (request.metric == "euclidean") {
+    config.similarity.metric = clustering::SimilarityMetric::kEuclidean;
+  } else if (!request.metric.empty() && request.metric != "correlation") {
+    throw cli::UsageError("analyze: unknown --metric value '" +
+                          request.metric + "'");
   }
   config.spectral.cluster_count = static_cast<std::size_t>(request.clusters);
   if (!request.graph.empty()) {

@@ -5,6 +5,13 @@
 /// paper's Fig. 7/8 correlation maps and the correlation similarity graph),
 /// pairwise distances, channel means, and pairwise max temperature
 /// differences (Fig. 7/8 CDF metric).
+///
+/// The four pairwise statistics share one kernel: the channels are packed
+/// once into a panel (gaps as 0.0 plus a 0/1 mask) and each channel runs
+/// against four partners per pass, summing only what its statistic needs.
+/// Every pair still sums its shared rows in ascending order, so for finite
+/// samples the results are bitwise those of a per-pair walk over the shared
+/// rows, at any thread count.
 
 #include <vector>
 
@@ -34,14 +41,11 @@ namespace auditherm::timeseries {
 /// Per-channel mean over valid samples; NaN for channels with no samples.
 [[nodiscard]] linalg::Vector channel_means(const TraceView& trace);
 
-/// Max over shared-valid rows of |x_i(k) - x_j(k)| for a channel pair;
-/// the paper's intra-cluster "maximum temperature difference" metric.
-/// Returns NaN when the pair shares no rows.
-[[nodiscard]] double max_abs_difference(const TraceView& trace,
-                                        ChannelId a, ChannelId b);
-
-/// All pairwise max-abs-differences among `ids` (unordered pairs, NaN pairs
-/// skipped); the sample whose CDF the paper plots per cluster.
+/// For each unordered pair of `ids` (i < j in the given order), the max
+/// over shared-valid rows of |x_i(k) - x_j(k)|: the paper's intra-cluster
+/// "maximum temperature difference" metric, the sample whose CDF it plots
+/// per cluster. Pairs that share no rows are skipped. Throws
+/// std::invalid_argument when an id is not a channel of the view.
 [[nodiscard]] linalg::Vector pairwise_max_differences(
     const TraceView& trace, const std::vector<ChannelId>& ids);
 

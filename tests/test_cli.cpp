@@ -244,6 +244,7 @@ TEST(CliBinary, AnalyzeRejectsOutOfRangeFieldsBeforeReadingTheTrace) {
       {"--per-cluster -1", "--per-cluster must be >= 1"},
       {"--order 7", "--order must be 1 or 2"},
       {"--stream -5", "--stream expects a window length"},
+      {"--metric eucldean", "unknown --metric value 'eucldean'"},
   };
   for (const auto& [args, message] : bad) {
     std::string output;

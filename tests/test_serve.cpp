@@ -354,10 +354,10 @@ struct OutOfRangeField {
   bool usage = true;
 };
 
-/// Every numeric analyze field outside its range. All but the last are
-/// usage errors, caught before the trace is read; more clusters than the
-/// trace has sensors is an input error, caught once the channels are
-/// classified. None may reach a Step-1 stage.
+/// Every numeric analyze field outside its range, and an unknown metric.
+/// All but the last are usage errors, caught before the trace is read;
+/// more clusters than the trace has sensors is an input error, caught once
+/// the channels are classified. None may reach a Step-1 stage.
 const std::vector<OutOfRangeField>& out_of_range_fields() {
   static const std::vector<OutOfRangeField> fields{
       {[](serve::AnalyzeRequest& r) { r.clusters = -1; }, R"("clusters": -1)",
@@ -376,6 +376,8 @@ const std::vector<OutOfRangeField>& out_of_range_fields() {
        "--order must be 1 or 2"},
       {[](serve::AnalyzeRequest& r) { r.stream = -5; }, R"("stream": -5)",
        "--stream expects a window length"},
+      {[](serve::AnalyzeRequest& r) { r.metric = "bogus"; },
+       R"("metric": "bogus")", "unknown --metric value 'bogus'"},
       {[](serve::AnalyzeRequest& r) { r.clusters = 99; }, R"("clusters": 99)",
        "--clusters 99 exceeds the trace's 25 sensors", false},
   };

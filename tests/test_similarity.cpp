@@ -4,12 +4,16 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <random>
 #include <stdexcept>
+#include <vector>
 
 #include "support/oracles.hpp"
 
 namespace clustering = auditherm::clustering;
+namespace linalg = auditherm::linalg;
 namespace support = auditherm::test_support;
 namespace ts = auditherm::timeseries;
 using ts::MultiTrace;
@@ -176,4 +180,134 @@ TEST(Similarity, DisjointChannelsThrow) {
   EXPECT_THROW((void)clustering::build_similarity_graph(trace, {1, 2},
                                                         options),
                std::runtime_error);
+}
+
+namespace {
+
+/// Seeded trace whose channels come in groups of identical copies, listed
+/// in a shuffled order: a vertex's weights to the copies of one group tie
+/// exactly, and its own copies tie at weight 1.
+MultiTrace duplicated_trace(std::mt19937_64& rng,
+                            std::vector<ts::ChannelId>& ids) {
+  constexpr std::size_t kRows = 60;
+  std::normal_distribution<double> normal(0.0, 1.0);
+  const std::size_t groups = 4 + rng() % 5;
+  std::vector<std::size_t> group_of;
+  for (std::size_t g = 0; g < groups; ++g) {
+    const std::size_t copies = 1 + rng() % 4;
+    group_of.insert(group_of.end(), copies, g);
+  }
+  std::shuffle(group_of.begin(), group_of.end(), rng);
+  // Two shared signals mixed per group, so groups correlate with each
+  // other at many different (mostly positive) strengths.
+  std::vector<double> s1(kRows), s2(kRows), mix(groups), noise(groups * kRows);
+  for (std::size_t k = 0; k < kRows; ++k) {
+    s1[k] = normal(rng);
+    s2[k] = normal(rng);
+  }
+  for (auto& m : mix) m = normal(rng);
+  for (auto& e : noise) e = 0.5 * normal(rng);
+  ids.clear();
+  for (std::size_t c = 0; c < group_of.size(); ++c) {
+    ids.push_back(static_cast<ts::ChannelId>(10 + c));
+  }
+  MultiTrace trace(TimeGrid(0, 30, kRows), ids);
+  for (std::size_t c = 0; c < group_of.size(); ++c) {
+    const std::size_t g = group_of[c];
+    for (std::size_t k = 0; k < kRows; ++k) {
+      trace.set(k, c, 20.0 + s1[k] + mix[g] * s2[k] + noise[g * kRows + k]);
+    }
+  }
+  return trace;
+}
+
+/// Each vertex's `k` strongest positive edges by a full sort under
+/// (weight descending, index ascending), union-symmetrized. Counts in
+/// `straddles` the rows where an exact tie spans the k-th slot.
+std::vector<std::vector<bool>> brute_force_keep(const linalg::Matrix& w,
+                                                std::size_t k,
+                                                std::size_t& straddles) {
+  const std::size_t p = w.rows();
+  std::vector<std::vector<bool>> keep(p, std::vector<bool>(p, false));
+  for (std::size_t i = 0; i < p; ++i) {
+    std::vector<std::size_t> order;
+    for (std::size_t j = 0; j < p; ++j) {
+      if (j != i && w(i, j) > 0.0) order.push_back(j);
+    }
+    std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
+      if (w(i, a) != w(i, b)) return w(i, a) > w(i, b);
+      return a < b;
+    });
+    if (k > 0 && order.size() > k && w(i, order[k - 1]) == w(i, order[k])) {
+      ++straddles;
+    }
+    for (std::size_t r = 0; r < std::min(k, order.size()); ++r) {
+      keep[i][order[r]] = true;
+      keep[order[r]][i] = true;
+    }
+  }
+  return keep;
+}
+
+}  // namespace
+
+TEST(Similarity, TopKTiesGoToTheLowerIndex) {
+  std::size_t knn_straddles = 0;
+  std::size_t floor_straddles = 0;
+  std::mt19937_64 rng(2014);
+  for (int seed = 0; seed < 40; ++seed) {
+    std::vector<ts::ChannelId> ids;
+    const auto trace = duplicated_trace(rng, ids);
+    const std::size_t p = ids.size();
+    for (const auto metric : {clustering::SimilarityMetric::kCorrelation,
+                              clustering::SimilarityMetric::kEuclidean}) {
+      SCOPED_TRACE("seed " + std::to_string(seed) + ", " +
+                   std::to_string(p) + " channels, metric " +
+                   std::to_string(static_cast<int>(metric)));
+      clustering::SimilarityOptions dense_options;
+      dense_options.metric = metric;
+      dense_options.threshold_quantile = 0.0;  // no sparsification
+      const auto dense =
+          clustering::build_similarity_graph(trace, ids, dense_options).weights;
+
+      clustering::SimilarityOptions knn_options;
+      knn_options.metric = metric;
+      knn_options.sparsification = clustering::GraphSparsification::kKnn;
+      knn_options.knn_k = 1 + rng() % 5;
+      const auto knn =
+          clustering::build_similarity_graph(trace, ids, knn_options).weights;
+      const auto knn_keep =
+          brute_force_keep(dense, knn_options.knn_k, knn_straddles);
+
+      clustering::SimilarityOptions eps_options;
+      eps_options.metric = metric;
+      eps_options.threshold_quantile = 0.5 + 0.1 * static_cast<double>(rng() % 4);
+      eps_options.knn_floor = 1 + rng() % 4;
+      const auto eps =
+          clustering::build_similarity_graph(trace, ids, eps_options).weights;
+      const auto floor_keep =
+          brute_force_keep(dense, eps_options.knn_floor, floor_straddles);
+      std::vector<double> upper;
+      for (std::size_t i = 0; i < p; ++i) {
+        for (std::size_t j = i + 1; j < p; ++j) upper.push_back(dense(i, j));
+      }
+      std::sort(upper.begin(), upper.end());
+      const double cutoff = upper[static_cast<std::size_t>(
+          eps_options.threshold_quantile *
+          static_cast<double>(upper.size() - 1))];
+
+      for (std::size_t i = 0; i < p; ++i) {
+        for (std::size_t j = 0; j < p; ++j) {
+          EXPECT_EQ(knn(i, j), knn_keep[i][j] ? dense(i, j) : 0.0)
+              << "knn (" << i << ", " << j << ")";
+          const bool dropped = !floor_keep[i][j] && dense(i, j) < cutoff;
+          EXPECT_EQ(eps(i, j), dropped ? 0.0 : dense(i, j))
+              << "epsilon (" << i << ", " << j << ")";
+        }
+      }
+    }
+  }
+  // The duplicated channels must have put exact ties across the k-th slot.
+  EXPECT_GT(knn_straddles, 0u);
+  EXPECT_GT(floor_straddles, 0u);
 }

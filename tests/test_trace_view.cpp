@@ -337,9 +337,6 @@ TEST(TraceViewProperty, RandomViewChainsMatchMaterializedEverywhere) {
       expect_bitwise(ts::pairwise_max_differences(view, ids),
                      ts::pairwise_max_differences(copy, ids),
                      tag + " pairwise_max_differences");
-      expect_bitwise(ts::max_abs_difference(view, ids[0], ids[1]),
-                     ts::max_abs_difference(copy, ids[0], ids[1]),
-                     tag + " max_abs_difference");
       expect_bitwise(ts::row_mean(view, {ids[0], ids[1]}),
                      ts::row_mean(copy, {ids[0], ids[1]}),
                      tag + " row_mean subset");
